@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .error_models import ErrorFamily, ErrorModel, ErrorEnsemble, validate_ensemble
-from .estimators import Bandwidths, Sample, fit, variance_bound_diagnostic
-from .exceptions import ConfigError, EnsembleInvalid, HetdeconvError
+from .estimators import Bandwidths, KernelCache, Sample, fit, variance_bound_diagnostic
+from .exceptions import ConfigError, HetdeconvError
 from .kernels import QuadratureGrid
 from .simulation import (
     DECONV,
@@ -254,8 +254,8 @@ def _parse_grid_spec(spec: str, name: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"{name} must be start:stop:count, got {spec!r}") from exc
-    if count < 1 or not start <= stop:
-        raise ConfigError(f"{name}: need start <= stop and count >= 1, got {spec!r}")
+    if count < 1 or not -np.inf < start <= stop < np.inf:
+        raise ConfigError(f"{name}: need finite start <= stop and count >= 1, got {spec!r}")
     return np.linspace(start, stop, count)
 
 
@@ -298,8 +298,7 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
                 models.append(ErrorModel(ErrorFamily(name), float(variance)))
             except ValueError as exc:
                 raise ConfigError(f"{errors_path} row {i + 1}: {exc}") from exc
-        if h <= 0 or b <= 0:
-            raise ConfigError(f"bandwidths must be positive, got h={h}, b={b}")
+        bandwidths = Bandwidths(h, b)
         x_values = _parse_grid_spec(x_grid, "--x-grid")
         t_values = _parse_grid_spec(t_grid, "--t-grid")
         if quad_nodes < 16:
@@ -310,11 +309,7 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
 
     try:
         quad = QuadratureGrid.gauss_legendre(quad_nodes)
-        estimator = fit(sample, Bandwidths(h, b), quad)
-        values, flags = estimator.predict_grid(x_values, t_values)
-        density = estimator.density_grid(x_values, t_values)
-    except EnsembleInvalid as exc:
-        _fail(EXIT_RUNTIME, f"ensemble invalid: {exc}")
+        values, flags, density = fit(sample, bandwidths, quad).predict_grid(x_values, t_values)
     except Exception as exc:
         _fail(EXIT_RUNTIME, str(exc))
 
@@ -365,10 +360,8 @@ def cmd_cross_section(config_path, overrides, axis, value, estimator_name, out, 
         ensemble = build_ensemble(config.error_family, config.n)
         data = generate(config.model, config.n, ensemble, rng)
         quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
-        search = bandwidth_search(
-            data, config.bw_pairs, config.eval_x.values(), config.eval_t.values(),
-            quad, estimator=estimator,
-        )
+        cache = KernelCache(data.sample, config.eval_x.values(), config.eval_t.values(), quad)
+        search = bandwidth_search(data, config.bw_pairs, cache, estimator=estimator)
         best_h, best_b = search.best_pair
         bw = Bandwidths(best_h if best_h is not None else best_b, best_b)
         section = cross_section(

@@ -2,9 +2,9 @@
 
 Each observation's error distribution enters the estimator only through its
 characteristic function.  The ensemble combines the n per-observation laws
-into the shared denominator S(v) = sum_k |cf_k(v)|^2 and the per-observation
+into the shared denominator S(v) = sum_k |cf_k(v)|^2 of the per-observation
 deconvolution weights cf_j(-v) / S(v) that generalize the homoscedastic
-factor 1/(n cf(v)).
+factor 1/(n cf(v)); ``kernels.build_deconv_weights`` tabulates them.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import DegenerateDenominator
-
 # Values of S(v) below this floor are treated as a degenerate frequency.
 # Far below anything the built-in families produce at usable bandwidths, so
 # only true CF zeros and deep Gaussian-tail underflow reach it.
 DENOMINATOR_FLOOR = 1e-300
+
+
+def shared_denominator(cf) -> np.ndarray:
+    """S(v) = sum_k |cf_k(v)|^2 from a tabulated (n, len(v)) CF matrix."""
+    return (np.abs(cf) ** 2).sum(axis=0)
 
 
 class ErrorFamily(str, Enum):
@@ -93,36 +96,8 @@ class ErrorEnsemble:
     def denominator(self, v):
         """Shared denominator S(v) = sum_k |cf_k(v)|^2, computed once per node."""
         scalar = np.isscalar(v) or np.ndim(v) == 0
-        cf = self.cf_matrix(v)
-        s = np.abs(cf) ** 2
-        out = s.sum(axis=0)
+        out = shared_denominator(self.cf_matrix(v))
         return float(out[0]) if scalar else out
-
-    def deconv_weight_matrix(self, v) -> np.ndarray:
-        """Weights cf_j(-v) / S(v) for all j at once, shape (n, len(v)).
-
-        Raises DegenerateDenominator if S falls at or below the numeric floor
-        at any supplied frequency.
-        """
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        cf = self.cf_matrix(v)
-        denom = (np.abs(cf) ** 2).sum(axis=0)
-        bad = denom <= DENOMINATOR_FLOOR
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise DegenerateDenominator(
-                f"denominator {denom[idx]:.3e} <= floor {DENOMINATOR_FLOOR:.0e} "
-                f"at frequency {v[idx]:.6g} (node {idx})"
-            )
-        numer = np.vstack([np.asarray(m.cf(-v)) for m in self.models])
-        return numer / denom
-
-    def deconv_weight(self, j: int, v: float) -> complex | float:
-        """Weight for observation j (0-based) at a single frequency."""
-        if not 0 <= j < self.n:
-            raise IndexError(f"observation index {j} outside 0..{self.n - 1}")
-        out = self.deconv_weight_matrix(np.asarray([v], dtype=float))[j, 0]
-        return complex(out) if np.iscomplexobj(out) else float(out)
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One error draw per observation, in observation order.
@@ -155,6 +130,22 @@ class ValidationReport:
     failing_indices: tuple[int, ...]
     failing_frequencies: tuple[float, ...]
 
+    @classmethod
+    def from_denominator(cls, bandwidth, freqs, denom) -> "ValidationReport":
+        """Report on S(v) already tabulated at ``freqs``."""
+        failing = np.flatnonzero(denom <= DENOMINATOR_FLOOR)
+        min_index = int(np.argmin(denom))
+        return cls(
+            bandwidth=float(bandwidth),
+            floor=DENOMINATOR_FLOOR,
+            n_nodes=freqs.size,
+            min_denominator=float(denom[min_index]),
+            min_index=min_index,
+            min_frequency=float(freqs[min_index]),
+            failing_indices=tuple(int(i) for i in failing),
+            failing_frequencies=tuple(float(freqs[i]) for i in failing),
+        )
+
     @property
     def passed(self) -> bool:
         return not self.failing_indices
@@ -182,22 +173,9 @@ def validate_ensemble(ensemble: ErrorEnsemble, bandwidth: float, frequencies) ->
 
     ``frequencies`` is the grid the deconvolution weights will be evaluated
     on; callers fitting with bandwidth b pass the quadrature nodes scaled by
-    1/b so the grid spans [-1/b, 1/b].  A passing report is required before
-    fitting.
+    1/b so the grid spans [-1/b, 1/b].
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    denom = ensemble.denominator(freqs)
-    failing = np.flatnonzero(denom <= DENOMINATOR_FLOOR)
-    min_index = int(np.argmin(denom))
-    return ValidationReport(
-        bandwidth=float(bandwidth),
-        floor=DENOMINATOR_FLOOR,
-        n_nodes=freqs.size,
-        min_denominator=float(denom[min_index]),
-        min_index=min_index,
-        min_frequency=float(freqs[min_index]),
-        failing_indices=tuple(int(i) for i in failing),
-        failing_frequencies=tuple(float(freqs[i]) for i in failing),
-    )
+    return ValidationReport.from_denominator(bandwidth, freqs, ensemble.denominator(freqs))

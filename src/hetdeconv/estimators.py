@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_models import DENOMINATOR_FLOOR, ErrorEnsemble, validate_ensemble
+from .error_models import DENOMINATOR_FLOOR, ErrorEnsemble
 from .exceptions import (
     DegenerateDenominator,
     DegenerateDesign,
@@ -83,8 +83,8 @@ class Bandwidths:
     def __post_init__(self):
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "b", float(self.b))
-        if not (self.h > 0 and self.b > 0):
-            raise ValueError(f"bandwidths must be positive, got h={self.h}, b={self.b}")
+        if not (0 < self.h < np.inf and 0 < self.b < np.inf):
+            raise ValueError(f"bandwidths must be finite and positive, got h={self.h}, b={self.b}")
 
 
 def floored_ratio(num, den, floor):
@@ -97,6 +97,102 @@ def floored_ratio(num, den, floor):
     with np.errstate(over="ignore"):
         ratio = num / safe
     return ratio, flagged
+
+
+def ratio_grid(kx, kt, y, scale, floor):
+    """The ratio estimator on a tensor grid: (values, flags, density).
+
+    density = kx.T @ kt / scale and values = (kx * y).T @ kt / scale / density,
+    with |density| <= floor ridge-floored.  kx (n, X) smooths the exact
+    direction and kt (n, T) the contaminated one; kx=None smooths the
+    contaminated direction alone and returns arrays of shape (T,).
+    """
+    if kx is None:
+        num = y @ kt / scale
+        den = kt.sum(axis=0) / scale
+    else:
+        num = (kx * y[:, None]).T @ kt / scale
+        den = kx.T @ kt / scale
+    values, flags = floored_ratio(num, den, floor)
+    return values, flags, den
+
+
+def _memo(table, key, build):
+    """table[key], built on first use; a build that raised EnsembleInvalid raises again."""
+    if key not in table:
+        try:
+            table[key] = build()
+        except EnsembleInvalid as exc:
+            table[key] = exc
+    found = table[key]
+    if isinstance(found, EnsembleInvalid):
+        raise found.with_traceback(None)
+    return found
+
+
+class KernelCache:
+    """Kernel matrices of one sample on one tensor evaluation grid.
+
+    Each matrix is built once per bandwidth: the normal kernel kx (n, X)
+    keyed by h, the naive normal kernel kt (n, T) and the deconvolution
+    kernel lt (n, T) keyed by b.  A bandwidth at which the ensemble is
+    invalid is remembered, and asking for it again raises EnsembleInvalid
+    again.  ``weights`` are DeconvWeights already built for the sample's
+    ensemble (as by ``fit``), used at their bandwidth instead of a rebuild.
+    Every estimator below returns (values, flags, density) on the (X, T) grid.
+    """
+
+    def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,
+                 weights=()):
+        self.sample = sample
+        self.x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
+        self.t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+        self.quad = quad
+        self._kx, self._kt, self._lt = {}, {}, {}
+        self._weights = {w.bandwidth: w for w in weights}
+
+    def kx(self, h):
+        return _memo(self._kx, h, lambda: gaussian_kernel(
+            (self.x_values[None, :] - self.sample.x[:, None]) / h))
+
+    def kt(self, b):
+        return _memo(self._kt, b, lambda: gaussian_kernel(
+            (self.t_values[None, :] - self.sample.w[:, None]) / b))
+
+    def lt(self, b):
+        def build():
+            if b in self._weights:
+                weights = self._weights[b]
+            else:
+                weights = build_deconv_weights(self.sample.ensemble, b, self.quad)
+            return deconv_kernel_grid(weights, self.sample.w / b, self.t_values / b)
+
+        return _memo(self._lt, b, build)
+
+    def deconv(self, h, b):
+        """The heteroscedastic partial deconvolution estimator."""
+        return ratio_grid(self.kx(h), self.lt(b), self.sample.y, h * b, RIDGE_SCALE / (h * b))
+
+    def naive(self, h, b):
+        """Nadaraya-Watson on (x, w) with normal kernels both ways.
+
+        Ignores the measurement error entirely; the ridge policy matches the
+        deconvolution estimator with the denominator on the same density scale.
+        """
+        return ratio_grid(self.kx(h), self.kt(b), self.sample.y, self.sample.n * h * b,
+                          RIDGE_SCALE / (h * b))
+
+    def partial_linear(self, b, slope):
+        """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope.
+
+        Only the contaminated direction is smoothed, so flags and density
+        are constant across x.
+        """
+        resid = self.sample.y - self.sample.x * slope
+        ratio, flags, density = ratio_grid(None, self.lt(b), resid, b, RIDGE_SCALE / b)
+        values = self.x_values[:, None] * slope + ratio[None, :]
+        return (values, np.broadcast_to(flags[None, :], values.shape).copy(),
+                np.broadcast_to(density[None, :], values.shape).copy())
 
 
 @dataclass(frozen=True)
@@ -117,51 +213,10 @@ class DeconvEstimator:
         if self.weights.bandwidth != self.bandwidths.b:
             raise DimensionMismatch("weights were built for a different bandwidth")
 
-    @property
-    def ridge_floor(self) -> float:
-        return RIDGE_SCALE / (self.bandwidths.h * self.bandwidths.b)
-
-    def _kernel_matrices(self, x_values, t_values):
-        """Exact-direction kernel matrix (n, X) and deconvolution matrix (n, T)."""
-        h, b = self.bandwidths.h, self.bandwidths.b
-        x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-        kx = gaussian_kernel((x_values[None, :] - self.sample.x[:, None]) / h)
-        lt = deconv_kernel_grid(self.weights, self.sample.w / b, t_values / b)
-        return kx, lt
-
-    def numerator_grid(self, x_values, t_values) -> np.ndarray:
-        """Response-weighted kernel sum on the tensor grid, shape (X, T)."""
-        h, b = self.bandwidths.h, self.bandwidths.b
-        kx, lt = self._kernel_matrices(x_values, t_values)
-        return (kx * self.sample.y[:, None]).T @ lt / (h * b)
-
-    def density_grid(self, x_values, t_values) -> np.ndarray:
-        """Joint-density estimate on the tensor grid, shape (X, T)."""
-        h, b = self.bandwidths.h, self.bandwidths.b
-        kx, lt = self._kernel_matrices(x_values, t_values)
-        return kx.T @ lt / (h * b)
-
     def predict_grid(self, x_values, t_values):
-        """Regression estimate and ridge flags on the tensor grid: (values, flags)."""
-        h, b = self.bandwidths.h, self.bandwidths.b
-        kx, lt = self._kernel_matrices(x_values, t_values)
-        num = (kx * self.sample.y[:, None]).T @ lt / (h * b)
-        den = kx.T @ lt / (h * b)
-        return floored_ratio(num, den, self.ridge_floor)
-
-    def numerator(self, x: float, t: float) -> float:
-        return float(self.numerator_grid([x], [t])[0, 0])
-
-    def density(self, x: float, t: float) -> float:
-        return float(self.density_grid([x], [t])[0, 0])
-
-    def predict_flagged(self, x: float, t: float) -> tuple[float, bool]:
-        vals, flags = self.predict_grid([x], [t])
-        return float(vals[0, 0]), bool(flags[0, 0])
-
-    def predict(self, x: float, t: float) -> float:
-        return self.predict_flagged(x, t)[0]
+        """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
+        cache = KernelCache(self.sample, x_values, t_values, self.quad, (self.weights,))
+        return cache.deconv(self.bandwidths.h, self.bandwidths.b)
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:
@@ -170,35 +225,13 @@ def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvE
     Raises EnsembleInvalid when the shared denominator degenerates on the
     scaled quadrature grid, DimensionMismatch on inconsistent inputs.
     """
-    report = validate_ensemble(sample.ensemble, bandwidths.b, quad.nodes / bandwidths.b)
-    if not report.passed:
-        raise EnsembleInvalid(
-            f"ensemble degenerates at b={bandwidths.b:g}: {report.summary()}", report
-        )
     weights = build_deconv_weights(sample.ensemble, bandwidths.b, quad)
     return DeconvEstimator(sample=sample, bandwidths=bandwidths, quad=quad, weights=weights)
 
 
 def naive_regression_grid(sample: Sample, bandwidths: Bandwidths, x_values, t_values):
-    """Nadaraya-Watson on (x, w) with normal kernels both ways: (values, flags).
-
-    Ignores the measurement error entirely; the ridge policy matches the
-    deconvolution estimator with the denominator on the same density scale.
-    """
-    h, b = bandwidths.h, bandwidths.b
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    kx = gaussian_kernel((x_values[None, :] - sample.x[:, None]) / h)
-    kt = gaussian_kernel((t_values[None, :] - sample.w[:, None]) / b)
-    scale = sample.n * h * b
-    num = (kx * sample.y[:, None]).T @ kt / scale
-    den = kx.T @ kt / scale
-    return floored_ratio(num, den, RIDGE_SCALE / (h * b))
-
-
-def naive_regression(sample: Sample, bandwidths: Bandwidths, x: float, t: float) -> float:
-    vals, _ = naive_regression_grid(sample, bandwidths, [x], [t])
-    return float(vals[0, 0])
+    """Naive Nadaraya-Watson baseline on the tensor grid: (values, flags, density)."""
+    return KernelCache(sample, x_values, t_values).naive(bandwidths.h, bandwidths.b)
 
 
 def linear_slope(sample: Sample) -> float:
@@ -216,44 +249,13 @@ def linear_slope(sample: Sample) -> float:
     return float(dx @ dy) / sxx
 
 
-def partial_linear_grid(
-    sample: Sample,
-    b: float,
-    quad: QuadratureGrid,
-    slope: float,
-    x_values,
-    t_values,
-    weights: DeconvWeights | None = None,
-):
-    """Separable-model estimator: x*slope plus a deconvolution-kernel mean of residuals.
+def partial_linear_grid(sample: Sample, b: float, quad: QuadratureGrid, slope: float,
+                        x_values, t_values):
+    """Separable-model estimator on the tensor grid: (values, flags, density).
 
-    Only the contaminated direction is smoothed; returns (values, flags) with
-    flags constant across x (the denominator depends on t alone).
+    Raises EnsembleInvalid when the ensemble degenerates at b.
     """
-    if weights is None:
-        report = validate_ensemble(sample.ensemble, b, quad.nodes / b)
-        if not report.passed:
-            raise EnsembleInvalid(
-                f"ensemble degenerates at b={b:g}: {report.summary()}", report
-            )
-        weights = build_deconv_weights(sample.ensemble, b, quad)
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    lt = deconv_kernel_grid(weights, sample.w / b, t_values / b)
-    resid = sample.y - sample.x * slope
-    num = resid @ lt / b
-    den = lt.sum(axis=0) / b
-    ratio, flagged = floored_ratio(num, den, RIDGE_SCALE / b)
-    values = x_values[:, None] * slope + ratio[None, :]
-    flags = np.broadcast_to(flagged[None, :], values.shape).copy()
-    return values, flags
-
-
-def partial_linear(
-    sample: Sample, b: float, quad: QuadratureGrid, slope: float, x: float, t: float
-) -> float:
-    vals, _ = partial_linear_grid(sample, b, quad, slope, [x], [t])
-    return float(vals[0, 0])
+    return KernelCache(sample, x_values, t_values, quad).partial_linear(b, slope)
 
 
 def variance_bound_diagnostic(

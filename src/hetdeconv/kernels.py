@@ -15,7 +15,8 @@ from math import factorial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .error_models import ErrorEnsemble
+from .error_models import ErrorEnsemble, ValidationReport, shared_denominator
+from .exceptions import EnsembleInvalid
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,21 +96,6 @@ def bandlimited_kernel_ft(v):
     return np.where(inside, base * base * base, 0.0)
 
 
-_DEFAULT_QUAD = QuadratureGrid.gauss_legendre(128)
-
-
-def bandlimited_kernel(u, quad: QuadratureGrid | None = None):
-    """Contaminated-direction kernel by Fourier inversion on the quadrature grid.
-
-    This is the production path; the closed form below exists as an oracle.
-    """
-    quad = quad or _DEFAULT_QUAD
-    u = np.asarray(u, dtype=float)
-    profile = quad.weights * bandlimited_kernel_ft(quad.nodes)
-    vals = np.cos(np.multiply.outer(u, quad.nodes)) @ profile / TWO_PI
-    return vals if vals.ndim else float(vals)
-
-
 # Moments of the kernel transform: c_k = int_{-1}^{1} v^{2k} (1-v^2)^3 dv.
 _SERIES_TERMS = 18
 _SERIES_COEF = np.array(
@@ -126,7 +112,8 @@ _SERIES_COEF = np.array(
 def bandlimited_kernel_closed_form(u):
     """Exact antiderivative evaluation of the contaminated-direction kernel.
 
-    Used only as a cross-check oracle for the quadrature path.  The
+    Used only as a cross-check oracle for the quadrature path
+    (``deconv_kernel`` with a single error-free observation).  The
     sin/cos closed form cancels catastrophically near 0, so |u| < 2 switches
     to the Taylor series of the integral.
     """
@@ -181,15 +168,22 @@ class DeconvWeights:
 def build_deconv_weights(
     ensemble: ErrorEnsemble, bandwidth: float, quad: QuadratureGrid
 ) -> DeconvWeights:
-    """Tabulate the per-observation, per-node deconvolution weights.
+    """Validate the ensemble at bandwidth b and tabulate its deconvolution weights.
 
-    The shared denominator is evaluated once per node and reused across all
-    observations.  Raises DegenerateDenominator if it falls below the floor.
+    One CF tabulation at the scaled nodes v/b gives S(v/b), which feeds both
+    the validation report and the weights cf_j(-v/b) / S(v/b); the laws are
+    CFs of real errors, so cf_j(-v) = conj(cf_j(v)).  Raises EnsembleInvalid,
+    carrying the report, when S falls at or below the numeric floor.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    psi = ensemble.deconv_weight_matrix(quad.nodes / bandwidth)
-    values = bandlimited_kernel_ft(quad.nodes)[None, :] * psi
+    freqs = quad.nodes / bandwidth
+    cf = ensemble.cf_matrix(freqs)
+    denom = shared_denominator(cf)
+    report = ValidationReport.from_denominator(bandwidth, freqs, denom)
+    if not report.passed:
+        raise EnsembleInvalid(f"ensemble invalid at b={bandwidth:g}: {report.summary()}", report)
+    values = bandlimited_kernel_ft(quad.nodes)[None, :] * (np.conj(cf) / denom)
     return DeconvWeights(ensemble=ensemble, bandwidth=float(bandwidth), quad=quad, values=values)
 
 

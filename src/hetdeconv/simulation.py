@@ -14,19 +14,10 @@ from enum import Enum
 
 import numpy as np
 
-from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel, validate_ensemble
-from .estimators import (
-    RIDGE_SCALE,
-    Bandwidths,
-    Sample,
-    fit,
-    floored_ratio,
-    linear_slope,
-    naive_regression_grid,
-    partial_linear_grid,
-)
-from .exceptions import AllPointsExcluded, ConfigError, EnsembleInvalid
-from .kernels import QuadratureGrid, build_deconv_weights, deconv_kernel_grid, gaussian_kernel
+from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel
+from .estimators import Bandwidths, KernelCache, Sample, linear_slope
+from .exceptions import AllPointsExcluded, ConfigError, DimensionMismatch, EnsembleInvalid
+from .kernels import QuadratureGrid
 
 _MASK64 = (1 << 64) - 1
 
@@ -115,17 +106,12 @@ def generate(model: Model, n: int, ensemble: ErrorEnsemble, rng: np.random.Gener
     return GeneratedData(sample=sample, latent=t, model=Model(model))
 
 
-def ase(estimate, model: Model, x_values, t_values) -> tuple[float, int]:
-    """Average squared error against the truth over unflagged grid points.
+def ase(values, flags, truth) -> tuple[float, int]:
+    """Average squared error of ``values`` against ``truth`` over unflagged points.
 
-    ``estimate`` is a callable (x_values, t_values) -> (values, flags) on the
-    tensor grid.  Returns (ase, excluded_count); raises AllPointsExcluded if
-    every point was ridge-floored.
+    Returns (ase, excluded_count); raises AllPointsExcluded if every point
+    was ridge-floored.
     """
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    values, flags = estimate(x_values, t_values)
-    truth = true_regression(model, x_values[:, None], t_values[None, :])
     ok = ~np.asarray(flags, dtype=bool)
     excluded = int(ok.size - ok.sum())
     if not ok.any():
@@ -134,6 +120,18 @@ def ase(estimate, model: Model, x_values, t_values) -> tuple[float, int]:
     with np.errstate(over="ignore"):
         value = float(np.mean(diff * diff))
     return value, excluded
+
+
+def _evaluator(cache: KernelCache, estimator: str):
+    """(h, b) -> (values, flags, density) of a registry estimator on the cache's grid."""
+    if estimator == DECONV:
+        return cache.deconv
+    if estimator == NAIVE:
+        return cache.naive
+    if estimator == PARTIAL_LINEAR:
+        slope = linear_slope(cache.sample)
+        return lambda h, b: cache.partial_linear(b, slope)
+    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -176,103 +174,35 @@ def _select_best(pairs, ase_values) -> int:
     return best
 
 
-def bandwidth_search(
-    data: GeneratedData,
-    bw_pairs,
-    eval_x,
-    eval_t,
-    quad: QuadratureGrid,
-    estimator: str = DECONV,
-) -> SearchResult:
-    """Fit and score every (h, b) candidate; return the full matrix and the argmin.
+def bandwidth_search(data: GeneratedData, bw_pairs, cache: KernelCache,
+                     estimator: str = DECONV) -> SearchResult:
+    """Score every (h, b) candidate on the cache's grid; return the full matrix and the argmin.
 
-    Candidates whose ensemble validation fails, or whose grid is entirely
-    ridge-floored, are marked invalid (infinite ASE) and skipped by the
-    argmin.  The partial-linear estimator searches the distinct b values only.
+    ``cache`` holds the kernel matrices of ``data.sample`` on the evaluation
+    grid, so searches sharing it build each matrix once.  Candidates whose
+    ensemble is invalid at b, or whose grid is entirely ridge-floored, are
+    marked (infinite ASE, with a status) and skipped by the argmin.  The
+    partial-linear estimator searches the distinct b values only.
     """
-    eval_x = np.atleast_1d(np.asarray(eval_x, dtype=float))
-    eval_t = np.atleast_1d(np.asarray(eval_t, dtype=float))
-    sample = data.sample
+    if cache.sample is not data.sample:
+        raise DimensionMismatch("kernel cache was built for a different sample")
+    evaluate = _evaluator(cache, estimator)
     if estimator == PARTIAL_LINEAR:
-        b_values = sorted({b for _, b in bw_pairs})
-        pairs = tuple((None, float(b)) for b in b_values)
-        slope = linear_slope(sample)
+        pairs = tuple((None, float(b)) for b in sorted({b for _, b in bw_pairs}))
     else:
         pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
     if not pairs:
         raise ValueError("bandwidth grid is empty")
 
+    truth = true_regression(data.model, cache.x_values[:, None], cache.t_values[None, :])
     ase_values = np.full(len(pairs), np.inf)
     excluded = np.zeros(len(pairs), dtype=int)
     statuses = [None] * len(pairs)
-
-    if estimator == NAIVE:
-        for i, (h, b) in enumerate(pairs):
-            bw = Bandwidths(h, b)
-            try:
-                ase_values[i], excluded[i] = ase(
-                    lambda xs, ts: naive_regression_grid(sample, bw, xs, ts),
-                    data.model,
-                    eval_x,
-                    eval_t,
-                )
-            except AllPointsExcluded as exc:
-                statuses[i] = str(exc)
-        return SearchResult(estimator, pairs, ase_values, excluded, tuple(statuses),
-                            _select_best(pairs, ase_values))
-
-    # Deconvolution weights depend on b only; build once per distinct b.
-    weights_by_b = {}
-    invalid_by_b = {}
-    for b in {b for _, b in pairs}:
-        report = validate_ensemble(sample.ensemble, b, quad.nodes / b)
-        if report.passed:
-            weights_by_b[b] = build_deconv_weights(sample.ensemble, b, quad)
-        else:
-            invalid_by_b[b] = f"ensemble invalid at b={b:g}: {report.summary()}"
-
-    if estimator == PARTIAL_LINEAR:
-        for i, (_, b) in enumerate(pairs):
-            if b in invalid_by_b:
-                statuses[i] = invalid_by_b[b]
-                continue
-            try:
-                ase_values[i], excluded[i] = ase(
-                    lambda xs, ts: partial_linear_grid(
-                        sample, b, quad, slope, xs, ts, weights=weights_by_b[b]
-                    ),
-                    data.model,
-                    eval_x,
-                    eval_t,
-                )
-            except AllPointsExcluded as exc:
-                statuses[i] = str(exc)
-        return SearchResult(estimator, pairs, ase_values, excluded, tuple(statuses),
-                            _select_best(pairs, ase_values))
-
-    if estimator != DECONV:
-        raise ValueError(f"unknown estimator {estimator!r}")
-
-    kx_by_h = {}
-    lt_by_b = {}
     for i, (h, b) in enumerate(pairs):
-        if b in invalid_by_b:
-            statuses[i] = invalid_by_b[b]
-            continue
-        if h not in kx_by_h:
-            kx_by_h[h] = gaussian_kernel((eval_x[None, :] - sample.x[:, None]) / h)
-        if b not in lt_by_b:
-            lt_by_b[b] = deconv_kernel_grid(weights_by_b[b], sample.w / b, eval_t / b)
-        kx, lt = kx_by_h[h], lt_by_b[b]
-
-        def estimate(xs, ts, kx=kx, lt=lt, h=h, b=b):
-            num = (kx * sample.y[:, None]).T @ lt / (h * b)
-            den = kx.T @ lt / (h * b)
-            return floored_ratio(num, den, RIDGE_SCALE / (h * b))
-
         try:
-            ase_values[i], excluded[i] = ase(estimate, data.model, eval_x, eval_t)
-        except AllPointsExcluded as exc:
+            values, flags, _ = evaluate(h, b)
+            ase_values[i], excluded[i] = ase(values, flags, truth)
+        except (EnsembleInvalid, AllPointsExcluded) as exc:
             statuses[i] = str(exc)
     return SearchResult(estimator, pairs, ase_values, excluded, tuple(statuses),
                         _select_best(pairs, ase_values))
@@ -341,8 +271,8 @@ class SimulationConfig:
         pairs = tuple((float(h), float(b)) for h, b in self.bw_pairs)
         if not pairs:
             raise ConfigError("bandwidth grid must be nonempty")
-        if any(h <= 0 or b <= 0 for h, b in pairs):
-            raise ConfigError("bandwidth grid entries must be positive")
+        if not all(0 < v < np.inf for pair in pairs for v in pair):
+            raise ConfigError("bandwidth grid entries must be finite and positive")
         object.__setattr__(self, "bw_pairs", pairs)
         for name, axis in (("eval_grid.x", self.eval_x), ("eval_grid.t", self.eval_t)):
             if axis.start < -2.0 or axis.stop > 2.0:
@@ -517,11 +447,11 @@ def _replicate(config: SimulationConfig, rep_index: int) -> dict:
     ensemble = build_ensemble(config.error_family, config.n)
     data = generate(config.model, config.n, ensemble, rng)
     quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
-    xg, tg = config.eval_x.values(), config.eval_t.values()
+    cache = KernelCache(data.sample, config.eval_x.values(), config.eval_t.values(), quad)
     out = {}
     for name in estimators_for(config.model):
         try:
-            res = bandwidth_search(data, config.bw_pairs, xg, tg, quad, estimator=name)
+            res = bandwidth_search(data, config.bw_pairs, cache, estimator=name)
             h, b = res.best_pair
             out[name] = {
                 "optimum": RepOutcome(rep_index, h, b, res.best_ase, res.best_excluded),
@@ -603,7 +533,7 @@ def cross_section(
     """Evaluate one estimator along a fixed-x or fixed-t line over [-2, 2].
 
     ``estimator`` is one of the registry names or a callable
-    (x_values, t_values) -> (values, flags).
+    (x_values, t_values) -> (values, flags[, density]).
     """
     if axis not in ("fix_x", "fix_t"):
         raise ValueError(f"axis must be 'fix_x' or 'fix_t', got {axis!r}")
@@ -611,28 +541,18 @@ def cross_section(
     if not lo <= value <= hi:
         raise ValueError(f"fixed value {value} outside [{lo}, {hi}]")
     coords = np.linspace(lo, hi, CROSS_SECTION_POINTS)
+    fixed = np.asarray([value])
+    xs, ts = (fixed, coords) if axis == "fix_x" else (coords, fixed)
 
     if callable(estimator):
-        evaluate = estimator
-    elif estimator == DECONV:
-        evaluate = fit(data.sample, bandwidths, quad).predict_grid
-    elif estimator == NAIVE:
-        def evaluate(xs, ts):
-            return naive_regression_grid(data.sample, bandwidths, xs, ts)
-    elif estimator == PARTIAL_LINEAR:
-        slope = linear_slope(data.sample)
-
-        def evaluate(xs, ts):
-            return partial_linear_grid(data.sample, bandwidths.b, quad, slope, xs, ts)
+        values, flags = estimator(xs, ts)[:2]
     else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-
+        cache = KernelCache(data.sample, xs, ts, quad)
+        values, flags, _ = _evaluator(cache, estimator)(bandwidths.h, bandwidths.b)
     if axis == "fix_x":
-        values, flags = evaluate(np.asarray([value]), coords)
         est, flg = values[0, :], flags[0, :]
         truth = true_regression(data.model, value, coords)
     else:
-        values, flags = evaluate(coords, np.asarray([value]))
         est, flg = values[:, 0], flags[:, 0]
         truth = true_regression(data.model, coords, value)
     return CrossSection(

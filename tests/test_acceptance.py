@@ -71,7 +71,7 @@ class TestCriterion1ReductionOracles:
         data = generate(Model.MODEL1, n, ens, rng)
         h = b = 0.25
         xg = tg = np.linspace(-1.5, 1.5, 10)
-        vals, flags = fit(data.sample, Bandwidths(h, b), quad128).predict_grid(xg, tg)
+        vals, flags, _ = fit(data.sample, Bandwidths(h, b), quad128).predict_grid(xg, tg)
 
         kx = gaussian_kernel((xg[None, :] - data.sample.x[:, None]) / h)
         lt = bandlimited_kernel_closed_form((tg[None, :] - data.sample.w[:, None]) / b)
@@ -92,7 +92,7 @@ class TestCriterion1ReductionOracles:
         data = generate(Model.MODEL1, n, ens, rng)
         h = b = 0.15
         xg = tg = np.linspace(-1.5, 1.5, 10)
-        vals, flags = fit(data.sample, Bandwidths(h, b), quad128).predict_grid(xg, tg)
+        vals, flags, _ = fit(data.sample, Bandwidths(h, b), quad128).predict_grid(xg, tg)
 
         # direct homoscedastic construction: kernel_ft(v) / (n cf(v/b))
         v = quad128.nodes
@@ -127,7 +127,7 @@ class TestCriterion2ConstantResponse:
         worst = 0.0
         for h, b in pairs:
             est = fit(sample, Bandwidths(h, b), quad64)
-            vals, flags = est.predict_grid(xg, tg)
+            vals, flags, _ = est.predict_grid(xg, tg)
             if (~flags).any():
                 worst = max(worst, float(np.abs(vals[~flags] - c).max()))
         elapsed = time.monotonic() - started

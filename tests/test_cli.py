@@ -109,6 +109,17 @@ class TestSimulate:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_bandwidth_pair_exits_2(self, runner, tmp_path, bad):
+        # Python's JSON reader accepts the NaN and Infinity literals
+        cfg = _write_config(tmp_path, bandwidth_grid={"pairs": [[bad, 0.1]]})
+        assert ("NaN" if bad != bad else "Infinity") in cfg.read_text()
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(out), "--workers", "1"])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
     def test_full_scale_fills_omitted_fields(self, runner, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"model": "model1", "error_family": "laplace",
@@ -256,10 +267,50 @@ class TestEstimate:
         est = hd.fit(sample, hd.Bandwidths(0.3, 0.3), hd.QuadratureGrid.gauss_legendre(64))
         rows = _read_rows(out / "predictions.csv")
         row = rows[5]
-        expected, flagged = est.predict_flagged(float(row["x"]), float(row["t"]))
+        values, flags, _ = est.predict_grid([float(row["x"])], [float(row["t"])])
+        expected, flagged = values[0, 0], bool(flags[0, 0])
         assert (row["flagged"] == "1") == flagged
         if not flagged:
             assert float(row["r_hat"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("option,value", [
+        ("--h", "nan"), ("--h", "inf"), ("--b", "inf"), ("--x-grid", "-2:inf:3"),
+    ])
+    def test_nonfinite_bandwidth_or_grid_exits_2(self, runner, tmp_path, option, value):
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        args = {"--h": "0.4", "--b": "0.4", "--x-grid": "-1:1:3", "--t-grid": "-1:1:3"}
+        args[option] = value
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            *(item for pair in args.items() for item in pair), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert not (out / "predictions.csv").exists()
+
+    def test_builds_the_kernel_matrices_once(self, runner, tmp_path, monkeypatch):
+        import hetdeconv.estimators as estimators
+
+        calls = {"deconv_kernel_grid": 0, "gaussian_kernel": 0}
+        grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
+
+        def counted_grid(*args):
+            calls["deconv_kernel_grid"] += 1
+            return grid_fn(*args)
+
+        def counted_gauss(u):
+            calls["gaussian_kernel"] += 1
+            return gauss_fn(u)
+
+        monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
+        monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert calls == {"deconv_kernel_grid": 1, "gaussian_kernel": 1}
 
     def test_unknown_family_exits_2(self, runner, tmp_path):
         data = tmp_path / "data.csv"
@@ -370,6 +421,13 @@ class TestValidate:
         assert result.exit_code == 1
         assert "FAIL" in result.output
         assert "failing nodes" in result.output
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_bandwidth_pair_exits_2(self, runner, tmp_path, bad):
+        cfg = _write_config(tmp_path, bandwidth_grid={"pairs": [[bad, 0.1], [0.1, 0.2]]})
+        result = runner.invoke(main, ["validate", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "variance_bound" not in result.output
 
     def test_doubling_h_halves_diagnostic(self, runner, tmp_path):
         cfg = _write_config(tmp_path, error_family="normal",

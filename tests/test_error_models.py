@@ -3,10 +3,12 @@ import pytest
 from conftest import VanishingCF
 
 from hetdeconv import (
-    DegenerateDenominator,
+    EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
     ErrorModel,
+    bandlimited_kernel_ft,
+    build_deconv_weights,
     validate_ensemble,
 )
 
@@ -91,27 +93,40 @@ class TestEnsembleDenominator:
         assert np.allclose(ens.denominator(v), ens.denominator(-v), rtol=1e-12, atol=0)
 
 
-class TestDeconvWeights:
-    def test_degenerate_reduces_to_uniform(self):
-        ens = _degenerates(4)
-        for j in range(4):
-            assert ens.deconv_weight(j, 0.77) == pytest.approx(0.25, abs=1e-15)
+def _psi(ens, b, quad):
+    """(v, psi): psi[j] = cf_j(-v) / S(v) at the scaled nodes v = nodes / b.
 
-    def test_two_gaussians_hand_value(self):
-        ens = _gaussians(1.0, 2)
+    Read off build_deconv_weights by dividing out the kernel transform,
+    which is positive at every interior Gauss-Legendre node.
+    """
+    weights = build_deconv_weights(ens, b, quad)
+    return quad.nodes / b, weights.values / bandlimited_kernel_ft(quad.nodes)
+
+
+class TestDeconvWeights:
+    """The weights cf_j(-v) / S(v), as tabulated by build_deconv_weights."""
+
+    def test_degenerate_reduces_to_uniform(self, quad64):
+        _, psi = _psi(_degenerates(4), 0.77, quad64)
+        assert np.allclose(psi, 0.25, rtol=0, atol=1e-15)
+
+    def test_two_gaussians_hand_value(self, quad64):
+        # b = largest node puts the last scaled node at v = 1 exactly
+        v, psi = _psi(_gaussians(1.0, 2), quad64.nodes[-1], quad64)
         expected = np.exp(0.5) / 2.0  # exp(-1/2) / (2 exp(-1))
-        assert ens.deconv_weight(0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert v[-1] == 1.0
+        assert psi[0, -1] == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
-    def test_homoscedastic_reduction(self, family):
-        # identical models: weight * n * cf(v) == 1
+    def test_homoscedastic_reduction(self, family, quad64):
+        # identical models: weight * n * cf(v) == 1, for |v| up to 4.2
         n, s = 7, 0.6
         ens = ErrorEnsemble(tuple(ErrorModel(family, s) for _ in range(n)))
-        for v in (0.3, 1.0, 4.2):
-            cf = ErrorModel(family, s).cf(v)
-            assert ens.deconv_weight(0, v) * n * cf == pytest.approx(1.0, abs=1e-12)
+        v, psi = _psi(ens, quad64.nodes[-1] / 4.2, quad64)
+        cf = ErrorModel(family, s).cf(v)
+        assert np.allclose(psi[0] * n * cf, 1.0, rtol=0, atol=1e-12)
 
-    def test_weights_times_cf_sum_to_one(self):
+    def test_weights_times_cf_sum_to_one(self, quad64):
         rng = np.random.default_rng(7)
         for _ in range(10):
             n = int(rng.integers(2, 12))
@@ -121,20 +136,17 @@ class TestDeconvWeights:
                 for _ in range(n)
             )
             ens = ErrorEnsemble(models)
-            v = rng.uniform(-8.0, 8.0, 20)
-            psi = ens.deconv_weight_matrix(v)
+            v, psi = _psi(ens, 1.0 / 8.0, quad64)
             cf = ens.cf_matrix(v)
             total = (psi * cf).sum(axis=0)
             assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
 
-    def test_degenerate_denominator_raises(self):
+    def test_degenerate_denominator_raises(self, quad64):
+        # scaled nodes reach |v| ~ 2, past the cutoff where S(v) = 0
         ens = ErrorEnsemble((VanishingCF(cutoff=1.0),))
-        with pytest.raises(DegenerateDenominator):
-            ens.deconv_weight(0, 2.0)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            _degenerates(3).deconv_weight(3, 0.0)
+        with pytest.raises(EnsembleInvalid) as info:
+            build_deconv_weights(ens, 0.5, quad64)
+        assert not info.value.report.passed
 
 
 class TestValidation:

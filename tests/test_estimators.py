@@ -18,9 +18,7 @@ from hetdeconv import (
     gaussian_kernel,
     generate,
     linear_slope,
-    naive_regression,
     naive_regression_grid,
-    partial_linear,
     partial_linear_grid,
     variance_bound_diagnostic,
 )
@@ -34,6 +32,12 @@ def _degenerate_ensemble(n):
 def _degenerate_sample(rng, n, model=Model.MODEL1):
     data = generate(model, n, _degenerate_ensemble(n), rng)
     return data.sample
+
+
+def _point(est, x, t):
+    """(value, flagged, density) at one point, through the grid API."""
+    values, flags, density = est.predict_grid([x], [t])
+    return values[0, 0], bool(flags[0, 0]), density[0, 0]
 
 
 def _nw_oracle(sample, h, b, x_values, t_values):
@@ -66,7 +70,7 @@ class TestSampleAndFit:
         sample = Sample(x=[0.0, 1.0], w=[0.2, -0.5], y=[1.0, 2.0],
                         ensemble=_degenerate_ensemble(2))
         est = fit(sample, Bandwidths(0.3, 0.3), quad64)
-        value = est.predict(0.5, 0.0)
+        value, _, _ = _point(est, 0.5, 0.0)
         assert np.isfinite(value)
 
     def test_length_mismatch_rejected(self):
@@ -111,7 +115,8 @@ class TestNumeratorAndDensity:
         sample = _degenerate_sample(rng, 30)
         sample = Sample(x=sample.x, w=sample.w, y=np.zeros(30), ensemble=sample.ensemble)
         est = fit(sample, Bandwidths(0.2, 0.2), quad64)
-        assert est.numerator(0.3, -0.4) == 0.0
+        value, _, _ = _point(est, 0.3, -0.4)
+        assert value == 0.0
 
     def test_isolated_observation_closed_form(self, quad128):
         # second observation pushed far enough that its x-kernel underflows
@@ -123,7 +128,9 @@ class TestNumeratorAndDensity:
         x, t = 0.15, -0.3
         expected = (2.5 * gaussian_kernel((x - 0.0) / h)
                     * bandlimited_kernel_closed_form((t - 0.1) / b) / 2.0) / (h * b)
-        assert est.numerator(x, t) == pytest.approx(expected, rel=1e-10)
+        value, flagged, density = _point(est, x, t)  # numerator = value * density
+        assert not flagged
+        assert value * density == pytest.approx(expected, rel=1e-10)
 
     def test_constant_response_numerator_is_scaled_density(self, quad64):
         rng = np.random.default_rng(1)
@@ -132,7 +139,9 @@ class TestNumeratorAndDensity:
         sample = Sample(x=base.x, w=base.w, y=np.full(40, c), ensemble=base.ensemble)
         est = fit(sample, Bandwidths(0.15, 0.15), quad64)
         for (x, t) in [(0.0, 0.0), (1.2, -0.7), (-1.8, 1.9)]:
-            assert est.numerator(x, t) == pytest.approx(c * est.density(x, t), rel=1e-12)
+            value, flagged, density = _point(est, x, t)  # numerator = value * density
+            assert not flagged
+            assert value * density == pytest.approx(c * density, rel=1e-12)
 
     def test_degenerate_density_matches_plain_kde(self, quad128):
         rng = np.random.default_rng(2)
@@ -144,7 +153,7 @@ class TestNumeratorAndDensity:
         kx = gaussian_kernel((xg[None, :] - sample.x[:, None]) / h)
         lt = bandlimited_kernel_closed_form((tg[None, :] - sample.w[:, None]) / b)
         kde = kx.T @ lt / (80 * h * b)
-        assert np.allclose(est.density_grid(xg, tg), kde, rtol=0, atol=1e-8)
+        assert np.allclose(est.predict_grid(xg, tg)[2], kde, rtol=0, atol=1e-8)
 
     def test_density_decays_far_from_data(self, quad64):
         rng = np.random.default_rng(3)
@@ -152,7 +161,7 @@ class TestNumeratorAndDensity:
         h = b = 0.1
         est = fit(sample, Bandwidths(h, b), quad64)
         far_x = sample.x.max() + 20 * h
-        assert abs(est.density(far_x, 0.0)) < 1e-6
+        assert abs(_point(est, far_x, 0.0)[2]) < 1e-6
 
     def test_density_mass_near_one(self, quad128):
         rng = np.random.default_rng(4)
@@ -162,7 +171,7 @@ class TestNumeratorAndDensity:
         est = fit(data.sample, Bandwidths(0.15, 0.15), quad128)
         xg = np.linspace(-4.0, 4.0, 161)
         tg = np.linspace(-9.0, 9.0, 361)
-        f = est.density_grid(xg, tg)
+        f = est.predict_grid(xg, tg)[2]
         mass = np.trapezoid(np.trapezoid(f, tg, axis=1), xg)
         assert mass == pytest.approx(1.0, abs=0.05)
 
@@ -177,7 +186,7 @@ class TestRegressionEstimator:
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c),
                         ensemble=ens)
         est = fit(sample, Bandwidths(0.11, 0.11), quad64)
-        vals, flags = est.predict_grid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
+        vals, flags, _ = est.predict_grid(np.linspace(-2, 2, 15), np.linspace(-2, 2, 15))
         assert np.abs(vals[~flags] - c).max() < 1e-12
 
     def test_degenerate_matches_independent_nw(self, quad128):
@@ -186,7 +195,7 @@ class TestRegressionEstimator:
         h = b = 0.3
         est = fit(sample, Bandwidths(h, b), quad128)
         xg = tg = np.linspace(-1.2, 1.2, 5)
-        vals, flags = est.predict_grid(xg, tg)
+        vals, flags, _ = est.predict_grid(xg, tg)
         oracle = _nw_oracle(sample, h, b, xg, tg)
         assert not flags.any()
         assert np.abs(vals - oracle).max() < 1e-8
@@ -199,7 +208,7 @@ class TestRegressionEstimator:
         data = generate(Model.MODEL1, n, ens, rng)
         est = fit(data.sample, Bandwidths(h, b), quad128)
         xg = tg = np.linspace(-1.5, 1.5, 6)
-        vals, flags = est.predict_grid(xg, tg)
+        vals, flags, _ = est.predict_grid(xg, tg)
 
         v = quad128.nodes
         from hetdeconv import bandlimited_kernel_ft
@@ -223,8 +232,8 @@ class TestRegressionEstimator:
         est0 = fit(data.sample, bw, quad64)
         est1 = fit(shifted, bw, quad64)
         for (x, t) in [(0.0, 0.0), (1.0, -1.0), (-0.5, 0.3)]:
-            r0, f0 = est0.predict_flagged(x, t)
-            r1, f1 = est1.predict_flagged(x, t)
+            r0, f0, _ = _point(est0, x, t)
+            r1, f1, _ = _point(est1, x, t)
             assert f0 == f1
             if not f0:
                 assert r1 == pytest.approx(a * r0 + d, rel=1e-12, abs=1e-12)
@@ -241,8 +250,8 @@ class TestRegressionEstimator:
         est0 = fit(data.sample, bw, quad64)
         est1 = fit(shifted, bw, quad64)
         for (x, t) in [(0.4, 0.0), (-1.0, 1.2)]:
-            assert est1.predict(x + delta, t) == pytest.approx(
-                est0.predict(x, t), rel=1e-12, abs=1e-12
+            assert _point(est1, x + delta, t)[0] == pytest.approx(
+                _point(est0, x, t)[0], rel=1e-12, abs=1e-12
             )
 
     def test_tracks_truth_at_interior_point(self, quad128):
@@ -255,7 +264,7 @@ class TestRegressionEstimator:
             ens = build_ensemble(ErrorFamily.LAPLACE, n)
             data = generate(Model.MODEL1, n, ens, rng)
             est = fit(data.sample, Bandwidths(0.2, 0.2), quad128)
-            hits += abs(est.predict(1.0, 0.0) - 1.0) < 0.25
+            hits += abs(_point(est, 1.0, 0.0)[0] - 1.0) < 0.25
         assert hits >= 9
 
 
@@ -267,9 +276,8 @@ class TestNaiveEstimator:
         data = generate(Model.MODEL1, n, ens, rng)
         c = 1.25
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
-        assert naive_regression(sample, Bandwidths(0.1, 0.1), 0.2, -0.2) == pytest.approx(
-            c, abs=1e-12
-        )
+        values, _, _ = naive_regression_grid(sample, Bandwidths(0.1, 0.1), [0.2], [-0.2])
+        assert values[0, 0] == pytest.approx(c, abs=1e-12)
 
     def test_error_free_large_n_comparable_to_deconv(self, quad128):
         # with no measurement error both estimators are consistent; their
@@ -280,8 +288,8 @@ class TestNaiveEstimator:
         xg = tg = np.linspace(-2, 2, 15)
         truth = data.truth(xg[:, None], tg[None, :])
         bw = Bandwidths(0.15, 0.15)
-        vals_d, flags_d = fit(data.sample, bw, quad128).predict_grid(xg, tg)
-        vals_n, flags_n = naive_regression_grid(data.sample, bw, xg, tg)
+        vals_d, flags_d, _ = fit(data.sample, bw, quad128).predict_grid(xg, tg)
+        vals_n, flags_n, _ = naive_regression_grid(data.sample, bw, xg, tg)
         ase_d = np.mean((vals_d[~flags_d] - truth[~flags_d]) ** 2)
         ase_n = np.mean((vals_n[~flags_n] - truth[~flags_n]) ** 2)
         assert ase_n < 2.0 * ase_d
@@ -326,7 +334,7 @@ class TestPartialLinearEstimator:
         theta = 3.0
         sample = Sample(x=data.sample.x, w=data.sample.w,
                         y=theta * data.sample.x, ensemble=ens)
-        vals, flags = partial_linear_grid(sample, 0.15, quad64, theta,
+        vals, flags, _ = partial_linear_grid(sample, 0.15, quad64, theta,
                                           np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
         expected = np.linspace(-2, 2, 9)[:, None] * theta
         assert np.abs((vals - expected)[~flags]).max() < 1e-12
@@ -339,7 +347,7 @@ class TestPartialLinearEstimator:
         b = 0.3
         tg = np.linspace(-1.5, 1.5, 7)
         xg = np.array([0.0, 1.0])
-        vals, flags = partial_linear_grid(data.sample, b, quad128, slope, xg, tg)
+        vals, flags, _ = partial_linear_grid(data.sample, b, quad128, slope, xg, tg)
         resid = data.sample.y - data.sample.x * slope
         lt = bandlimited_kernel_closed_form((tg[None, :] - data.sample.w[:, None]) / b)
         oracle = resid @ lt / lt.sum(axis=0)
@@ -351,18 +359,9 @@ class TestPartialLinearEstimator:
         n = 30
         ens = build_ensemble(ErrorFamily.GAUSSIAN, n)
         data = generate(Model.MODEL2, n, ens, rng)
-        vals, flags = partial_linear_grid(data.sample, 0.1, quad64, 3.0,
+        vals, flags, _ = partial_linear_grid(data.sample, 0.1, quad64, 3.0,
                                           np.linspace(-2, 2, 5), np.linspace(-2, 2, 11))
         assert np.all(flags == flags[0:1, :])
-
-    def test_scalar_matches_grid(self, quad64):
-        rng = np.random.default_rng(15)
-        n = 30
-        ens = build_ensemble(ErrorFamily.LAPLACE, n)
-        data = generate(Model.MODEL2, n, ens, rng)
-        grid_vals, _ = partial_linear_grid(data.sample, 0.2, quad64, 2.5, [0.7], [-0.4])
-        scalar = partial_linear(data.sample, 0.2, quad64, 2.5, 0.7, -0.4)
-        assert scalar == grid_vals[0, 0]
 
 
 class TestVarianceBoundDiagnostic:

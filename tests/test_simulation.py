@@ -5,9 +5,11 @@ from conftest import VanishingCF
 from hetdeconv import (
     AllPointsExcluded,
     ConfigError,
+    EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
     GridAxis,
+    KernelCache,
     Model,
     Sample,
     SimulationConfig,
@@ -15,7 +17,11 @@ from hetdeconv import (
     bandwidth_search,
     build_ensemble,
     cross_section,
+    fit,
     generate,
+    linear_slope,
+    naive_regression_grid,
+    partial_linear_grid,
     replication_rng,
     run_replications,
     true_regression,
@@ -90,48 +96,33 @@ class TestGenerate:
 
 
 class TestAse:
+    def _truth(self, n=10):
+        xg = tg = np.linspace(-2, 2, n)
+        return true_regression(Model.MODEL1, xg[:, None], tg[None, :])
+
     def test_perfect_estimate_scores_zero(self):
-        xg = tg = np.linspace(-2, 2, 10)
-
-        def estimate(xs, ts):
-            vals = true_regression(Model.MODEL1, xs[:, None], ts[None, :])
-            return vals, np.zeros_like(vals, dtype=bool)
-
-        value, excluded = ase(estimate, Model.MODEL1, xg, tg)
+        truth = self._truth()
+        value, excluded = ase(truth, np.zeros_like(truth, dtype=bool), truth)
         assert value == 0.0 and excluded == 0
 
     def test_constant_offset(self):
-        xg = tg = np.linspace(-2, 2, 10)
-
-        def estimate(xs, ts):
-            vals = true_regression(Model.MODEL1, xs[:, None], ts[None, :]) + 0.1
-            return vals, np.zeros_like(vals, dtype=bool)
-
-        value, _ = ase(estimate, Model.MODEL1, xg, tg)
+        truth = self._truth()
+        value, _ = ase(truth + 0.1, np.zeros_like(truth, dtype=bool), truth)
         assert value == pytest.approx(0.01, rel=1e-12)
 
     def test_all_points_flagged_raises(self):
-        xg = tg = np.linspace(-2, 2, 5)
-
-        def estimate(xs, ts):
-            vals = np.zeros((xs.size, ts.size))
-            return vals, np.ones_like(vals, dtype=bool)
-
+        truth = self._truth(5)
+        vals = np.zeros_like(truth)
         with pytest.raises(AllPointsExcluded):
-            ase(estimate, Model.MODEL1, xg, tg)
+            ase(vals, np.ones_like(vals, dtype=bool), truth)
 
     def test_excluded_points_are_not_scored(self):
-        xg = tg = np.linspace(-2, 2, 4)
-
-        def estimate(xs, ts):
-            vals = true_regression(Model.MODEL1, xs[:, None], ts[None, :])
-            flags = np.zeros_like(vals, dtype=bool)
-            vals = vals.copy()
-            vals[0, 0] = 1e6  # garbage, but flagged away
-            flags[0, 0] = True
-            return vals, flags
-
-        value, excluded = ase(estimate, Model.MODEL1, xg, tg)
+        truth = self._truth(4)
+        flags = np.zeros_like(truth, dtype=bool)
+        vals = truth.copy()
+        vals[0, 0] = 1e6  # garbage, but flagged away
+        flags[0, 0] = True
+        value, excluded = ase(vals, flags, truth)
         assert value == 0.0 and excluded == 1
 
 
@@ -150,6 +141,12 @@ class TestSelectBest:
         assert _select_best(pairs, np.array([np.inf, 5.0])) == 1
 
 
+def _cache(data, count, quad):
+    """Kernel cache of the sample on the count x count grid over [-2, 2]^2."""
+    grid = np.linspace(-2, 2, count)
+    return KernelCache(data.sample, grid, grid, quad)
+
+
 class TestBandwidthSearch:
     def _data(self, seed=4, n=80, model=Model.MODEL1, family=ErrorFamily.LAPLACE):
         rng = np.random.default_rng(seed)
@@ -157,15 +154,13 @@ class TestBandwidthSearch:
 
     def test_single_pair_returned(self, quad64):
         data = self._data()
-        res = bandwidth_search(data, [(0.15, 0.15)], np.linspace(-2, 2, 10),
-                               np.linspace(-2, 2, 10), quad64)
+        res = bandwidth_search(data, [(0.15, 0.15)], _cache(data, 10, quad64))
         assert res.best_pair == (0.15, 0.15)
         assert res.ase_values.shape == (1,)
 
     def test_duplicate_pair_tiebreak_first_occurrence(self, quad64):
         data = self._data()
-        res = bandwidth_search(data, [(0.15, 0.15), (0.15, 0.15)],
-                               np.linspace(-2, 2, 10), np.linspace(-2, 2, 10), quad64)
+        res = bandwidth_search(data, [(0.15, 0.15), (0.15, 0.15)], _cache(data, 10, quad64))
         assert res.best_index == 0
         assert res.ase_values[0] == res.ase_values[1]
 
@@ -179,8 +174,8 @@ class TestBandwidthSearch:
         y = true_regression(Model.MODEL1, x, t) + rng.normal(0, 0.25, n)
         sample = Sample(x=x, w=t, y=y, ensemble=ens)
         data = GeneratedData(sample=sample, latent=t, model=Model.MODEL1)
-        res = bandwidth_search(data, [(0.1, 0.05), (0.1, 0.2)],
-                               np.linspace(-1, 1, 8), np.linspace(-1, 1, 8), quad64)
+        cache = KernelCache(sample, np.linspace(-1, 1, 8), np.linspace(-1, 1, 8), quad64)
+        res = bandwidth_search(data, [(0.1, 0.05), (0.1, 0.2)], cache)
         assert not np.isfinite(res.ase_values[0])         # 1/0.05 > cutoff
         assert res.statuses[0] and "invalid" in res.statuses[0]
         assert res.best_pair == (0.1, 0.2)
@@ -188,21 +183,99 @@ class TestBandwidthSearch:
     def test_partial_linear_searches_unique_b_only(self, quad64):
         data = self._data(model=Model.MODEL2)
         pairs = [(h, b) for h in (0.1, 0.2) for b in (0.1, 0.2)]
-        res = bandwidth_search(data, pairs, np.linspace(-2, 2, 8),
-                               np.linspace(-2, 2, 8), quad64, estimator="partial_linear")
+        res = bandwidth_search(data, pairs, _cache(data, 8, quad64), estimator="partial_linear")
         assert res.pairs == ((None, 0.1), (None, 0.2))
 
     def test_deconv_beats_naive_majority_laplace_n500(self, quad64):
         wins = 0
         grid = np.linspace(0.02, 0.2, 4)
         pairs = [(h, b) for h in grid for b in grid]
-        xg = tg = np.linspace(-2, 2, 12)
         for seed in range(5):
             data = self._data(seed=100 + seed, n=500)
-            r_d = bandwidth_search(data, pairs, xg, tg, quad64, "deconv")
-            r_n = bandwidth_search(data, pairs, xg, tg, quad64, "naive")
+            cache = _cache(data, 12, quad64)
+            r_d = bandwidth_search(data, pairs, cache, "deconv")
+            r_n = bandwidth_search(data, pairs, cache, "naive")
             wins += r_d.best_ase <= r_n.best_ase
         assert wins >= 3
+
+
+class TestSharedKernelCache:
+    """Searches sharing one cache score exactly as the public grid functions do."""
+
+    PAIRS = [(0.1, 0.05), (0.1, 0.2), (0.2, 0.2), (0.15, 0.3)]
+
+    def _data(self):
+        # the cutoff CF makes the ensemble invalid at b = 0.05 (nodes/b > 8)
+        n = 30
+        rng = np.random.default_rng(6)
+        ens = ErrorEnsemble(tuple(VanishingCF(cutoff=8.0) for _ in range(n)))
+        x = rng.uniform(-2, 2, n)
+        t = rng.uniform(-2, 2, n)
+        y = true_regression(Model.MODEL2, x, t) + rng.normal(0, 0.25, n)
+        sample = Sample(x=x, w=t, y=y, ensemble=ens)
+        return GeneratedData(sample=sample, latent=t, model=Model.MODEL2)
+
+    def test_scores_equal_direct_grid_evaluation(self, quad64):
+        data = self._data()
+        sample = data.sample
+        xg, tg = np.linspace(-2, 2, 9), np.linspace(-2, 2, 7)
+        truth = true_regression(data.model, xg[:, None], tg[None, :])
+        cache = KernelCache(sample, xg, tg, quad64)
+        slope = linear_slope(sample)
+        direct = {
+            "deconv": lambda h, b: fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg),
+            "naive": lambda h, b: naive_regression_grid(sample, Bandwidths(h, b), xg, tg),
+            "partial_linear": lambda h, b: partial_linear_grid(sample, b, quad64, slope, xg, tg),
+        }
+        for name, evaluate in direct.items():
+            res = bandwidth_search(data, self.PAIRS, cache, estimator=name)
+            for i, (h, b) in enumerate(res.pairs):
+                try:
+                    values, flags, _ = evaluate(h, b)
+                except EnsembleInvalid:
+                    assert name != "naive"
+                    assert b == 0.05 and res.ase_values[i] == np.inf
+                    assert "invalid" in res.statuses[i]
+                    continue
+                assert res.ase_values[i] == ase(values, flags, truth)[0], (name, h, b)
+        assert np.isfinite(bandwidth_search(data, self.PAIRS, cache, "naive").ase_values).all()
+
+    def test_naive_search_never_validates(self, quad64, monkeypatch):
+        import hetdeconv.estimators as estimators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the naive estimator built deconvolution weights")
+
+        monkeypatch.setattr(estimators, "build_deconv_weights", refuse)
+        data = self._data()
+        res = bandwidth_search(data, self.PAIRS, _cache(data, 8, quad64), estimator="naive")
+        assert np.isfinite(res.ase_values).all()
+
+    def test_replication_builds_each_kernel_matrix_once(self, monkeypatch):
+        import hetdeconv.estimators as estimators
+        from hetdeconv.simulation import _replicate
+
+        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0}
+        grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
+
+        def counted_grid(weights, obs_args, eval_args):
+            calls["deconv_kernel_grid"].append(weights.bandwidth)
+            return grid_fn(weights, obs_args, eval_args)
+
+        def counted_gauss(u):
+            calls["gaussian_kernel"] += 1
+            return gauss_fn(u)
+
+        monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
+        monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
+        cfg = _tiny_config(model="model2", reps=1)
+        out = _replicate(cfg, 1)
+        assert all("optimum" in out[name] for name in ("deconv", "naive", "partial_linear"))
+        # lt per distinct b, shared by deconv and partial-linear
+        assert sorted(calls["deconv_kernel_grid"]) == list(cfg.b_values)
+        # kx per distinct h, shared by deconv and naive, plus the naive kt per b
+        h_values = {h for h, _ in cfg.bw_pairs}
+        assert calls["gaussian_kernel"] == len(h_values) + len(cfg.b_values)
 
 
 class TestConfig:
@@ -243,6 +316,12 @@ class TestConfig:
     def test_explicit_pairs(self):
         cfg = SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [[0.1, 0.2]]}))
         assert cfg.bw_pairs == ((0.1, 0.2),)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_pairs_rejected(self, bad):
+        for pair in ([bad, 0.1], [0.1, bad]):
+            with pytest.raises(ConfigError):
+                SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [pair]}))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ConfigError):
