@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .error_models import ErrorFamily, ErrorModel, ErrorEnsemble, validate_ensemble
+from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel, ValidationReport
 from .estimators import Bandwidths, KernelCache, Sample, fit, variance_bound_diagnostic
 from .exceptions import ConfigError, HetdeconvError
 from .kernels import QuadratureGrid
@@ -62,25 +62,21 @@ _ESTIMATOR_CHOICES = {
 }
 
 
-def _fmt(value) -> str:
-    """Fixed CSV field formatting: 17 significant digits for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _fields(column) -> list[str]:
+    """CSV text of a bool/float array or a str/int/float/None list: %.17g floats, 1/0 flags, None empty."""
+    if isinstance(column, np.ndarray) and column.dtype == bool:
+        return ["1" if v else "0" for v in column.ravel().tolist()]
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.ravel().tolist()]
+    return ["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v) for v in column]
 
 
-def _write_csv(path: Path, columns, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Write one sequence per column; no field needs quoting (numbers, flags, enum names)."""
+    fields = [_fields(column) for column in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo, seed, outputs, started, extra=None) -> Path:
@@ -216,7 +212,7 @@ def simulate(config_path, overrides, out, workers, full_scale):
     out_dir = _out_dir(out)
     rows = report.summary_rows()
     report_path = out_dir / "ase_report.csv"
-    _write_csv(report_path, ASE_REPORT_COLUMNS, rows)
+    _write_csv(report_path, ASE_REPORT_COLUMNS, [[r[c] for r in rows] for c in ASE_REPORT_COLUMNS])
     _write_manifest(
         out_dir, "simulate", config.to_dict(), config.seed,
         {"ase_report.csv": report_path}, started,
@@ -231,19 +227,26 @@ def simulate(config_path, overrides, out, workers, full_scale):
 
 
 def _read_table(path: str, required: tuple[str, ...]) -> dict[str, list[str]]:
+    """The ``required`` columns of a CSV whose every nonblank row matches its header."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = tuple(reader.fieldnames or ())
-            missing = [c for c in required if c not in fields]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
             if missing:
-                raise ConfigError(f"{path}: missing columns {missing} (found {list(fields)})")
-            rows = list(reader)
+                raise ConfigError(f"{path}: missing columns {missing} (found {header})")
+            rows = [row for row in reader if row]
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
+    except (OSError, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return {c: [r[c] for r in rows] for c in required}
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ConfigError(f"{path} row {i + 1}: {len(row)} fields, header has {len(header)}")
+    index = {name: i for i, name in enumerate(header)}
+    return {c: [row[index[c]] for row in rows] for c in required}
 
 
 def _parse_grid_spec(spec: str, name: str) -> np.ndarray:
@@ -276,17 +279,12 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
     try:
         data_cols = _read_table(data_path, ("x", "w", "y"))
         error_cols = _read_table(errors_path, ("family", "variance"))
-        n_data = len(data_cols["x"])
-        n_err = len(error_cols["family"])
+        n_data, n_err = len(data_cols["x"]), len(error_cols["family"])
         if n_data != n_err:
             raise ConfigError(
-                f"row count mismatch: {data_path} has {n_data} rows, "
-                f"{errors_path} has {n_err}"
-            )
+                f"row count mismatch: {data_path} has {n_data} rows, {errors_path} has {n_err}")
         try:
-            x = np.array([float(v) for v in data_cols["x"]])
-            w = np.array([float(v) for v in data_cols["w"]])
-            y = np.array([float(v) for v in data_cols["y"]])
+            x, w, y = (np.array([float(v) for v in data_cols[c]]) for c in "xwy")
         except ValueError as exc:
             raise ConfigError(f"{data_path}: non-numeric entry ({exc})") from exc
         models = []
@@ -313,22 +311,19 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
     except Exception as exc:
         _fail(EXIT_RUNTIME, str(exc))
 
-    rows = [
-        {"x": xv, "t": tv, "r_hat": values[i, j], "f_hat": density[i, j],
-         "flagged": bool(flags[i, j])}
-        for i, xv in enumerate(x_values)
-        for j, tv in enumerate(t_values)
-    ]
+    # Rows run x-major: every t for the first x, then the next x.
+    xs, ts = _fields(x_values), _fields(t_values)
     out_dir = _out_dir(out)
     pred_path = out_dir / "predictions.csv"
-    _write_csv(pred_path, PREDICTIONS_COLUMNS, rows)
+    _write_csv(pred_path, PREDICTIONS_COLUMNS,
+               ([s for s in xs for _ in ts], ts * len(xs), values, density, flags))
     _write_manifest(
         out_dir, "estimate",
         {"data": str(data_path), "errors": str(errors_path), "h": h, "b": b,
          "x_grid": x_grid, "t_grid": t_grid, "quad_nodes": quad_nodes},
         None, {"predictions.csv": pred_path}, started,
     )
-    click.echo(f"wrote {pred_path} ({len(rows)} points, {int(flags.sum())} flagged)")
+    click.echo(f"wrote {pred_path} ({values.size} points, {int(flags.sum())} flagged)")
     sys.exit(EXIT_OK)
 
 
@@ -370,13 +365,10 @@ def cmd_cross_section(config_path, overrides, axis, value, estimator_name, out, 
     except Exception as exc:
         _fail(EXIT_RUNTIME, f"cross-section failed: {exc}")
 
-    rows = [
-        {"coord": c, "estimate": e, "truth": tr, "flagged": bool(f)}
-        for c, e, tr, f in zip(section.coords, section.estimates, section.truth, section.flags)
-    ]
     out_dir = _out_dir(out)
     section_path = out_dir / "cross_section.csv"
-    _write_csv(section_path, CROSS_SECTION_COLUMNS, rows)
+    _write_csv(section_path, CROSS_SECTION_COLUMNS,
+               (section.coords, section.estimates, section.truth, section.flags))
     _write_manifest(
         out_dir, "cross-section", config.to_dict(), config.seed,
         {"cross_section.csv": section_path}, started,
@@ -412,10 +404,14 @@ def validate(config_path, overrides, c_sup, full_scale):
     ensemble = build_ensemble(config.error_family, config.n)
     quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
     all_passed = True
+    tabulated = {}   # b -> (report, S(v) at the quadrature nodes / b)
     for h, b in config.bw_pairs:
-        report = validate_ensemble(ensemble, b, quad.nodes / b)
+        if b not in tabulated:
+            denom = ensemble.denominator(quad.nodes / b)
+            tabulated[b] = ValidationReport.from_denominator(b, quad.nodes / b, denom), denom
+        report, denom = tabulated[b]
         if report.passed:
-            bound = variance_bound_diagnostic(ensemble, Bandwidths(h, b), quad, c_sup)
+            bound = variance_bound_diagnostic(ensemble, Bandwidths(h, b), quad, c_sup, denom)
             click.echo(f"h={h:g} b={b:g}: {report.summary()}  variance_bound={bound:.6e}")
         else:
             all_passed = False

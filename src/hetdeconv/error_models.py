@@ -9,6 +9,7 @@ factor 1/(n cf(v)); ``kernels.build_deconv_weights`` tabulates them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +46,7 @@ class ErrorModel:
     def __post_init__(self):
         object.__setattr__(self, "family", ErrorFamily(self.family))
         object.__setattr__(self, "variance", float(self.variance))
-        if not np.isfinite(self.variance) or self.variance < 0.0:
+        if not math.isfinite(self.variance) or self.variance < 0.0:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
         if self.family is ErrorFamily.DEGENERATE and self.variance != 0.0:
             raise ValueError("the degenerate (no-error) law has variance 0")

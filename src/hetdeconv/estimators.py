@@ -259,17 +259,19 @@ def partial_linear_grid(sample: Sample, b: float, quad: QuadratureGrid, slope: f
 
 
 def variance_bound_diagnostic(
-    ensemble: ErrorEnsemble, bandwidths: Bandwidths, quad: QuadratureGrid, c_sup: float
+    ensemble: ErrorEnsemble, bandwidths: Bandwidths, quad: QuadratureGrid, c_sup: float,
+    denominator=None,
 ) -> float:
     """Upper bound on the estimator's variance term, up to the caller's sup-norm constant.
 
     Computes c_sup / (2 pi h b) * int_{-1}^{1} kernel_ft(u)^2 / S(u/b) du,
     the substituted form of the variance bound; monotone diagnostics only.
+    ``denominator`` is S already tabulated at quad.nodes / b, if the caller has it.
     """
     if c_sup <= 0:
         raise ValueError(f"c_sup must be positive, got {c_sup}")
     h, b = bandwidths.h, bandwidths.b
-    denom = ensemble.denominator(quad.nodes / b)
+    denom = ensemble.denominator(quad.nodes / b) if denominator is None else denominator
     if np.any(denom <= DENOMINATOR_FLOOR):
         idx = int(np.argmin(denom))
         raise DegenerateDenominator(

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hetdeconv
 from hetdeconv import QuadratureGrid
+
+# Child processes (``python -m hetdeconv.cli``) import the package under test,
+# also when it runs from a checkout through pytest's ``pythonpath`` setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(hetdeconv.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
 
 
 class VanishingCF:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from hetdeconv import gaussian_kernel
-from hetdeconv.cli import main
+from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _write_csv, main
 
 
 @pytest.fixture
@@ -40,6 +41,53 @@ def _write_config(tmp_path, name="config.json", **overrides):
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The CSV that csv.writer makes with 17-significant-digit floats and 1/0 flags."""
+    def field(v):
+        if v is None:
+            return ""
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (float, np.floating)):
+            return format(float(v), ".17g")
+        return str(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([field(v) for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvWriter:
+    def test_grid_columns_match_csv_writer(self, tmp_path):
+        # 3 x 5: a swap of the x and t orders shows as a length or order mismatch
+        x = np.array([-1.0, 0.0, 2.5])
+        t = np.array([-2.0, -0.5, 0.0, 1e-300, 3.0])
+        values = np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324],
+                           [1e300, 1.0 / 3.0, -2.0, 0.1, 7.0],
+                           [np.pi, -1e-310, 0.0, 1.0, -np.e]])
+        density = -values[::-1] / 7.0
+        flags = ~np.isfinite(values) | (values == 0.0)
+        assert flags.any() and not flags.all()
+        path = tmp_path / "grid.csv"
+        _write_csv(path, PREDICTIONS_COLUMNS,
+                   (np.repeat(x, 5), np.tile(t, 3), values, density, flags))
+        expected = _reference_csv(PREDICTIONS_COLUMNS, [
+            (x[i], t[j], values[i, j], density[i, j], flags[i, j])
+            for i in range(3) for j in range(5)
+        ])
+        assert path.read_bytes() == expected
+
+    def test_scalar_columns_with_empty_h_match_csv_writer(self, tmp_path):
+        rows = [("model2", "laplace", 100, "deconv", 0.065, np.float64(0.11), 0.65, 20, 3),
+                ("model2", "laplace", 100, "partial_linear", None, 0.2, np.float64(1e-17), 20, 0)]
+        path = tmp_path / "report.csv"
+        _write_csv(path, ASE_REPORT_COLUMNS, [list(c) for c in zip(*rows)])
+        assert path.read_bytes() == _reference_csv(ASE_REPORT_COLUMNS, rows)
+        assert path.read_text().splitlines()[2].split(",")[4] == ""
 
 
 class TestSimulate:
@@ -77,6 +125,21 @@ class TestSimulate:
         assert rows[0]["n"] == "30"
         assert {r["estimator"] for r in rows} == {"deconv", "naive", "partial_linear"}
         assert rows[2]["h"] == ""  # partial_linear has no h
+
+    def test_report_matches_csv_writer(self, runner, tmp_path):
+        from hetdeconv import SimulationConfig, run_replications
+
+        cfg = _write_config(tmp_path, model="model2", reps=1)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(out), "--workers", "1"])
+        assert result.exit_code == 0, result.output
+        config = SimulationConfig.from_dict(_tiny_config(model="model2", reps=1))
+        rows = run_replications(config).summary_rows()
+        assert rows[2]["h"] is None
+        expected = _reference_csv(ASE_REPORT_COLUMNS,
+                                  [[r[c] for c in ASE_REPORT_COLUMNS] for r in rows])
+        assert (out / "ase_report.csv").read_bytes() == expected
 
     def test_env_var_overrides_seed(self, runner, tmp_path):
         cfg = _write_config(tmp_path, reps=1)
@@ -206,6 +269,79 @@ class TestEstimate:
             i = list(xg).index(float(row["x"]))
             j = list(tg).index(float(row["t"]))
             assert abs(float(row["r_hat"]) - oracle[i, j]) < 1e-8
+
+    def test_predictions_match_csv_writer_on_non_square_grid(self, runner, tmp_path):
+        import hetdeconv as hd
+
+        data, errors, x, w, y = _write_estimation_inputs(tmp_path)
+        out = tmp_path / "out"
+        # x far outside the data drives the density to zero: flagged rows
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--x-grid", "-1:40:3", "--t-grid", "-1:1:5",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        xg, tg = np.linspace(-1, 40, 3), np.linspace(-1, 1, 5)
+        ens = hd.ErrorEnsemble(tuple(hd.ErrorModel("degenerate") for _ in x))
+        sample = hd.Sample(x=x, w=w, y=y, ensemble=ens)
+        est = hd.fit(sample, hd.Bandwidths(0.4, 0.4), hd.QuadratureGrid.gauss_legendre(128))
+        values, flags, density = est.predict_grid(xg, tg)
+        assert flags.any() and not flags.all()
+        expected = _reference_csv(PREDICTIONS_COLUMNS, [
+            (xg[i], tg[j], values[i, j], density[i, j], flags[i, j])
+            for i in range(3) for j in range(5)
+        ])
+        assert (out / "predictions.csv").read_bytes() == expected
+        rows = _read_rows(out / "predictions.csv")
+        assert [(float(r["x"]), float(r["t"])) for r in rows] == [
+            (xg[k // 5], tg[k % 5]) for k in range(15)
+        ]
+
+    @pytest.mark.parametrize("which,line", [
+        ("data", "0.5,0.6"), ("data", "0.5,0.6,0.7,0.8"),
+        ("errors", "degenerate"), ("errors", "degenerate,0,extra"),
+    ])
+    def test_row_with_wrong_field_count_exits_2(self, runner, tmp_path, which, line):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=4)
+        path = data if which == "data" else errors
+        lines = path.read_text().splitlines()
+        lines[2] = line
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{path} row 2:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["directory", "field over the csv size limit"])
+    def test_unreadable_table_exits_2(self, runner, tmp_path, bad):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=4)
+        if bad == "directory":
+            data = tmp_path
+        else:
+            data.write_text("x,w,y\n" + "1" * 200_000 + ",0,0\n")
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert str(data) in result.output
+
+    def test_blank_lines_are_skipped(self, runner, tmp_path):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=4)
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--x-grid", "-1:1:2", "--t-grid", "-1:1:2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
 
     def test_row_count_mismatch_exits_2(self, runner, tmp_path):
         data, errors, *_ = _write_estimation_inputs(tmp_path)
@@ -428,6 +564,24 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert "variance_bound" not in result.output
+
+    def test_tabulates_each_cf_once_per_distinct_b(self, runner, tmp_path, monkeypatch):
+        from hetdeconv import ErrorEnsemble
+
+        calls = []
+        cf_matrix = ErrorEnsemble.cf_matrix
+
+        def counted(self, v):
+            calls.append(v)
+            return cf_matrix(self, v)
+
+        monkeypatch.setattr(ErrorEnsemble, "cf_matrix", counted)
+        pairs = [[h, b] for b in (0.1, 0.2) for h in (0.1, 0.15, 0.2)]
+        cfg = _write_config(tmp_path, error_family="normal", bandwidth_grid={"pairs": pairs})
+        result = runner.invoke(main, ["validate", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("variance_bound=") == 6
+        assert len(calls) <= 2
 
     def test_doubling_h_halves_diagnostic(self, runner, tmp_path):
         cfg = _write_config(tmp_path, error_family="normal",
