@@ -249,6 +249,22 @@ def _read_table(path: str, required: tuple[str, ...]) -> dict[str, list[str]]:
     return {c: [row[index[c]] for row in rows] for c in required}
 
 
+def _error_ensemble(path: str, families, variances) -> ErrorEnsemble:
+    """The error laws of an errors table, checked as arrays; a bad row is named by number."""
+    names = [family.strip().lower() for family in families]
+    names = ["gaussian" if name == "normal" else name for name in names]
+    try:
+        return ErrorEnsemble.from_arrays(names, [float(v) for v in variances])
+    except ValueError:
+        # Word the error as the first bad row's own law does.
+        for i, (name, variance) in enumerate(zip(names, variances)):
+            try:
+                ErrorModel(ErrorFamily(name), float(variance))
+            except ValueError as exc:
+                raise ConfigError(f"{path} row {i + 1}: {exc}") from exc
+        raise
+
+
 def _parse_grid_spec(spec: str, name: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -287,21 +303,13 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
             x, w, y = (np.array([float(v) for v in data_cols[c]]) for c in "xwy")
         except ValueError as exc:
             raise ConfigError(f"{data_path}: non-numeric entry ({exc})") from exc
-        models = []
-        for i, (family, variance) in enumerate(zip(error_cols["family"], error_cols["variance"])):
-            name = family.strip().lower()
-            if name == "normal":
-                name = "gaussian"
-            try:
-                models.append(ErrorModel(ErrorFamily(name), float(variance)))
-            except ValueError as exc:
-                raise ConfigError(f"{errors_path} row {i + 1}: {exc}") from exc
+        ensemble = _error_ensemble(errors_path, error_cols["family"], error_cols["variance"])
         bandwidths = Bandwidths(h, b)
         x_values = _parse_grid_spec(x_grid, "--x-grid")
         t_values = _parse_grid_spec(t_grid, "--t-grid")
         if quad_nodes < 16:
             raise ConfigError(f"--quad-nodes must be >= 16, got {quad_nodes}")
-        sample = Sample(x=x, w=w, y=y, ensemble=ErrorEnsemble(tuple(models)))
+        sample = Sample(x=x, w=w, y=y, ensemble=ensemble)
     except (ConfigError, HetdeconvError, ValueError) as exc:
         _fail(EXIT_CONFIG, str(exc))
 

@@ -69,30 +69,88 @@ class ErrorModel:
         return np.zeros(size)
 
 
-@dataclass(frozen=True)
+# Family codes of an array-native ensemble, keyed by family name; ErrorFamily
+# members are str values, so they hash and compare as their names do.
+_FAMILY_CODES = {family.value: code for code, family in enumerate(ErrorFamily)}
+_GAUSSIAN, _LAPLACE, _DEGENERATE = (_FAMILY_CODES[f] for f in ErrorFamily)
+
+
 class ErrorEnsemble:
     """Ordered collection of n error laws, one per observation.
 
     ``models`` may hold any objects exposing ``cf(v)``; tests use that to
     construct characteristic functions with real zeros, which the three
-    built-in families never produce.
+    built-in families never produce.  When every law is a built-in
+    ``ErrorModel`` the ensemble also holds them as two arrays, ``codes``
+    (family codes) and ``variances``, and tabulates and draws from those in
+    closed form; otherwise both are None and each law's own ``cf`` is used.
     """
 
-    models: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
-        if len(self.models) < 1:
+    def __init__(self, models):
+        models = tuple(models)
+        if len(models) < 1:
             raise ValueError("ensemble needs at least one error model")
+        self._models = models
+        self.codes = self.variances = None
+        if all(type(m) is ErrorModel for m in models):
+            self._set_arrays(np.array([_FAMILY_CODES[m.family] for m in models], dtype=np.int8),
+                             np.array([m.variance for m in models]))
+
+    @classmethod
+    def from_arrays(cls, families, variances) -> "ErrorEnsemble":
+        """Built-in laws from parallel family-name and variance sequences, checked as arrays.
+
+        Accepts what ``ErrorModel(family, variance)`` accepts, pair by pair,
+        without building the per-law objects; raises ValueError naming the
+        first invalid pair otherwise.
+        """
+        codes = np.array([_FAMILY_CODES.get(f, -1) for f in families], dtype=np.int8)
+        variances = np.array(variances, dtype=float)
+        if codes.shape != variances.shape or codes.ndim != 1:
+            raise ValueError(f"{codes.size} families for {variances.size} variances")
+        bad = ((codes < 0) | ~np.isfinite(variances) | (variances < 0.0)
+               | ((codes == _DEGENERATE) & (variances != 0.0)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"invalid error law at position {i}: "
+                             f"family {families[i]!r}, variance {variances[i]!r}")
+        if codes.size < 1:
+            raise ValueError("ensemble needs at least one error model")
+        ensemble = cls.__new__(cls)
+        ensemble._models = None
+        ensemble._set_arrays(codes, variances)
+        return ensemble
+
+    def _set_arrays(self, codes, variances):
+        codes.setflags(write=False)
+        variances.setflags(write=False)
+        self.codes, self.variances = codes, variances
+
+    @property
+    def models(self) -> tuple:
+        """The laws as objects; built on first use for an ensemble made from arrays."""
+        if self._models is None:
+            families = tuple(ErrorFamily)
+            self._models = tuple(ErrorModel(families[c], s)
+                                 for c, s in zip(self.codes.tolist(), self.variances.tolist()))
+        return self._models
 
     @property
     def n(self) -> int:
-        return len(self.models)
+        return len(self._models) if self.variances is None else self.variances.size
 
     def cf_matrix(self, v) -> np.ndarray:
         """cf_j(v) for every model j, shape (n, len(v))."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        return np.vstack([np.asarray(m.cf(v)) for m in self.models])
+        if self.variances is None:
+            return np.vstack([np.asarray(m.cf(v)) for m in self.models])
+        # ErrorModel.cf's operation order, so every value is bit-identical to it.
+        p = (0.5 * self.variances)[:, None] * v * v
+        cf = np.ones_like(p)
+        gaussian, laplace = self.codes == _GAUSSIAN, self.codes == _LAPLACE
+        cf[gaussian] = np.exp(-p[gaussian])
+        cf[laplace] = 1.0 / (1.0 + p[laplace])
+        return cf
 
     def denominator(self, v):
         """Shared denominator S(v) = sum_k |cf_k(v)|^2, computed once per node."""
@@ -103,19 +161,20 @@ class ErrorEnsemble:
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One error draw per observation, in observation order.
 
-        Single-family ensembles are drawn in one vectorized call; mixed
-        ensembles fall back to per-observation draws.
+        Each run of consecutive same-family laws is drawn in one vectorized
+        call, which consumes the generator exactly as one draw per law would.
         """
-        families = {getattr(m, "family", None) for m in self.models}
-        if families == {ErrorFamily.GAUSSIAN}:
-            sd = np.sqrt(np.array([m.variance for m in self.models]))
-            return rng.normal(0.0, sd)
-        if families == {ErrorFamily.LAPLACE}:
-            scale = np.sqrt(np.array([m.variance for m in self.models]) / 2.0)
-            return rng.laplace(0.0, scale)
-        if families == {ErrorFamily.DEGENERATE}:
-            return np.zeros(self.n)
-        return np.array([m.draw(rng, 1)[0] for m in self.models])
+        if self.variances is None:
+            return np.array([m.draw(rng, 1)[0] for m in self.models])
+        out = np.zeros(self.n)
+        starts = np.flatnonzero(np.diff(self.codes)) + 1
+        for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), self.n]):
+            var = self.variances[lo:hi]
+            if self.codes[lo] == _GAUSSIAN:
+                out[lo:hi] = rng.normal(0.0, np.sqrt(var))
+            elif self.codes[lo] == _LAPLACE:
+                out[lo:hi] = rng.laplace(0.0, np.sqrt(var / 2.0))
+        return out
 
 
 @dataclass(frozen=True)

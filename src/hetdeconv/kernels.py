@@ -16,9 +16,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .error_models import ErrorEnsemble, ValidationReport, shared_denominator
-from .exceptions import EnsembleInvalid
+from .exceptions import EnsembleInvalid, NonRealKernel
 
 TWO_PI = 2.0 * np.pi
+
+# Smallest positive normal double; smaller kernel values are flushed to 0.
+SMALLEST_NORMAL = np.finfo(float).tiny
 
 # Relative tolerance for the imaginary residue of Fourier sums over symmetric
 # node pairs.  Scaled by the evaluation magnitude: supersmooth error laws at
@@ -76,16 +79,30 @@ class QuadratureGrid:
     @classmethod
     def trapezoid(cls, m: int = 129) -> "QuadratureGrid":
         nodes = np.linspace(-1.0, 1.0, m)
+        # Symmetrize as above; a no-op whenever 2 / (m - 1) is exact.
+        nodes = 0.5 * (nodes - nodes[::-1])
         h = 2.0 / (m - 1)
         weights = np.full(m, h)
         weights[0] = weights[-1] = h / 2.0
         return cls(nodes, weights, QuadratureRule.TRAPEZOID)
 
+    @property
+    def mirrored(self) -> bool:
+        """Whether nodes and weights are exactly symmetric about 0."""
+        return (np.array_equal(self.nodes, -self.nodes[::-1])
+                and np.array_equal(self.weights, self.weights[::-1]))
+
 
 def gaussian_kernel(u):
-    """Standard normal density, the kernel for the error-free direction."""
+    """Standard normal density, the kernel for the error-free direction.
+
+    Values below the smallest normal double (|u| > 37.5 or so) are exactly 0.
+    Subnormal operands put BLAS matrix products on a slow path, and a term of
+    at most 2.2e-308 cannot move a kernel sum that clears the ridge floor.
+    """
     u = np.asarray(u, dtype=float)
-    return np.exp(-0.5 * u * u) / np.sqrt(TWO_PI)
+    k = np.exp(-0.5 * u * u) / np.sqrt(TWO_PI)
+    return np.where(k < SMALLEST_NORMAL, 0.0, k)
 
 
 def bandlimited_kernel_ft(v):
@@ -141,7 +158,12 @@ def bandlimited_kernel_closed_form(u):
 
 @dataclass(frozen=True)
 class DeconvWeights:
-    """Tabulated integrand weights kernel_ft(v_m) * psi_j(v_m / b), shape (n, M)."""
+    """Tabulated integrand weights kernel_ft(v_m) * psi_j(v_m / b), shape (n, M).
+
+    ``values`` stay real when they are real, even in v and the quadrature
+    grid is mirrored, as for every built-in law: the kernel sum then reduces
+    to a real cosine sum (``real``).  Any other weights are held complex.
+    """
 
     ensemble: ErrorEnsemble
     bandwidth: float
@@ -149,13 +171,16 @@ class DeconvWeights:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", values)
+        values = np.asarray(self.values)
         if values.shape != (self.ensemble.n, self.quad.size):
             raise ValueError(
                 f"weights shape {values.shape} does not match "
                 f"(n={self.ensemble.n}, M={self.quad.size})"
             )
+        real = (np.isrealobj(values) and self.quad.mirrored
+                and np.array_equal(values, values[:, ::-1]))
+        values = values.astype(float if real else complex)
+        object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite deconvolution weights; validate the ensemble first")
         values.setflags(write=False)
@@ -163,6 +188,11 @@ class DeconvWeights:
     @property
     def n(self) -> int:
         return self.ensemble.n
+
+    @property
+    def real(self) -> bool:
+        """Whether the weights are real and even on a mirrored grid (see the class doc)."""
+        return np.isrealobj(self.values)
 
 
 def build_deconv_weights(
@@ -193,7 +223,7 @@ def _real_part_checked(values: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(mag.max())) if mag.size else 1.0
     worst = float(np.abs(values.imag).max()) if mag.size else 0.0
     if worst > IMAG_TOL * scale:
-        raise AssertionError(
+        raise NonRealKernel(
             f"imaginary residue {worst:.3e} exceeds {IMAG_TOL:.0e} * scale {scale:.3e}; "
             "asymmetric error law or corrupted weights"
         )
@@ -203,7 +233,8 @@ def _real_part_checked(values: np.ndarray) -> np.ndarray:
 def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
     """Generalized deconvolution kernel for observation j at a single argument.
 
-    Callers supply arg = (t - W_j) / b.
+    Callers supply arg = (t - W_j) / b.  Always sums the complex Fourier
+    series, so it serves as the reference for ``deconv_kernel_grid``.
     """
     if not 0 <= j < weights.n:
         raise IndexError(f"observation index {j} outside 0..{weights.n - 1}")
@@ -215,12 +246,27 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
 def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
     """Kernel values L_j(eval_args[i] - obs_args[j]) for all j, i at once.
 
-    Factorizes exp(-i v (e_i - o_j)) = exp(i v o_j) exp(-i v e_i) so the sum
-    over quadrature nodes becomes one (n, M) @ (M, I) product.
+    Real weights (``DeconvWeights.real``) pair each node v > 0 with -v:
+    L_j(e) = (1/pi) sum_{v>0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
+    c_jv = quadrature weight at v times weights.values[j] at v, with the
+    v = 0 node (odd M) at half its coefficient.  That is one real product of
+    [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner size M (M + 1 for
+    odd M).  Complex weights factorize exp(-i v (e_i - o_j)) =
+    exp(i v o_j) exp(-i v e_i) into one complex (n, M) @ (M, I) product whose
+    imaginary residue is checked.
     """
     obs_args = np.atleast_1d(np.asarray(obs_args, dtype=float))
     eval_args = np.atleast_1d(np.asarray(eval_args, dtype=float))
     v = weights.quad.nodes
+    if weights.real:
+        half = v.size // 2                 # v[half:] are the nodes v >= 0
+        coef = weights.values[:, half:] * (weights.quad.weights[half:] / np.pi)
+        if v.size % 2:
+            coef[:, 0] *= 0.5
+        obs_phase = np.outer(obs_args, v[half:])
+        eval_phase = np.outer(v[half:], eval_args)
+        left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
+        return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])
     obs_phase = np.exp(1j * np.outer(obs_args, v))
     eval_phase = np.exp(-1j * np.outer(v, eval_args))
     combined = (weights.values * obs_phase * weights.quad.weights) @ eval_phase / TWO_PI

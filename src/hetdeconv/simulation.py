@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel
+from .error_models import ErrorEnsemble, ErrorFamily
 from .estimators import Bandwidths, KernelCache, Sample, linear_slope
 from .exceptions import AllPointsExcluded, ConfigError, DimensionMismatch, EnsembleInvalid
 from .kernels import QuadratureGrid
@@ -60,7 +60,7 @@ def build_ensemble(family: ErrorFamily, n: int) -> ErrorEnsemble:
         raise ValueError("n must be >= 1")
     family = ErrorFamily(family)
     variances = ERROR_VARIANCE_SCALE * (1.0 + np.arange(1, n + 1) / n)
-    return ErrorEnsemble(tuple(ErrorModel(family, s) for s in variances))
+    return ErrorEnsemble.from_arrays([family] * n, variances)
 
 
 def _splitmix64(z: int) -> int:

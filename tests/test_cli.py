@@ -458,6 +458,54 @@ class TestEstimate:
             "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 2
+        assert f"{errors} row 1: 'cauchy' is not a valid ErrorFamily" in result.output
+
+    @pytest.mark.parametrize("row,message", [
+        ("laplace,-0.5", "variance must be finite and >= 0, got -0.5"),
+        ("gaussian,nan", "variance must be finite and >= 0, got nan"),
+        ("degenerate,0.1", "the degenerate (no-error) law has variance 0"),
+        ("laplace,abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_error_law_names_its_row(self, runner, tmp_path, row, message):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=5)
+        lines = errors.read_text().splitlines()
+        lines[4] = row
+        errors.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{errors} row 4: {message}" in result.output
+
+    def test_first_bad_error_row_is_named(self, runner, tmp_path):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=5)
+        lines = errors.read_text().splitlines()
+        lines[2], lines[4] = "cauchy,1", "laplace,-1"
+        errors.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{errors} row 2: 'cauchy' is not a valid ErrorFamily" in result.output
+
+    def test_error_table_is_read_without_per_row_models(self, runner, tmp_path, monkeypatch):
+        import hetdeconv.error_models as error_models
+
+        built = []
+        post_init = error_models.ErrorModel.__post_init__
+        monkeypatch.setattr(error_models.ErrorModel, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=6)
+        errors.write_text("family,variance\n" + "normal,0.1\nlaplace,0.2\ndegenerate,0\n" * 2)
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--x-grid", "-1:1:2", "--t-grid", "-1:1:2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert built == []
 
 
 class TestCrossSection:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import VanishingCF
+from conftest import NonHermitianCF, VanishingCF
 
 from hetdeconv import (
     EnsembleInvalid,
@@ -177,3 +177,70 @@ class TestValidation:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             validate_ensemble(_degenerates(2), 0.0, [0.0, 1.0])
+
+
+def _mixed_models(seed, n=40):
+    rng = np.random.default_rng(seed)
+    families = [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE, ErrorFamily.DEGENERATE]
+    models = []
+    for _ in range(n):
+        family = families[rng.integers(0, 3)]
+        variance = 0.0 if family is ErrorFamily.DEGENERATE else rng.uniform(0.01, 3.0)
+        models.append(ErrorModel(family, variance))
+    return tuple(models)
+
+
+class TestArrayNativeEnsemble:
+    """Built-in laws are held as family-code and variance arrays."""
+
+    def test_cf_matrix_is_bit_identical_to_stacking_each_law(self):
+        models = _mixed_models(0)
+        v = np.concatenate([np.linspace(-400.0, 400.0, 1601), [0.0, -0.0, 1e-300, 1e150]])
+        got = ErrorEnsemble(models).cf_matrix(v)
+        assert got.dtype == float
+        assert np.array_equal(got, np.vstack([m.cf(v) for m in models]))
+
+    def test_from_arrays_matches_the_models(self):
+        models = _mixed_models(1)
+        ens = ErrorEnsemble.from_arrays([m.family.value for m in models],
+                                        [m.variance for m in models])
+        ref = ErrorEnsemble(models)
+        assert np.array_equal(ens.codes, ref.codes)
+        assert np.array_equal(ens.variances, ref.variances)
+        assert ens.models == models and ens.n == len(models)
+        v = np.linspace(-50.0, 50.0, 101)
+        assert np.array_equal(ens.cf_matrix(v), ref.cf_matrix(v))
+
+    @pytest.mark.parametrize("family,variance", [
+        ("gaussian", -1.0), ("laplace", float("nan")), ("gaussian", float("inf")),
+        ("degenerate", 0.5), ("cauchy", 1.0),
+    ])
+    def test_from_arrays_rejects_what_error_model_rejects(self, family, variance):
+        with pytest.raises(ValueError):
+            ErrorModel(family, variance)
+        with pytest.raises(ValueError, match="position 1"):
+            ErrorEnsemble.from_arrays(["laplace", family], [0.5, variance])
+
+    def test_from_arrays_rejects_empty_and_ragged_input(self):
+        with pytest.raises(ValueError):
+            ErrorEnsemble.from_arrays([], [])
+        with pytest.raises(ValueError):
+            ErrorEnsemble.from_arrays(["laplace", "gaussian"], [0.5])
+
+    def test_general_laws_keep_their_own_cf(self):
+        ens = ErrorEnsemble((VanishingCF(2.0), NonHermitianCF()))
+        assert ens.codes is None and ens.variances is None
+        v = np.linspace(-3.0, 3.0, 13)
+        expected = np.vstack([VanishingCF(2.0).cf(v), NonHermitianCF().cf(v)])
+        assert np.array_equal(ens.cf_matrix(v), expected)
+
+    @pytest.mark.parametrize("models", [
+        tuple(ErrorModel(ErrorFamily.GAUSSIAN, 0.1 + 0.01 * k) for k in range(30)),
+        tuple(ErrorModel(ErrorFamily.LAPLACE, 0.1 + 0.01 * k) for k in range(30)),
+        _mixed_models(2),
+    ], ids=["gaussian", "laplace", "mixed"])
+    def test_draw_consumes_the_generator_as_one_draw_per_law(self, models):
+        got = ErrorEnsemble(models).draw(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = np.array([m.draw(rng, 1)[0] for m in models])
+        assert np.array_equal(got, expected)

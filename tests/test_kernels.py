@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from conftest import NonHermitianCF
+from conftest import NonHermitianCF, VanishingCF
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetdeconv import (
+    EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
     ErrorModel,
+    NonRealKernel,
     QuadratureGrid,
     QuadratureRule,
     bandlimited_kernel_closed_form,
@@ -78,6 +82,17 @@ class TestScalarKernels:
 
     def test_gaussian_kernel_even(self):
         assert gaussian_kernel(1.3) == gaussian_kernel(-1.3)
+
+    def test_gaussian_kernel_has_no_subnormal_and_keeps_every_normal_value(self):
+        tiny = np.finfo(float).tiny
+        u = np.concatenate([np.linspace(-40.0, 40.0, 400_001), [37.5, 37.6, 38.5, 38.6, 1e100]])
+        k = gaussian_kernel(u)
+        exact = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+        assert np.any((exact > 0) & (exact < tiny))        # the grid crosses the subnormal range
+        assert not np.any((k != 0) & (np.abs(k) < tiny))
+        normal = exact >= tiny
+        assert np.array_equal(k[normal], exact[normal])
+        assert np.all(k[~normal] == 0.0)
 
     def test_transform_values(self):
         assert bandlimited_kernel_ft(0.0) == 1.0
@@ -198,8 +213,11 @@ class TestDeconvKernelEvaluation:
     def test_non_hermitian_law_trips_the_realness_check(self, quad64):
         ens = ErrorEnsemble((NonHermitianCF(), NonHermitianCF(variance=0.8, phase=-0.3)))
         w = build_deconv_weights(ens, 0.5, quad64)
-        with pytest.raises(AssertionError):
+        assert not w.real
+        with pytest.raises(NonRealKernel):
             deconv_kernel(w, 0, 1.0)
+        with pytest.raises(NonRealKernel):
+            deconv_kernel_grid(w, [0.0, 0.5], [1.0, 2.0])
 
     def test_index_out_of_range(self, quad64):
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad64)
@@ -231,3 +249,89 @@ class TestSelfConvergence:
                 arg = float(rng.uniform(-4.0, 4.0))
                 diff = abs(deconv_kernel(w64, j, arg) - deconv_kernel(w128, j, arg))
                 assert diff < 1e-6, f"family={family} b={b} j={j} arg={arg}: diff={diff}"
+
+
+_FAMILIES = st.sampled_from([ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE, ErrorFamily.DEGENERATE])
+
+
+@st.composite
+def _laws(draw):
+    family = draw(_FAMILIES)
+    if family is ErrorFamily.DEGENERATE:
+        return ErrorModel(family)
+    return ErrorModel(family, draw(st.floats(0.01, 1.0)))
+
+
+@st.composite
+def _quadratures(draw):
+    m = draw(st.integers(16, 81))
+    if draw(st.booleans()):
+        return QuadratureGrid.gauss_legendre(m)
+    return QuadratureGrid.trapezoid(m)
+
+
+def _assert_grid_matches_scalar(weights, obs, evals):
+    """deconv_kernel_grid against the complex scalar sum, to 1e-11 of the sum of |terms|."""
+    b = weights.bandwidth
+    grid = deconv_kernel_grid(weights, obs / b, evals / b)
+    quad = weights.quad
+    for j in range(weights.n):
+        scale = (quad.weights * np.abs(weights.values[j])).sum() / (2 * np.pi)
+        for i, t in enumerate(evals):
+            direct = deconv_kernel(weights, j, (t - obs[j]) / b)
+            assert abs(grid[j, i] - direct) <= 1e-11 * scale, (j, i, grid[j, i], direct)
+
+
+class TestRealHalfNodeKernel:
+    """The real path of deconv_kernel_grid against the complex scalar oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        laws=st.lists(_laws(), min_size=1, max_size=5),
+        quad=_quadratures(),
+        b=st.floats(0.05, 1.0),
+        obs=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        evals=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    )
+    def test_built_in_laws_take_the_real_path_and_match_the_oracle(
+            self, laws, quad, b, obs, evals):
+        weights = build_deconv_weights(ErrorEnsemble(laws), b, quad)
+        assert weights.real and weights.values.dtype == float
+        _assert_grid_matches_scalar(weights, np.array(obs[:len(laws)]), np.array(evals))
+
+    @pytest.mark.parametrize("m", [16, 17, 64, 65])
+    def test_every_built_in_grid_is_mirrored(self, m):
+        assert QuadratureGrid.gauss_legendre(m).mirrored
+        assert QuadratureGrid.trapezoid(m).mirrored
+
+    def test_real_even_stub_weights_take_the_real_path(self, quad64):
+        # the decision rests on the weights, not on the laws being built-in
+        weights = build_deconv_weights(ErrorEnsemble((VanishingCF(80.0), VanishingCF(60.0))),
+                                       0.5, quad64)
+        assert weights.real
+        _assert_grid_matches_scalar(weights, np.array([0.3, -1.1]), np.array([-2.0, 0.0, 0.7]))
+
+    def test_real_but_uneven_weights_trip_the_realness_check(self, quad64):
+        class LopsidedCF:
+            """Real but not even: no real random variable has it."""
+
+            def cf(self, v):
+                v = np.asarray(v, dtype=float)
+                return np.exp(-0.5 * v * v) * (1.0 + 0.3 * np.tanh(v))
+
+        weights = build_deconv_weights(ErrorEnsemble((LopsidedCF(), LopsidedCF())), 0.5, quad64)
+        assert not weights.real
+        with pytest.raises(NonRealKernel):
+            deconv_kernel_grid(weights, [0.0, 0.4], [1.0, -0.5])
+
+    def test_vanishing_cf_is_still_invalid(self, quad64):
+        with pytest.raises(EnsembleInvalid):
+            build_deconv_weights(ErrorEnsemble((VanishingCF(1.0), VanishingCF(1.0))), 0.5, quad64)
+
+    def test_unmirrored_grid_takes_the_complex_path(self):
+        # raw linspace nodes miss exact mirror symmetry by an ulp for m = 20
+        quad = QuadratureGrid(np.linspace(-1.0, 1.0, 20), np.full(20, 0.1),
+                              QuadratureRule.TRAPEZOID)
+        weights = build_deconv_weights(build_ensemble(ErrorFamily.LAPLACE, 3), 0.3, quad)
+        assert not quad.mirrored and not weights.real
+        _assert_grid_matches_scalar(weights, np.array([0.1, 0.2, -0.4]), np.array([0.0, 1.0]))

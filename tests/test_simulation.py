@@ -81,6 +81,25 @@ class TestGenerate:
         assert np.array_equal(a.sample.y, b.sample.y)
         assert np.array_equal(a.latent, b.latent)
 
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_draw_order_is_x_t_noise_errors(self, family):
+        # one vectorized error draw over the whole ensemble, as in every
+        # earlier version, so seeded datasets keep their bytes
+        n = 300
+        data = generate(Model.MODEL2, n, build_ensemble(family, n), replication_rng(5, 2))
+        rng = replication_rng(5, 2)
+        x, t = rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)
+        eps = rng.normal(0.0, 0.25, n)
+        variances = ERROR_VARIANCE_SCALE * (1.0 + np.arange(1, n + 1) / n)
+        if family is ErrorFamily.GAUSSIAN:
+            u = rng.normal(0.0, np.sqrt(variances))
+        else:
+            u = rng.laplace(0.0, np.sqrt(variances / 2.0))
+        assert data.sample.x.tobytes() == x.tobytes()
+        assert data.latent.tobytes() == t.tobytes()
+        assert data.sample.w.tobytes() == (t + u).tobytes()
+        assert data.sample.y.tobytes() == (true_regression(Model.MODEL2, x, t) + eps).tobytes()
+
     def test_substreams_differ_across_replications(self):
         a = replication_rng(77, 1).uniform(size=4)
         b = replication_rng(77, 2).uniform(size=4)
@@ -276,6 +295,30 @@ class TestSharedKernelCache:
         # kx per distinct h, shared by deconv and naive, plus the naive kt per b
         h_values = {h for h, _ in cfg.bw_pairs}
         assert calls["gaussian_kernel"] == len(h_values) + len(cfg.b_values)
+
+
+class TestSubnormalFlush:
+    def test_full_scale_naive_search_equals_the_unflushed_kernel(self, monkeypatch):
+        import hetdeconv.estimators as estimators
+
+        cfg = SimulationConfig.from_dict(
+            {"model": "model2", "error_family": "laplace", "n": 500, "seed": 20250808},
+            full_scale=True)
+        data = generate(cfg.model, cfg.n, build_ensemble(cfg.error_family, cfg.n),
+                        replication_rng(cfg.seed, 1))
+        xg, tg = cfg.eval_x.values(), cfg.eval_t.values()
+        flushed = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg), "naive")
+
+        def unflushed(u):
+            return np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+
+        tiny = np.finfo(float).tiny
+        kx = unflushed((xg[None, :] - data.sample.x[:, None]) / 0.02)
+        assert np.any((kx > 0) & (kx < tiny))              # subnormals do occur here
+        monkeypatch.setattr(estimators, "gaussian_kernel", unflushed)
+        reference = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg), "naive")
+        assert np.array_equal(flushed.ase_values, reference.ase_values)
+        assert np.array_equal(flushed.excluded, reference.excluded)
 
 
 class TestConfig:
