@@ -194,6 +194,8 @@ def simulate(config_path, overrides, out, workers, full_scale):
         _fail(EXIT_CONFIG, str(exc))
     try:
         report = run_replications(config, workers=workers)
+    except ConfigError as exc:
+        _fail(EXIT_CONFIG, str(exc))
     except Exception as exc:
         _fail(EXIT_RUNTIME, f"simulation failed: {exc}")
 
@@ -216,7 +218,7 @@ def simulate(config_path, overrides, out, workers, full_scale):
     _write_manifest(
         out_dir, "simulate", config.to_dict(), config.seed,
         {"ase_report.csv": report_path}, started,
-        extra={"workers": workers},
+        extra={"workers": report.workers},
     )
     for row in rows:
         click.echo(

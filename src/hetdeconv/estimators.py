@@ -21,6 +21,7 @@ from .exceptions import (
 )
 from .kernels import (
     TWO_PI,
+    CosineWeights,
     DeconvWeights,
     QuadratureGrid,
     bandlimited_kernel_ft,
@@ -117,57 +118,96 @@ def ratio_grid(kx, kt, y, scale, floor):
     return values, flags, den
 
 
-def _memo(table, key, build):
-    """table[key], built on first use; a build that raised EnsembleInvalid raises again."""
-    if key not in table:
+def stacked_ratio_grid(stack, kt, scale, floor):
+    """ratio_grid for every h of a KernelCache.kx_stack at once: (values, flags, density).
+
+    One batched product of the (H, 2, X, n) view of the stack with kt (n, T);
+    ``scale`` and ``floor`` hold one value per h, and each result is
+    (H, X, T).  The batch runs the very (X, n) @ (n, T) products ratio_grid
+    runs, so every entry is bit for bit ratio_grid's on kx_h.  (One flat
+    (2 H X, n) @ (n, T) product is not: BLAS may pick another kernel for the
+    larger shape, with another summation order.)
+    """
+    product = np.matmul(np.moveaxis(stack, 0, -1), kt)
+    scale = np.asarray(scale, dtype=float)[:, None, None]
+    num = product[:, 0] / scale
+    den = product[:, 1] / scale
+    values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, None, None])
+    return values, flags, den
+
+
+def _normal_kernel(eval_values, obs, bandwidth):
+    """Normal kernel of (eval - obs) / bandwidth, shape (n, E)."""
+    return gaussian_kernel((eval_values[None, :] - obs[:, None]) / bandwidth)
+
+
+def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> dict:
+    """b -> what deconv_kernel_grid consumes at b, or the EnsembleInvalid raised at b.
+
+    That is the CosineWeights of real weights (every built-in law), else the
+    DeconvWeights themselves.
+    """
+    table = {}
+    for b in b_values:
         try:
-            table[key] = build()
+            weights = build_deconv_weights(ensemble, b, quad)
+            table[b] = CosineWeights.of(weights) if weights.real else weights
         except EnsembleInvalid as exc:
-            table[key] = exc
-    found = table[key]
-    if isinstance(found, EnsembleInvalid):
-        raise found.with_traceback(None)
-    return found
+            table[b] = exc
+    return table
 
 
 class KernelCache:
     """Kernel matrices of one sample on one tensor evaluation grid.
 
-    Each matrix is built once per bandwidth: the normal kernel kx (n, X)
-    keyed by h, the naive normal kernel kt (n, T) and the deconvolution
-    kernel lt (n, T) keyed by b.  A bandwidth at which the ensemble is
-    invalid is remembered, and asking for it again raises EnsembleInvalid
-    again.  ``weights`` are DeconvWeights already built for the sample's
-    ensemble (as by ``fit``), used at their bandwidth instead of a rebuild.
-    Every estimator below returns (values, flags, density) on the (X, T) grid.
+    Lives for one sample (one replication).  It keeps the normal kernel
+    kx (n, X) of each h, and the deconvolution weights of each b as
+    ``kernel_weights`` makes them (an EnsembleInvalid raised at b is kept
+    too and raised again on every later request).  The kernels at b, the
+    deconvolution lt (n, T) and the naive normal kt (n, T), are rebuilt on
+    every request and kept by nobody, so a b-major sweep holds one of each
+    at a time.  ``weights`` maps b to weights built beforehand for the
+    sample's ensemble (DeconvWeights as by ``fit``, or entries of
+    ``kernel_weights``), used instead of a rebuild.  Every estimator below
+    returns (values, flags, density) on the (X, T) grid.
     """
 
     def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,
-                 weights=()):
+                 weights=None):
         self.sample = sample
         self.x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
         self.t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
         self.quad = quad
-        self._kx, self._kt, self._lt = {}, {}, {}
-        self._weights = {w.bandwidth: w for w in weights}
+        self._kx = {}
+        self._weights = dict(weights or {})
+
+    def kx_stack(self, hs):
+        """[kx_h * y | kx_h] for every h in ``hs``, shape (n, H, 2, X).
+
+        kx(h) for these h is then a view into the stack, not a copy.
+        """
+        stack = np.empty((self.sample.n, len(hs), 2, self.x_values.size))
+        for i, h in enumerate(hs):
+            stack[:, i, 1] = _normal_kernel(self.x_values, self.sample.x, h)
+            np.multiply(stack[:, i, 1], self.sample.y[:, None], out=stack[:, i, 0])
+            self._kx[h] = stack[:, i, 1]
+        return stack
 
     def kx(self, h):
-        return _memo(self._kx, h, lambda: gaussian_kernel(
-            (self.x_values[None, :] - self.sample.x[:, None]) / h))
+        if h not in self._kx:
+            self._kx[h] = _normal_kernel(self.x_values, self.sample.x, h)
+        return self._kx[h]
 
     def kt(self, b):
-        return _memo(self._kt, b, lambda: gaussian_kernel(
-            (self.t_values[None, :] - self.sample.w[:, None]) / b))
+        return _normal_kernel(self.t_values, self.sample.w, b)
 
     def lt(self, b):
-        def build():
-            if b in self._weights:
-                weights = self._weights[b]
-            else:
-                weights = build_deconv_weights(self.sample.ensemble, b, self.quad)
-            return deconv_kernel_grid(weights, self.sample.w / b, self.t_values / b)
-
-        return _memo(self._lt, b, build)
+        if b not in self._weights:
+            self._weights.update(kernel_weights(self.sample.ensemble, [b], self.quad))
+        weights = self._weights[b]
+        if isinstance(weights, EnsembleInvalid):
+            raise weights.with_traceback(None)
+        return deconv_kernel_grid(weights, self.sample.w / b, self.t_values / b)
 
     def deconv(self, h, b):
         """The heteroscedastic partial deconvolution estimator."""
@@ -182,14 +222,15 @@ class KernelCache:
         return ratio_grid(self.kx(h), self.kt(b), self.sample.y, self.sample.n * h * b,
                           RIDGE_SCALE / (h * b))
 
-    def partial_linear(self, b, slope):
+    def partial_linear(self, b, slope, lt=None):
         """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope.
 
         Only the contaminated direction is smoothed, so flags and density
-        are constant across x.
+        are constant across x.  ``lt`` is lt(b) if the caller has it.
         """
         resid = self.sample.y - self.sample.x * slope
-        ratio, flags, density = ratio_grid(None, self.lt(b), resid, b, RIDGE_SCALE / b)
+        ratio, flags, density = ratio_grid(None, self.lt(b) if lt is None else lt, resid, b,
+                                           RIDGE_SCALE / b)
         values = self.x_values[:, None] * slope + ratio[None, :]
         return (values, np.broadcast_to(flags[None, :], values.shape).copy(),
                 np.broadcast_to(density[None, :], values.shape).copy())
@@ -215,7 +256,8 @@ class DeconvEstimator:
 
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
-        cache = KernelCache(self.sample, x_values, t_values, self.quad, (self.weights,))
+        cache = KernelCache(self.sample, x_values, t_values, self.quad,
+                            {self.bandwidths.b: self.weights})
         return cache.deconv(self.bandwidths.h, self.bandwidths.b)
 
 

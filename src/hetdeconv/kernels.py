@@ -195,6 +195,36 @@ class DeconvWeights:
         return np.isrealobj(self.values)
 
 
+@dataclass(frozen=True)
+class CosineWeights:
+    """Real DeconvWeights reduced to what the real kernel sum consumes.
+
+    ``values`` (n, ceil(M/2)) hold c_jv = (quadrature weight at v) / pi times
+    the weight of law j at v, for the nodes v >= 0 (``nodes``), with the
+    v = 0 node (odd M) at half its coefficient: half the size of the weights
+    they come from.
+    """
+
+    quad: QuadratureGrid
+    bandwidth: float
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, weights: DeconvWeights) -> "CosineWeights":
+        if not weights.real:
+            raise ValueError("complex deconvolution weights have no cosine form")
+        half = weights.quad.size // 2          # quad.nodes[half:] are the nodes v >= 0
+        coef = weights.values[:, half:] * (weights.quad.weights[half:] / np.pi)
+        if weights.quad.size % 2:
+            coef[:, 0] *= 0.5
+        coef.setflags(write=False)
+        return cls(weights.quad, weights.bandwidth, coef)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.quad.nodes[self.quad.size // 2:]
+
+
 def build_deconv_weights(
     ensemble: ErrorEnsemble, bandwidth: float, quad: QuadratureGrid
 ) -> DeconvWeights:
@@ -243,13 +273,13 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
     return float(_real_part_checked(np.atleast_1d(total))[0])
 
 
-def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
+def deconv_kernel_grid(weights, obs_args, eval_args) -> np.ndarray:
     """Kernel values L_j(eval_args[i] - obs_args[j]) for all j, i at once.
 
-    Real weights (``DeconvWeights.real``) pair each node v > 0 with -v:
+    ``weights`` are DeconvWeights, or the CosineWeights of real ones.  Real
+    weights (``DeconvWeights.real``) pair each node v > 0 with -v:
     L_j(e) = (1/pi) sum_{v>0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
-    c_jv = quadrature weight at v times weights.values[j] at v, with the
-    v = 0 node (odd M) at half its coefficient.  That is one real product of
+    with c_jv the CosineWeights coefficients.  That is one real product of
     [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner size M (M + 1 for
     odd M).  Complex weights factorize exp(-i v (e_i - o_j)) =
     exp(i v o_j) exp(-i v e_i) into one complex (n, M) @ (M, I) product whose
@@ -257,17 +287,16 @@ def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarra
     """
     obs_args = np.atleast_1d(np.asarray(obs_args, dtype=float))
     eval_args = np.atleast_1d(np.asarray(eval_args, dtype=float))
-    v = weights.quad.nodes
-    if weights.real:
-        half = v.size // 2                 # v[half:] are the nodes v >= 0
-        coef = weights.values[:, half:] * (weights.quad.weights[half:] / np.pi)
-        if v.size % 2:
-            coef[:, 0] *= 0.5
-        obs_phase = np.outer(obs_args, v[half:])
-        eval_phase = np.outer(v[half:], eval_args)
-        left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
-        return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])
-    obs_phase = np.exp(1j * np.outer(obs_args, v))
-    eval_phase = np.exp(-1j * np.outer(v, eval_args))
-    combined = (weights.values * obs_phase * weights.quad.weights) @ eval_phase / TWO_PI
-    return _real_part_checked(combined)
+    if isinstance(weights, DeconvWeights):
+        if not weights.real:
+            v = weights.quad.nodes
+            obs_phase = np.exp(1j * np.outer(obs_args, v))
+            eval_phase = np.exp(-1j * np.outer(v, eval_args))
+            combined = (weights.values * obs_phase * weights.quad.weights) @ eval_phase / TWO_PI
+            return _real_part_checked(combined)
+        weights = CosineWeights.of(weights)
+    coef, v = weights.values, weights.nodes
+    obs_phase = np.outer(obs_args, v)
+    eval_phase = np.outer(v, eval_args)
+    left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
+    return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])

@@ -15,8 +15,22 @@ from enum import Enum
 import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
-from .estimators import Bandwidths, KernelCache, Sample, linear_slope
-from .exceptions import AllPointsExcluded, ConfigError, DimensionMismatch, EnsembleInvalid
+from .estimators import (
+    RIDGE_SCALE,
+    Bandwidths,
+    KernelCache,
+    Sample,
+    kernel_weights,
+    linear_slope,
+    stacked_ratio_grid,
+)
+from .exceptions import (
+    AllPointsExcluded,
+    ConfigError,
+    DegenerateDesign,
+    DimensionMismatch,
+    EnsembleInvalid,
+)
 from .kernels import QuadratureGrid
 
 _MASK64 = (1 << 64) - 1
@@ -122,18 +136,6 @@ def ase(values, flags, truth) -> tuple[float, int]:
     return value, excluded
 
 
-def _evaluator(cache: KernelCache, estimator: str):
-    """(h, b) -> (values, flags, density) of a registry estimator on the cache's grid."""
-    if estimator == DECONV:
-        return cache.deconv
-    if estimator == NAIVE:
-        return cache.naive
-    if estimator == PARTIAL_LINEAR:
-        slope = linear_slope(cache.sample)
-        return lambda h, b: cache.partial_linear(b, slope)
-    raise ValueError(f"unknown estimator {estimator!r}")
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Scores for every bandwidth candidate plus the oracle optimum."""
@@ -174,38 +176,131 @@ def _select_best(pairs, ase_values) -> int:
     return best
 
 
+class _Scores:
+    """One estimator's ASE per candidate, exclusion counts and statuses, filled b by b."""
+
+    def __init__(self, name: str, pairs: tuple):
+        self.name, self.pairs = name, pairs
+        self.ase_values = np.full(len(pairs), np.inf)
+        self.excluded = np.zeros(len(pairs), dtype=int)
+        self.statuses = [None] * len(pairs)
+
+    def fail(self, indices, exc: Exception):
+        for i in indices:
+            self.statuses[i] = str(exc)
+
+    def score(self, targets, grid, truth):
+        """Score candidate i by the slice r (X, T) of ``grid`` for each (i, r) in ``targets``.
+
+        ``grid`` is (values, flags, density), each (H, X, T).
+
+        Bit for bit ``ase`` of each slice: a slice without flagged points is
+        one contiguous row of the (H, X * T) squared errors, whose mean is
+        the same pairwise sum; the others go through ``ase`` itself.
+        """
+        values, flags, _ = grid
+        diff = values - truth
+        with np.errstate(over="ignore"):
+            means = np.mean((diff * diff).reshape(len(diff), -1), axis=1)
+        clean = ~flags.any(axis=(1, 2))
+        for i, r in targets:
+            if clean[r]:
+                self.ase_values[i], self.excluded[i] = means[r], 0
+                continue
+            try:
+                self.ase_values[i], self.excluded[i] = ase(values[r], flags[r], truth)
+            except AllPointsExcluded as exc:
+                self.statuses[i] = str(exc)
+
+    def result(self) -> SearchResult:
+        return SearchResult(self.name, self.pairs, self.ase_values, self.excluded,
+                            tuple(self.statuses), _select_best(self.pairs, self.ase_values))
+
+
+def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
+    """Score every estimator on every (h, b) candidate in one b-major pass.
+
+    The [kx_h * y | kx_h] blocks of all h are stacked once.  Per distinct b,
+    lt is built once and serves the deconvolution estimator over all h (one
+    stacked product) and the partial-linear one; then kt is built once and
+    serves the naive estimator over all h.  Neither outlives its b.  Returns
+    name -> SearchResult, or the exception that left the estimator without one.
+    """
+    pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
+    if not pairs:
+        raise ValueError("bandwidth grid is empty")
+    b_values = sorted({b for _, b in pairs})
+    hs = sorted({h for h, _ in pairs})
+    scores = {name: _Scores(name, tuple((None, b) for b in b_values) if name == PARTIAL_LINEAR
+                            else pairs)
+              for name in estimators}
+    out = {}
+    if PARTIAL_LINEAR in scores:
+        try:
+            slope = linear_slope(cache.sample)
+        except DegenerateDesign as exc:
+            out[PARTIAL_LINEAR] = exc
+            del scores[PARTIAL_LINEAR]
+    deconv, naive, plin = (scores.get(name) for name in (DECONV, NAIVE, PARTIAL_LINEAR))
+    stack = cache.kx_stack(hs) if deconv or naive else None
+
+    row_of = {h: r for r, h in enumerate(hs)}
+    members = {b: [] for b in b_values}
+    for i, (h, b) in enumerate(pairs):
+        members[b].append((i, row_of[h]))
+
+    for j, b in enumerate(b_values):
+        rows = sorted({r for _, r in members[b]})         # the h paired with this b
+        targets = [(i, rows.index(r)) for i, r in members[b]]
+        block = stack if stack is None or len(rows) == len(hs) else stack[:, rows]
+        h_b = np.array([hs[r] for r in rows])
+        if deconv or plin:
+            try:
+                lt = cache.lt(b)
+            except EnsembleInvalid as exc:
+                if deconv:
+                    deconv.fail([i for i, _ in targets], exc)
+                if plin:
+                    plin.fail([j], exc)
+            else:
+                if deconv:
+                    deconv.score(targets, stacked_ratio_grid(
+                        block, lt, h_b * b, RIDGE_SCALE / (h_b * b)), truth)
+                if plin:
+                    plin.score([(j, 0)], [a[None] for a in cache.partial_linear(b, slope, lt)],
+                               truth)
+                del lt
+        if naive:
+            naive.score(targets, stacked_ratio_grid(
+                block, cache.kt(b), cache.sample.n * h_b * b, RIDGE_SCALE / (h_b * b)), truth)
+
+    for name, found in scores.items():
+        try:
+            out[name] = found.result()
+        except EnsembleInvalid as exc:
+            out[name] = exc
+    return out
+
+
 def bandwidth_search(data: GeneratedData, bw_pairs, cache: KernelCache,
                      estimator: str = DECONV) -> SearchResult:
     """Score every (h, b) candidate on the cache's grid; return the full matrix and the argmin.
 
     ``cache`` holds the kernel matrices of ``data.sample`` on the evaluation
-    grid, so searches sharing it build each matrix once.  Candidates whose
-    ensemble is invalid at b, or whose grid is entirely ridge-floored, are
-    marked (infinite ASE, with a status) and skipped by the argmin.  The
-    partial-linear estimator searches the distinct b values only.
+    grid.  Candidates whose ensemble is invalid at b, or whose grid is
+    entirely ridge-floored, are marked (infinite ASE, with a status) and
+    skipped by the argmin.  The partial-linear estimator searches the
+    distinct b values only.
     """
     if cache.sample is not data.sample:
         raise DimensionMismatch("kernel cache was built for a different sample")
-    evaluate = _evaluator(cache, estimator)
-    if estimator == PARTIAL_LINEAR:
-        pairs = tuple((None, float(b)) for b in sorted({b for _, b in bw_pairs}))
-    else:
-        pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
-    if not pairs:
-        raise ValueError("bandwidth grid is empty")
-
+    if estimator not in (DECONV, NAIVE, PARTIAL_LINEAR):
+        raise ValueError(f"unknown estimator {estimator!r}")
     truth = true_regression(data.model, cache.x_values[:, None], cache.t_values[None, :])
-    ase_values = np.full(len(pairs), np.inf)
-    excluded = np.zeros(len(pairs), dtype=int)
-    statuses = [None] * len(pairs)
-    for i, (h, b) in enumerate(pairs):
-        try:
-            values, flags, _ = evaluate(h, b)
-            ase_values[i], excluded[i] = ase(values, flags, truth)
-        except (EnsembleInvalid, AllPointsExcluded) as exc:
-            statuses[i] = str(exc)
-    return SearchResult(estimator, pairs, ase_values, excluded, tuple(statuses),
-                        _select_best(pairs, ase_values))
+    found = _sweep(bw_pairs, cache, (estimator,), truth)[estimator]
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 @dataclass(frozen=True)
@@ -420,6 +515,7 @@ class EstimatorSummary:
 class AseReport:
     config: SimulationConfig
     estimators: dict
+    workers: int = 1            # worker processes the run used
 
     def summary_rows(self) -> list:
         """One row per estimator for the report CSV."""
@@ -441,41 +537,94 @@ class AseReport:
         return rows
 
 
-def _replicate(config: SimulationConfig, rep_index: int) -> dict:
+@dataclass(frozen=True)
+class RunContext:
+    """What every replication of a run shares, built once from the config alone.
+
+    The error ensemble and quadrature grid; per distinct b, the deconvolution
+    weights in the form the kernel consumes (``kernel_weights``), or the
+    EnsembleInvalid they raised; the evaluation axes and the truth on their
+    grid.  None of it depends on the data.
+    """
+
+    config: SimulationConfig
+    ensemble: ErrorEnsemble
+    quad: QuadratureGrid
+    weights: dict
+    x_values: np.ndarray
+    t_values: np.ndarray
+    truth: np.ndarray
+
+    @classmethod
+    def build(cls, config: SimulationConfig) -> "RunContext":
+        ensemble = build_ensemble(config.error_family, config.n)
+        quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
+        weights = kernel_weights(ensemble, config.b_values, quad)
+        x_values, t_values = config.eval_x.values(), config.eval_t.values()
+        truth = true_regression(config.model, x_values[:, None], t_values[None, :])
+        return cls(config, ensemble, quad, weights, x_values, t_values, truth)
+
+
+def _replicate(context: RunContext, rep_index: int) -> dict:
     """Run one replication; returns per-estimator outcomes keyed by name."""
-    rng = replication_rng(config.seed, rep_index)
-    ensemble = build_ensemble(config.error_family, config.n)
-    data = generate(config.model, config.n, ensemble, rng)
-    quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
-    cache = KernelCache(data.sample, config.eval_x.values(), config.eval_t.values(), quad)
+    config = context.config
+    data = generate(config.model, config.n, context.ensemble,
+                    replication_rng(config.seed, rep_index))
+    cache = KernelCache(data.sample, context.x_values, context.t_values, context.quad,
+                        context.weights)
+    names = estimators_for(config.model)
+    try:
+        found = _sweep(config.bw_pairs, cache, names, context.truth)
+    except Exception as exc:  # recorded, never aborts the batch
+        found = dict.fromkeys(names, exc)
     out = {}
-    for name in estimators_for(config.model):
-        try:
-            res = bandwidth_search(data, config.bw_pairs, cache, estimator=name)
-            h, b = res.best_pair
-            out[name] = {
-                "optimum": RepOutcome(rep_index, h, b, res.best_ase, res.best_excluded),
-                "ase_values": res.ase_values,
-                "pairs": res.pairs,
-            }
-        except Exception as exc:  # recorded, never aborts the batch
-            out[name] = {"failure": f"rep {rep_index}: {exc}"}
+    for name in names:
+        res = found[name]
+        if isinstance(res, Exception):
+            out[name] = {"failure": f"rep {rep_index}: {res}"}
+            continue
+        h, b = res.best_pair
+        out[name] = {
+            "optimum": RepOutcome(rep_index, h, b, res.best_ase, res.best_excluded),
+            "ase_values": res.ase_values,
+            "pairs": res.pairs,
+        }
     return out
+
+
+_worker_context = None      # the RunContext of a pool worker, set by _init_worker
+
+
+def _init_worker(context: RunContext):
+    global _worker_context
+    _worker_context = context
+
+
+def _replicate_in_worker(rep_index: int) -> dict:
+    return _replicate(_worker_context, rep_index)
 
 
 def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     """Run the full replication batch and aggregate an ASE report.
 
-    Replications use independent substreams of the base seed, so the report
-    is identical for any worker count or completion order.
+    The run context is built once and handed to every replication (to pool
+    workers through their initializer); at most ``reps`` workers run, each
+    given one contiguous chunk of replications.  Replications use independent
+    substreams of the base seed, so the report is identical for any worker
+    count or completion order.
     """
+    if int(workers) < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(int(workers), config.reps)
+    context = RunContext.build(config)
     reps = range(1, config.reps + 1)
-    workers = max(1, min(int(workers), config.reps))
     if workers == 1:
-        results = {i: _replicate(config, i) for i in reps}
+        results = {i: _replicate(context, i) for i in reps}
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(reps, pool.map(_replicate, [config] * config.reps, reps)))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(context,)) as pool:
+            chunks = pool.map(_replicate_in_worker, reps, chunksize=-(-config.reps // workers))
+            results = dict(zip(reps, chunks))
 
     summaries = {}
     for name in estimators_for(config.model):
@@ -504,7 +653,7 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
             rep_optima=tuple(optima),
             failures=tuple(failures),
         )
-    return AseReport(config=config, estimators=summaries)
+    return AseReport(config=config, estimators=summaries, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -546,9 +695,15 @@ def cross_section(
 
     if callable(estimator):
         values, flags = estimator(xs, ts)[:2]
-    else:
+    elif estimator == PARTIAL_LINEAR:
         cache = KernelCache(data.sample, xs, ts, quad)
-        values, flags, _ = _evaluator(cache, estimator)(bandwidths.h, bandwidths.b)
+        values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
+    elif estimator in (DECONV, NAIVE):
+        cache = KernelCache(data.sample, xs, ts, quad)
+        evaluate = cache.deconv if estimator == DECONV else cache.naive
+        values, flags, _ = evaluate(bandwidths.h, bandwidths.b)
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
     if axis == "fix_x":
         est, flg = values[0, :], flags[0, :]
         truth = true_regression(data.model, value, coords)

@@ -160,6 +160,24 @@ class TestSimulate:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_2(self, runner, tmp_path, workers):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--workers", workers])
+        assert result.exit_code == 2, result.output
+        assert f"workers must be >= 1, got {workers}" in result.output
+        assert not out.exists()
+
+    def test_manifest_records_the_workers_that_ran(self, runner, tmp_path):
+        cfg = _write_config(tmp_path, reps=1)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--workers", "2"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+
     def test_invalid_json_exits_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

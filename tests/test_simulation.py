@@ -26,7 +26,7 @@ from hetdeconv import (
     run_replications,
     true_regression,
 )
-from hetdeconv.estimators import Bandwidths
+from hetdeconv.estimators import RIDGE_SCALE, Bandwidths, stacked_ratio_grid
 from hetdeconv.simulation import ERROR_VARIANCE_SCALE, GeneratedData, _select_best
 
 
@@ -272,10 +272,13 @@ class TestSharedKernelCache:
 
     def test_replication_builds_each_kernel_matrix_once(self, monkeypatch):
         import hetdeconv.estimators as estimators
-        from hetdeconv.simulation import _replicate
+        import hetdeconv.simulation as simulation
 
-        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0}
+        cfg = _tiny_config(model="model2", reps=1)
+        context = simulation.RunContext.build(cfg)
+        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0, "stacked": [], "ratio_grid": []}
         grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
+        stacked_fn, ratio_fn = simulation.stacked_ratio_grid, estimators.ratio_grid
 
         def counted_grid(weights, obs_args, eval_args):
             calls["deconv_kernel_grid"].append(weights.bandwidth)
@@ -285,16 +288,115 @@ class TestSharedKernelCache:
             calls["gaussian_kernel"] += 1
             return gauss_fn(u)
 
+        def counted_stacked(stack, kt, scale, floor):
+            calls["stacked"].append(stack.shape[1])
+            return stacked_fn(stack, kt, scale, floor)
+
+        def counted_ratio(kx, kt, y, scale, floor):
+            calls["ratio_grid"].append(kx)
+            return ratio_fn(kx, kt, y, scale, floor)
+
         monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
-        cfg = _tiny_config(model="model2", reps=1)
-        out = _replicate(cfg, 1)
+        monkeypatch.setattr(simulation, "stacked_ratio_grid", counted_stacked)
+        monkeypatch.setattr(estimators, "ratio_grid", counted_ratio)
+        out = simulation._replicate(context, 1)
         assert all("optimum" in out[name] for name in ("deconv", "naive", "partial_linear"))
-        # lt per distinct b, shared by deconv and partial-linear
-        assert sorted(calls["deconv_kernel_grid"]) == list(cfg.b_values)
-        # kx per distinct h, shared by deconv and naive, plus the naive kt per b
         h_values = {h for h, _ in cfg.bw_pairs}
+        # lt once per distinct b, shared by deconv and partial-linear
+        assert sorted(calls["deconv_kernel_grid"]) == list(cfg.b_values)
+        # kx once per distinct h (into the stack), the naive kt once per b
         assert calls["gaussian_kernel"] == len(h_values) + len(cfg.b_values)
+        # one contraction per (b, estimator): deconv and naive over all h at
+        # once, partial-linear through ratio_grid without kx; no per-pair ratio
+        assert calls["stacked"] == [len(h_values)] * (2 * len(cfg.b_values))
+        assert calls["ratio_grid"] == [None] * len(cfg.b_values)
+
+
+def _per_pair_search(data, pairs, cache, estimator):
+    """The search as one KernelCache ratio per pair: the reference for the stacked pass.
+
+    Returns (ase_values, excluded, statuses) as a SearchResult holds them.
+    """
+    truth = true_regression(data.model, cache.x_values[:, None], cache.t_values[None, :])
+    if estimator == "partial_linear":
+        slope = linear_slope(data.sample)
+        pairs = [(None, b) for b in sorted({b for _, b in pairs})]
+        evaluate = lambda h, b: cache.partial_linear(b, slope)  # noqa: E731
+    else:
+        evaluate = cache.deconv if estimator == "deconv" else cache.naive
+    scores, statuses = [], []
+    for h, b in pairs:
+        try:
+            values, flags, _ = evaluate(h, b)
+            scores.append(ase(values, flags, truth))
+            statuses.append(None)
+        except (EnsembleInvalid, AllPointsExcluded) as exc:
+            scores.append((np.inf, 0))
+            statuses.append(str(exc))
+    return (np.array([a for a, _ in scores]), np.array([e for _, e in scores]),
+            tuple(statuses))
+
+
+class TestStackedSweep:
+    """The b-major pass reproduces the per-pair KernelCache estimators."""
+
+    def test_stacked_pass_equals_per_pair_estimators(self, quad64):
+        # n = 500 on a 20 x 20 grid: one flat (2 H X, n) @ (n, T) product
+        # takes another BLAS kernel than the (X, n) @ (n, T) products here
+        n = 500
+        data = generate(Model.MODEL2, n, build_ensemble(ErrorFamily.LAPLACE, n),
+                        replication_rng(20250808, 1))
+        grid = np.linspace(0.02, 0.2, 5)
+        pairs = [(h, b) for h in grid for b in grid]
+        xg = tg = np.linspace(-2, 2, 20)
+        cache = KernelCache(data.sample, xg, tg, quad64)
+        hs, b = sorted(grid), grid[2]
+        values, flags, density = stacked_ratio_grid(cache.kx_stack(hs), cache.kt(b),
+                                                    n * np.array(hs) * b,
+                                                    RIDGE_SCALE / (np.array(hs) * b))
+        deconv = stacked_ratio_grid(cache.kx_stack(hs), cache.lt(b), np.array(hs) * b,
+                                    RIDGE_SCALE / (np.array(hs) * b))
+        reference = KernelCache(data.sample, xg, tg, quad64)
+        for r, h in enumerate(hs):
+            ref = reference.naive(h, b)
+            assert np.array_equal(values[r], ref[0]) and np.array_equal(density[r], ref[2])
+            assert np.array_equal(flags[r], ref[1])
+            ref = reference.deconv(h, b)
+            np.testing.assert_allclose(deconv[0][r], ref[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(deconv[2][r], ref[2], rtol=1e-12, atol=0)
+            assert np.array_equal(deconv[1][r], ref[1])
+        for name in ("deconv", "naive", "partial_linear"):
+            res = bandwidth_search(data, pairs, cache, estimator=name)
+            ase_values, excluded, statuses = _per_pair_search(data, pairs, reference, name)
+            if name == "naive":
+                assert np.array_equal(res.ase_values, ase_values)
+            else:
+                np.testing.assert_allclose(res.ase_values, ase_values, rtol=1e-12, atol=0)
+            assert np.array_equal(res.excluded, excluded) and res.statuses == statuses
+
+    def test_statuses_match_per_pair(self, quad64):
+        # x far from the x grid: at h = 0.05 every kx underflows to 0 and the
+        # whole grid is ridge-floored; the Gaussian laws are invalid at b = 0.018
+        n = 40
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2.0, -1.6, n)
+        t = rng.uniform(-2.0, 2.0, n)
+        y = true_regression(Model.MODEL2, x, t) + rng.normal(0, 0.25, n)
+        sample = Sample(x=x, w=t, y=y, ensemble=build_ensemble(ErrorFamily.GAUSSIAN, n))
+        data = GeneratedData(sample=sample, latent=t, model=Model.MODEL2)
+        pairs = [(0.05, 0.3), (1.0, 0.3), (0.5, 0.3), (1.0, 0.018), (0.05, 0.018)]
+        xg, tg = np.linspace(1.6, 2.0, 6), np.linspace(-2, 2, 7)
+        seen = set()
+        for name in ("deconv", "naive", "partial_linear"):
+            res = bandwidth_search(data, pairs, KernelCache(sample, xg, tg, quad64), name)
+            ase_values, excluded, statuses = _per_pair_search(
+                data, pairs, KernelCache(sample, xg, tg, quad64), name)
+            assert res.statuses == statuses, name
+            assert np.array_equal(res.ase_values, ase_values), name
+            assert np.array_equal(res.excluded, excluded), name
+            seen.update(s.split(" ")[0] for s in statuses if s)
+        assert seen == {"all", "ensemble"}   # both kinds of status occur
 
 
 class TestSubnormalFlush:
@@ -417,13 +519,18 @@ class TestRunReplications:
             assert r1.estimators[name].rep_optima == r2.estimators[name].rep_optima
 
     def test_worker_count_does_not_change_results(self):
-        cfg = _tiny_config()
-        serial = run_replications(cfg, workers=1)
-        parallel = run_replications(cfg, workers=2)
-        for name in serial.estimators:
-            assert np.array_equal(serial.estimators[name].mean_ase_by_pair,
-                                  parallel.estimators[name].mean_ase_by_pair)
-            assert serial.estimators[name].rep_optima == parallel.estimators[name].rep_optima
+        # reps=5 is not divisible by 2 or 3 workers: uneven chunks, and each
+        # worker's run context comes from its initializer
+        for reps, workers in ((2, 2), (5, 2), (5, 3)):
+            cfg = _tiny_config(reps=reps)
+            serial = run_replications(cfg, workers=1)
+            parallel = run_replications(cfg, workers=workers)
+            assert parallel.workers == workers
+            for name in serial.estimators:
+                assert np.array_equal(serial.estimators[name].mean_ase_by_pair,
+                                      parallel.estimators[name].mean_ase_by_pair)
+                assert serial.estimators[name].rep_optima == parallel.estimators[name].rep_optima
+                assert not parallel.estimators[name].failures
 
     def test_model2_runs_three_estimators(self):
         cfg = _tiny_config(model="model2")
@@ -495,3 +602,68 @@ class TestCrossSection:
     def test_unknown_axis_rejected(self, quad64):
         with pytest.raises(ValueError):
             cross_section(self._data(), "deconv", "diagonal", 0.0, Bandwidths(0.2, 0.2), quad64)
+
+
+class TestRunContext:
+    """Everything that does not depend on the data is built once per run."""
+
+    def _counted(self, monkeypatch, after_context=None):
+        """Count gauss_legendre and build_deconv_weights; raise once ``after_context`` is set."""
+        import hetdeconv.estimators as estimators
+        from hetdeconv import QuadratureGrid
+
+        calls = {"gauss_legendre": 0, "build_deconv_weights": []}
+        legendre, build = QuadratureGrid.gauss_legendre.__func__, estimators.build_deconv_weights
+
+        def counted_legendre(cls, m=128):
+            if after_context:
+                raise AssertionError("quadrature rebuilt after the run context")
+            calls["gauss_legendre"] += 1
+            return legendre(cls, m)
+
+        def counted_build(ensemble, bandwidth, quad):
+            if after_context:
+                raise AssertionError("weights rebuilt after the run context")
+            calls["build_deconv_weights"].append(bandwidth)
+            return build(ensemble, bandwidth, quad)
+
+        monkeypatch.setattr(QuadratureGrid, "gauss_legendre", classmethod(counted_legendre))
+        monkeypatch.setattr(estimators, "build_deconv_weights", counted_build)
+        return calls
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_one_quadrature_and_one_weight_build_per_b(self, monkeypatch, reps):
+        calls = self._counted(monkeypatch)
+        cfg = _tiny_config(reps=reps, error_family="normal",
+                           bandwidth_grid={"pairs": [[0.1, 0.1], [0.2, 0.1], [0.1, 0.018]]})
+        report = run_replications(cfg)
+        assert calls["gauss_legendre"] == 1
+        assert sorted(calls["build_deconv_weights"]) == [0.018, 0.1]
+        # b = 0.018 is invalid for these laws: remembered, not rebuilt per replication
+        assert report.estimators["deconv"].rep_count == reps
+
+    def test_workers_rebuild_nothing(self, monkeypatch):
+        import multiprocessing
+
+        from hetdeconv.simulation import RunContext
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the patched functions only when forked")
+        cfg = _tiny_config(model="model2", reps=5)
+        serial = run_replications(cfg)
+        built = []
+        calls = self._counted(monkeypatch, after_context=built)
+        build_context = RunContext.build.__func__
+
+        def build_then_refuse(cls, config):
+            context = build_context(cls, config)
+            built.append(context)
+            return context
+
+        monkeypatch.setattr(RunContext, "build", classmethod(build_then_refuse))
+        parallel = run_replications(cfg, workers=2)
+        assert len(built) == 1 and calls["gauss_legendre"] == 1
+        assert sorted(calls["build_deconv_weights"]) == list(cfg.b_values)
+        for name, summary in parallel.estimators.items():
+            assert not summary.failures, summary.failures
+            assert summary.rep_optima == serial.estimators[name].rep_optima
