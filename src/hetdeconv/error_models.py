@@ -2,9 +2,10 @@
 
 Each observation's error distribution enters the estimator only through its
 characteristic function.  The ensemble combines the n per-observation laws
-into the shared denominator S(v) = sum_k |cf_k(v)|^2 of the per-observation
-deconvolution weights cf_j(-v) / S(v) that generalize the homoscedastic
-factor 1/(n cf(v)); ``kernels.build_deconv_weights`` tabulates them.
+into the shared denominator S(v) = sum_k cf_k(v)^2 of the per-observation
+deconvolution weights cf_j(v) / S(v) that generalize the homoscedastic
+factor 1/(n cf(v)); ``kernels.build_deconv_weights`` tabulates them.  Every
+built-in law is symmetric, so its characteristic function is real and even.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ DENOMINATOR_FLOOR = 1e-300
 
 
 def shared_denominator(cf) -> np.ndarray:
-    """S(v) = sum_k |cf_k(v)|^2 from a tabulated (n, len(v)) CF matrix."""
-    return (np.abs(cf) ** 2).sum(axis=0)
+    """S(v) = sum_k cf_k(v)^2 from a tabulated real (n, len(v)) CF matrix."""
+    return (cf * cf).sum(axis=0)
 
 
 class ErrorFamily(str, Enum):
@@ -60,14 +61,6 @@ class ErrorModel:
             return 1.0 / (1.0 + 0.5 * self.variance * v * v)
         return np.ones_like(v)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Sample ``size`` errors from this law."""
-        if self.family is ErrorFamily.GAUSSIAN:
-            return rng.normal(0.0, np.sqrt(self.variance), size)
-        if self.family is ErrorFamily.LAPLACE:
-            return rng.laplace(0.0, np.sqrt(self.variance / 2.0), size)
-        return np.zeros(size)
-
 
 # Family codes of an array-native ensemble, keyed by family name; ErrorFamily
 # members are str values, so they hash and compare as their names do.
@@ -76,25 +69,19 @@ _GAUSSIAN, _LAPLACE, _DEGENERATE = (_FAMILY_CODES[f] for f in ErrorFamily)
 
 
 class ErrorEnsemble:
-    """Ordered collection of n error laws, one per observation.
+    """Ordered collection of n built-in error laws, one per observation.
 
-    ``models`` may hold any objects exposing ``cf(v)``; tests use that to
-    construct characteristic functions with real zeros, which the three
-    built-in families never produce.  When every law is a built-in
-    ``ErrorModel`` the ensemble also holds them as two arrays, ``codes``
-    (family codes) and ``variances``, and tabulates and draws from those in
-    closed form; otherwise both are None and each law's own ``cf`` is used.
+    The laws are held as two read-only arrays, ``codes`` (family codes) and
+    ``variances``, from which the ensemble tabulates and draws in closed form.
     """
 
     def __init__(self, models):
         models = tuple(models)
-        if len(models) < 1:
-            raise ValueError("ensemble needs at least one error model")
+        for m in models:
+            if not isinstance(m, ErrorModel):
+                raise TypeError(f"error laws must be ErrorModel, got {type(m).__name__}")
+        self._set_arrays([m.family for m in models], [m.variance for m in models])
         self._models = models
-        self.codes = self.variances = None
-        if all(type(m) is ErrorModel for m in models):
-            self._set_arrays(np.array([_FAMILY_CODES[m.family] for m in models], dtype=np.int8),
-                             np.array([m.variance for m in models]))
 
     @classmethod
     def from_arrays(cls, families, variances) -> "ErrorEnsemble":
@@ -104,6 +91,12 @@ class ErrorEnsemble:
         without building the per-law objects; raises ValueError naming the
         first invalid pair otherwise.
         """
+        ensemble = cls.__new__(cls)
+        ensemble._set_arrays(families, variances)
+        ensemble._models = None
+        return ensemble
+
+    def _set_arrays(self, families, variances):
         codes = np.array([_FAMILY_CODES.get(f, -1) for f in families], dtype=np.int8)
         variances = np.array(variances, dtype=float)
         if codes.shape != variances.shape or codes.ndim != 1:
@@ -116,12 +109,6 @@ class ErrorEnsemble:
                              f"family {families[i]!r}, variance {variances[i]!r}")
         if codes.size < 1:
             raise ValueError("ensemble needs at least one error model")
-        ensemble = cls.__new__(cls)
-        ensemble._models = None
-        ensemble._set_arrays(codes, variances)
-        return ensemble
-
-    def _set_arrays(self, codes, variances):
         codes.setflags(write=False)
         variances.setflags(write=False)
         self.codes, self.variances = codes, variances
@@ -137,13 +124,11 @@ class ErrorEnsemble:
 
     @property
     def n(self) -> int:
-        return len(self._models) if self.variances is None else self.variances.size
+        return self.variances.size
 
     def cf_matrix(self, v) -> np.ndarray:
         """cf_j(v) for every model j, shape (n, len(v))."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        if self.variances is None:
-            return np.vstack([np.asarray(m.cf(v)) for m in self.models])
         # ErrorModel.cf's operation order, so every value is bit-identical to it.
         p = (0.5 * self.variances)[:, None] * v * v
         cf = np.ones_like(p)
@@ -152,11 +137,9 @@ class ErrorEnsemble:
         cf[laplace] = 1.0 / (1.0 + p[laplace])
         return cf
 
-    def denominator(self, v):
-        """Shared denominator S(v) = sum_k |cf_k(v)|^2, computed once per node."""
-        scalar = np.isscalar(v) or np.ndim(v) == 0
-        out = shared_denominator(self.cf_matrix(v))
-        return float(out[0]) if scalar else out
+    def denominator(self, v) -> np.ndarray:
+        """Shared denominator S(v) = sum_k cf_k(v)^2, shape (len(v),)."""
+        return shared_denominator(self.cf_matrix(v))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One error draw per observation, in observation order.
@@ -164,8 +147,6 @@ class ErrorEnsemble:
         Each run of consecutive same-family laws is drawn in one vectorized
         call, which consumes the generator exactly as one draw per law would.
         """
-        if self.variances is None:
-            return np.array([m.draw(rng, 1)[0] for m in self.models])
         out = np.zeros(self.n)
         starts = np.flatnonzero(np.diff(self.codes)) + 1
         for lo, hi in zip([0, *starts.tolist()], [*starts.tolist(), self.n]):
@@ -227,15 +208,3 @@ class ValidationReport:
             )
         return "\n".join(lines)
 
-
-def validate_ensemble(ensemble: ErrorEnsemble, bandwidth: float, frequencies) -> ValidationReport:
-    """Check that the shared denominator stays above the floor on ``frequencies``.
-
-    ``frequencies`` is the grid the deconvolution weights will be evaluated
-    on; callers fitting with bandwidth b pass the quadrature nodes scaled by
-    1/b so the grid spans [-1/b, 1/b].
-    """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    return ValidationReport.from_denominator(bandwidth, freqs, ensemble.denominator(freqs))

@@ -21,7 +21,6 @@ from .exceptions import (
 )
 from .kernels import (
     TWO_PI,
-    CosineWeights,
     DeconvWeights,
     QuadratureGrid,
     bandlimited_kernel_ft,
@@ -142,16 +141,11 @@ def _normal_kernel(eval_values, obs, bandwidth):
 
 
 def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> dict:
-    """b -> what deconv_kernel_grid consumes at b, or the EnsembleInvalid raised at b.
-
-    That is the CosineWeights of real weights (every built-in law), else the
-    DeconvWeights themselves.
-    """
+    """b -> the DeconvWeights at b, or the EnsembleInvalid raised at b."""
     table = {}
     for b in b_values:
         try:
-            weights = build_deconv_weights(ensemble, b, quad)
-            table[b] = CosineWeights.of(weights) if weights.real else weights
+            table[b] = build_deconv_weights(ensemble, b, quad)
         except EnsembleInvalid as exc:
             table[b] = exc
     return table
@@ -161,15 +155,14 @@ class KernelCache:
     """Kernel matrices of one sample on one tensor evaluation grid.
 
     Lives for one sample (one replication).  It keeps the normal kernel
-    kx (n, X) of each h, and the deconvolution weights of each b as
-    ``kernel_weights`` makes them (an EnsembleInvalid raised at b is kept
-    too and raised again on every later request).  The kernels at b, the
-    deconvolution lt (n, T) and the naive normal kt (n, T), are rebuilt on
-    every request and kept by nobody, so a b-major sweep holds one of each
-    at a time.  ``weights`` maps b to weights built beforehand for the
-    sample's ensemble (DeconvWeights as by ``fit``, or entries of
-    ``kernel_weights``), used instead of a rebuild.  Every estimator below
-    returns (values, flags, density) on the (X, T) grid.
+    kx (n, X) of each h, and the deconvolution weights of each b (an
+    EnsembleInvalid raised at b is kept too and raised again on every later
+    request).  The kernels at b, the deconvolution lt (n, T) and the naive
+    normal kt (n, T), are rebuilt on every request and kept by nobody, so a
+    b-major sweep holds one of each at a time.  ``weights`` maps b to
+    weights built beforehand for the sample's ensemble (as by ``fit``, or
+    entries of ``kernel_weights``), used instead of a rebuild.  Every
+    estimator below returns (values, flags, density) on the (X, T) grid.
     """
 
     def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,

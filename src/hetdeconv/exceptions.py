@@ -24,14 +24,6 @@ class EnsembleInvalid(HetdeconvError, ValueError):
         self.report = report
 
 
-class NonRealKernel(HetdeconvError, ArithmeticError):
-    """A deconvolution kernel sum kept an imaginary part above roundoff.
-
-    The error laws of real-valued errors give a real kernel; this signals an
-    asymmetric law or corrupted weights.
-    """
-
-
 class DegenerateDesign(HetdeconvError, ValueError):
     """The error-free covariate has zero variance; no slope is identifiable."""
 

@@ -303,6 +303,16 @@ def bandwidth_search(data: GeneratedData, bw_pairs, cache: KernelCache,
     return found
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a non-integral number or a non-number raises ConfigError."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """Evenly spaced axis with inclusive endpoints."""
@@ -314,7 +324,7 @@ class GridAxis:
     def __post_init__(self):
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _integer(self.count, "count"))
         if self.count < 2:
             raise ConfigError(f"axis needs at least 2 points, got {self.count}")
         if not self.start < self.stop:
@@ -330,7 +340,9 @@ class GridAxis:
 def _axis_from_dict(d, name) -> GridAxis:
     try:
         return GridAxis(d["start"], d["stop"], d["count"])
-    except (KeyError, TypeError) as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: expected {{start, stop, count}}, got {d!r}") from exc
 
 
@@ -355,6 +367,8 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "reps", "quad_nodes", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "model", Model(self.model))
         object.__setattr__(self, "error_family", ErrorFamily(self.error_family))
         if self.error_family is ErrorFamily.DEGENERATE:
@@ -374,12 +388,8 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must stay within [-2, 2]")
         if self.quad_nodes < 16:
             raise ConfigError(f"quad_nodes must be >= 16, got {self.quad_nodes}")
-        if not 0 <= int(self.seed) < (1 << 64):
+        if not 0 <= self.seed < (1 << 64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "quad_nodes", int(self.quad_nodes))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -400,8 +410,8 @@ class SimulationConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         defaults = _FULL if full_scale else _DESK
-        version = raw.get("schema_version", SCHEMA_VERSION)
-        if int(version) != SCHEMA_VERSION:
+        version = _integer(raw.get("schema_version", SCHEMA_VERSION), "schema_version")
+        if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         unknown = set(raw) - {
             "schema_version", "model", "error_family", "n", "reps",
@@ -412,6 +422,9 @@ class SimulationConfig:
         for required in ("model", "error_family", "n"):
             if required not in raw:
                 raise ConfigError(f"missing required config field {required!r}")
+        for grid in ("bandwidth_grid", "eval_grid"):
+            if raw.get(grid) is not None and not isinstance(raw[grid], dict):
+                raise ConfigError(f"{grid} must be a JSON object, got {raw[grid]!r}")
 
         family = str(raw["error_family"]).lower()
         if family == "normal":
@@ -456,13 +469,13 @@ class SimulationConfig:
             return cls(
                 model=model,
                 error_family=family,
-                n=int(raw["n"]),
-                reps=int(raw.get("reps", defaults["reps"])),
+                n=raw["n"],
+                reps=raw.get("reps", defaults["reps"]),
                 bw_pairs=tuple(pairs),
                 eval_x=eval_x,
                 eval_t=eval_t,
-                quad_nodes=int(raw.get("quad_nodes", defaults["quad_nodes"])),
-                seed=int(raw.get("seed", 0)),
+                quad_nodes=raw.get("quad_nodes", defaults["quad_nodes"]),
+                seed=raw.get("seed", 0),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -673,7 +686,7 @@ CROSS_SECTION_POINTS = 200
 
 def cross_section(
     data: GeneratedData,
-    estimator,
+    estimator: str,
     axis: str,
     value: float,
     bandwidths: Bandwidths,
@@ -681,8 +694,7 @@ def cross_section(
 ) -> CrossSection:
     """Evaluate one estimator along a fixed-x or fixed-t line over [-2, 2].
 
-    ``estimator`` is one of the registry names or a callable
-    (x_values, t_values) -> (values, flags[, density]).
+    ``estimator`` is a registry name: "deconv", "naive" or "partial_linear".
     """
     if axis not in ("fix_x", "fix_t"):
         raise ValueError(f"axis must be 'fix_x' or 'fix_t', got {axis!r}")
@@ -693,13 +705,10 @@ def cross_section(
     fixed = np.asarray([value])
     xs, ts = (fixed, coords) if axis == "fix_x" else (coords, fixed)
 
-    if callable(estimator):
-        values, flags = estimator(xs, ts)[:2]
-    elif estimator == PARTIAL_LINEAR:
-        cache = KernelCache(data.sample, xs, ts, quad)
+    cache = KernelCache(data.sample, xs, ts, quad)
+    if estimator == PARTIAL_LINEAR:
         values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
     elif estimator in (DECONV, NAIVE):
-        cache = KernelCache(data.sample, xs, ts, quad)
         evaluate = cache.deconv if estimator == DECONV else cache.naive
         values, flags, _ = evaluate(bandwidths.h, bandwidths.b)
     else:
@@ -714,7 +723,7 @@ def cross_section(
         axis=axis,
         fixed_value=float(value),
         coords=coords,
-        estimates=np.asarray(est, dtype=float),
-        truth=np.asarray(truth, dtype=float),
-        flags=np.asarray(flg, dtype=bool),
+        estimates=est,
+        truth=truth,
+        flags=flg,
     )

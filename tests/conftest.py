@@ -1,11 +1,10 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hetdeconv
-from hetdeconv import QuadratureGrid
+from hetdeconv import ErrorEnsemble, QuadratureGrid
 
 # Child processes (``python -m hetdeconv.cli``) import the package under test,
 # also when it runs from a checkout through pytest's ``pythonpath`` setting.
@@ -13,37 +12,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (str(Path(hetdeconv.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p)
 
 
-class VanishingCF:
-    """Synthetic error law whose characteristic function has real zeros.
+def underflowing_ensemble(n):
+    """n Gaussian laws of variance 2: invalid at b = 0.05 on 64 nodes, valid at b >= 0.1.
 
-    cf(v) = max(0, 1 - |v|/cutoff): equals 1 at 0, falls to 0 at |v| >= cutoff.
-    None of the built-in families can produce a zero, so tests needing a
-    degenerate denominator construct it with this stub.
+    Tests that need a degenerate shared denominator use it: at b = 0.05 the
+    scaled nodes reach |v| ~ 19.5, where cf(v)^2 = exp(-2 v^2) and so S(v)
+    underflow to 0.  No built-in law has a true CF zero.
     """
-
-    def __init__(self, cutoff=1.0):
-        self.cutoff = cutoff
-
-    def cf(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.maximum(0.0, 1.0 - np.abs(v) / self.cutoff)
-
-
-class NonHermitianCF:
-    """Corrupted 'characteristic function' with cf(-v) != conj(cf(v)).
-
-    No real random variable has such a transform; feeding it through the
-    pipeline must trip the kernel realness check rather than silently
-    produce a complex kernel.
-    """
-
-    def __init__(self, variance=0.5, phase=0.2):
-        self.variance = variance
-        self.phase = phase
-
-    def cf(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.exp(-0.5 * self.variance * v * v) * np.exp(1j * self.phase)
+    return ErrorEnsemble.from_arrays(["gaussian"] * n, [2.0] * n)
 
 
 @pytest.fixture(scope="session")

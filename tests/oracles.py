@@ -1,0 +1,73 @@
+"""Reference evaluations of the deconvolution kernel, coded apart from the program.
+
+``bandlimited_kernel_closed_form`` is the exact contaminated-direction kernel
+(the deconvolution kernel of one error-free observation), and
+``deconv_kernel`` sums the complex Fourier series of one observation's
+kernel over all M quadrature nodes, the form the program reduces to a real
+cosine sum over the nodes v >= 0.
+"""
+
+from math import factorial
+
+import numpy as np
+
+from hetdeconv import DeconvWeights, bandlimited_kernel_ft
+
+TWO_PI = 2.0 * np.pi
+
+# Moments of the kernel transform: c_k = int_{-1}^{1} v^{2k} (1-v^2)^3 dv.
+_SERIES_TERMS = 18
+_SERIES_COEF = np.array(
+    [
+        (-1.0) ** k
+        / factorial(2 * k)
+        * 2.0
+        * (1.0 / (2 * k + 1) - 3.0 / (2 * k + 3) + 3.0 / (2 * k + 5) - 1.0 / (2 * k + 7))
+        for k in range(_SERIES_TERMS)
+    ]
+)
+
+
+def bandlimited_kernel_closed_form(u):
+    """Exact antiderivative evaluation of the contaminated-direction kernel.
+
+    The sin/cos closed form cancels catastrophically near 0, so |u| < 2
+    switches to the Taylor series of the integral.
+    """
+    u = np.asarray(u, dtype=float)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    out = np.empty_like(u)
+
+    small = np.abs(u) < 2.0
+    if small.any():
+        powers = np.power.outer(u[small] ** 2, np.arange(_SERIES_TERMS))
+        out[small] = powers @ _SERIES_COEF / TWO_PI
+    if (~small).any():
+        x = u[~small]
+        s, c = np.sin(x), np.cos(x)
+        integral = (
+            96.0 * c / x**4
+            - 576.0 * s / x**5
+            - 1440.0 * c / x**6
+            + 1440.0 * s / x**7
+        )
+        out[~small] = integral / TWO_PI
+    return float(out[0]) if scalar else out
+
+
+def full_weights(weights: DeconvWeights) -> np.ndarray:
+    """kernel_ft(v) cf_j(-v/b) / S(v/b) on all M nodes of ``weights.quad``, shape (n, M)."""
+    quad = weights.quad
+    cf = weights.ensemble.cf_matrix(quad.nodes / weights.bandwidth)
+    denom = (np.abs(cf) ** 2).sum(axis=0)
+    return bandlimited_kernel_ft(quad.nodes)[None, :] * (np.conj(cf) / denom)
+
+
+def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
+    """Deconvolution kernel of observation j at arg = (t - W_j) / b, by the complex sum."""
+    if not 0 <= j < weights.n:
+        raise IndexError(f"observation index {j} outside 0..{weights.n - 1}")
+    phases = np.exp(-1j * float(arg) * weights.quad.nodes)
+    total = (weights.quad.weights * phases) @ full_weights(weights)[j] / TWO_PI
+    return float(total.real)

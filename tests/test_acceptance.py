@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import bandlimited_kernel_closed_form, deconv_kernel
 
 from hetdeconv import (
     Bandwidths,
@@ -24,11 +25,9 @@ from hetdeconv import (
     Model,
     Sample,
     SimulationConfig,
-    bandlimited_kernel_closed_form,
     bandlimited_kernel_ft,
     build_deconv_weights,
     build_ensemble,
-    deconv_kernel,
     fit,
     gaussian_kernel,
     generate,

@@ -264,7 +264,7 @@ class TestEstimate:
         assert all(abs(float(r["r_hat"]) - 3.25) < 1e-10 for r in unflagged)
 
     def test_degenerate_errors_match_reference_nw(self, runner, tmp_path):
-        from hetdeconv import bandlimited_kernel_closed_form
+        from oracles import bandlimited_kernel_closed_form
 
         data, errors, x, w, y = _write_estimation_inputs(tmp_path)
         out = tmp_path / "out"
@@ -604,6 +604,40 @@ class TestCrossSection:
             "--estimator", "partial-linear", "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 2
+
+
+class TestMalformedConfig:
+    """A config value of the wrong type or a fractional count exits 2 with a message."""
+
+    COMMANDS = {
+        "simulate": ["--workers", "1"],
+        "validate": [],
+        "cross-section": ["--axis", "x", "--value", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("override", [
+        "bandwidth_grid=5",
+        "eval_grid=[1,2]",
+        'schema_version="x"',
+        'eval_grid.x.count="a"',
+        "bandwidth_grid.b.count=a",
+        "n=2.9",
+        "reps=1.5",
+        "quad_nodes=32.5",
+        "eval_grid.t.count=8.5",
+    ])
+    def test_exits_2(self, runner, tmp_path, command, override):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--set", override, *self.COMMANDS[command]]
+        if command != "validate":
+            args += ["--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)       # no traceback
+        assert result.output.startswith("error: ")
+        assert not out.exists()
 
 
 class TestValidate:

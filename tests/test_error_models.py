@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from conftest import NonHermitianCF, VanishingCF
+from conftest import underflowing_ensemble
 
 from hetdeconv import (
     EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
     ErrorModel,
+    ValidationReport,
     bandlimited_kernel_ft,
     build_deconv_weights,
-    validate_ensemble,
 )
 
 
@@ -19,6 +19,20 @@ def _gaussians(variance, n):
 
 def _degenerates(n):
     return ErrorEnsemble(tuple(ErrorModel(ErrorFamily.DEGENERATE) for _ in range(n)))
+
+
+def _report(ensemble, bandwidth, freqs):
+    """The validation report of S(v) at ``freqs``."""
+    return ValidationReport.from_denominator(bandwidth, freqs, ensemble.denominator(freqs))
+
+
+def _draw_one(law, rng):
+    """One error from ``law``, drawn on its own."""
+    if law.family is ErrorFamily.GAUSSIAN:
+        return rng.normal(0.0, np.sqrt(law.variance), 1)[0]
+    if law.family is ErrorFamily.LAPLACE:
+        return rng.laplace(0.0, np.sqrt(law.variance / 2.0), 1)[0]
+    return 0.0
 
 
 class TestCharacteristicFunctions:
@@ -61,7 +75,7 @@ class TestCharacteristicFunctions:
     def test_draw_variance_matches(self):
         rng = np.random.default_rng(42)
         s = 0.7
-        draws = ErrorModel(ErrorFamily.LAPLACE, s).draw(rng, 200_000)
+        draws = ErrorEnsemble.from_arrays(["laplace"] * 200_000, [s] * 200_000).draw(rng)
         assert np.var(draws) == pytest.approx(s, rel=0.03)
 
 
@@ -94,13 +108,17 @@ class TestEnsembleDenominator:
 
 
 def _psi(ens, b, quad):
-    """(v, psi): psi[j] = cf_j(-v) / S(v) at the scaled nodes v = nodes / b.
+    """(v, psi): psi[j] = cf_j(v) / S(v) at the scaled nodes v = nodes / b, v >= 0.
 
-    Read off build_deconv_weights by dividing out the kernel transform,
-    which is positive at every interior Gauss-Legendre node.
+    Read off build_deconv_weights by dividing out the quadrature factor
+    (weight / pi) and the kernel transform, which is positive at every
+    interior Gauss-Legendre node; ``quad`` has an even node count, so no
+    node sits at 0.
     """
     weights = build_deconv_weights(ens, b, quad)
-    return quad.nodes / b, weights.values / bandlimited_kernel_ft(quad.nodes)
+    half = quad.nodes[quad.size // 2:]
+    factor = bandlimited_kernel_ft(half) * (quad.weights[quad.size // 2:] / np.pi)
+    return half / b, weights.values / factor
 
 
 class TestDeconvWeights:
@@ -142,16 +160,15 @@ class TestDeconvWeights:
             assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
 
     def test_degenerate_denominator_raises(self, quad64):
-        # scaled nodes reach |v| ~ 2, past the cutoff where S(v) = 0
-        ens = ErrorEnsemble((VanishingCF(cutoff=1.0),))
+        # scaled nodes reach |v| ~ 19.5, where S(v) underflows to 0
         with pytest.raises(EnsembleInvalid) as info:
-            build_deconv_weights(ens, 0.5, quad64)
+            build_deconv_weights(underflowing_ensemble(1), 0.05, quad64)
         assert not info.value.report.passed
 
 
 class TestValidation:
     def test_all_degenerate_passes_with_min_n(self):
-        report = validate_ensemble(_degenerates(6), 0.1, np.linspace(-10, 10, 41))
+        report = _report(_degenerates(6), 0.1, np.linspace(-10, 10, 41))
         assert report.passed
         assert report.min_denominator == 6.0
 
@@ -159,24 +176,28 @@ class TestValidation:
         models = (ErrorModel(ErrorFamily.GAUSSIAN, 1.0),) + tuple(
             ErrorModel(ErrorFamily.DEGENERATE) for _ in range(3)
         )
-        report = validate_ensemble(ErrorEnsemble(models), 0.05, np.linspace(-20, 20, 81))
+        report = _report(ErrorEnsemble(models), 0.05, np.linspace(-20, 20, 81))
         assert report.passed
         assert report.min_denominator >= 3.0
 
-    def test_vanishing_cf_fails_with_offending_nodes(self):
-        ens = ErrorEnsemble((VanishingCF(cutoff=1.0),))
-        freqs = np.linspace(-2.0, 2.0, 9)  # |v| >= 1 at several nodes
-        report = validate_ensemble(ens, 0.5, freqs)
+    def test_vanishing_cf_fails_with_offending_nodes(self, quad64):
+        with pytest.raises(EnsembleInvalid) as info:
+            build_deconv_weights(underflowing_ensemble(2), 0.05, quad64)
+        report = info.value.report
+        freqs = quad64.nodes / 0.05
         assert not report.passed
         assert report.failing_indices
+        # S(v) underflows in both tails only: every failing node lies farther out than any other
+        passing = np.delete(np.abs(freqs), report.failing_indices)
         for idx in report.failing_indices:
-            assert abs(freqs[idx]) >= 1.0
+            assert abs(freqs[idx]) > passing.max()
+        assert report.failing_frequencies == tuple(freqs[list(report.failing_indices)])
         assert report.min_frequency == pytest.approx(freqs[report.min_index])
         assert "FAIL" in report.summary()
 
-    def test_nonpositive_bandwidth_rejected(self):
+    def test_nonpositive_bandwidth_rejected(self, quad64):
         with pytest.raises(ValueError):
-            validate_ensemble(_degenerates(2), 0.0, [0.0, 1.0])
+            build_deconv_weights(_degenerates(2), 0.0, quad64)
 
 
 def _mixed_models(seed, n=40):
@@ -227,12 +248,13 @@ class TestArrayNativeEnsemble:
         with pytest.raises(ValueError):
             ErrorEnsemble.from_arrays(["laplace", "gaussian"], [0.5])
 
-    def test_general_laws_keep_their_own_cf(self):
-        ens = ErrorEnsemble((VanishingCF(2.0), NonHermitianCF()))
-        assert ens.codes is None and ens.variances is None
-        v = np.linspace(-3.0, 3.0, 13)
-        expected = np.vstack([VanishingCF(2.0).cf(v), NonHermitianCF().cf(v)])
-        assert np.array_equal(ens.cf_matrix(v), expected)
+    @pytest.mark.parametrize("law", [
+        ErrorFamily.GAUSSIAN, ("gaussian", 0.5), None, 0.5,
+        type("LawLike", (), {"cf": staticmethod(lambda v: v)})(),
+    ], ids=["family", "tuple", "none", "float", "cf-object"])
+    def test_only_error_models_are_accepted(self, law):
+        with pytest.raises(TypeError, match="ErrorModel"):
+            ErrorEnsemble((ErrorModel(ErrorFamily.LAPLACE, 0.5), law))
 
     @pytest.mark.parametrize("models", [
         tuple(ErrorModel(ErrorFamily.GAUSSIAN, 0.1 + 0.01 * k) for k in range(30)),
@@ -242,5 +264,5 @@ class TestArrayNativeEnsemble:
     def test_draw_consumes_the_generator_as_one_draw_per_law(self, models):
         got = ErrorEnsemble(models).draw(np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        expected = np.array([m.draw(rng, 1)[0] for m in models])
+        expected = np.array([_draw_one(m, rng) for m in models])
         assert np.array_equal(got, expected)

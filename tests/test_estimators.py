@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import VanishingCF
+from conftest import underflowing_ensemble
+from oracles import bandlimited_kernel_closed_form
 
 from hetdeconv import (
     Bandwidths,
@@ -12,7 +13,6 @@ from hetdeconv import (
     ErrorModel,
     Model,
     Sample,
-    bandlimited_kernel_closed_form,
     build_ensemble,
     fit,
     gaussian_kernel,
@@ -103,10 +103,10 @@ class TestSampleAndFit:
                             quad=quad64, weights=weights)
 
     def test_vanishing_cf_ensemble_raises_ensemble_invalid(self, quad64):
-        ens = ErrorEnsemble((VanishingCF(2.0), VanishingCF(2.0)))
-        sample = Sample(x=[0.0, 1.0], w=[0.2, -0.5], y=[1.0, 2.0], ensemble=ens)
+        sample = Sample(x=[0.0, 1.0], w=[0.2, -0.5], y=[1.0, 2.0],
+                        ensemble=underflowing_ensemble(2))
         with pytest.raises(EnsembleInvalid):
-            fit(sample, Bandwidths(0.1, 0.1), quad64)  # nodes/b reach |v| ~ 10 > 2
+            fit(sample, Bandwidths(0.1, 0.05), quad64)  # S(v) underflows at |v| ~ 19.5
 
 
 class TestNumeratorAndDensity:

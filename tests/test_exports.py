@@ -1,0 +1,41 @@
+import pytest
+
+import hetdeconv
+from hetdeconv import (
+    DeconvWeights,
+    ErrorModel,
+    QuadratureGrid,
+    error_models,
+    estimators,
+    exceptions,
+    kernels,
+    simulation,
+)
+
+MODULES = (hetdeconv, error_models, estimators, exceptions, kernels, simulation)
+
+# Names of the general-CF and complex-kernel path, which only laws other than
+# the built-in ones reached; the scalar kernel oracles now live in tests/oracles.py.
+DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
+           "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(hetdeconv.__all__)) == len(hetdeconv.__all__)
+    for name in hetdeconv.__all__:
+        assert hasattr(hetdeconv, name), name
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_do_not_resolve(name):
+    assert name not in hetdeconv.__all__
+    for module in MODULES:
+        assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("owner,attr", [
+    (ErrorModel, "draw"), (QuadratureGrid, "mirrored"), (DeconvWeights, "real"),
+    (DeconvWeights, "of"),
+])
+def test_deleted_attributes_do_not_resolve(owner, attr):
+    assert not hasattr(owner, attr)

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
-from conftest import NonHermitianCF, VanishingCF
+from conftest import underflowing_ensemble
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bandlimited_kernel_closed_form, deconv_kernel, full_weights
 
 from hetdeconv import (
     EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
     ErrorModel,
-    NonRealKernel,
     QuadratureGrid,
     QuadratureRule,
-    bandlimited_kernel_closed_form,
     bandlimited_kernel_ft,
     build_deconv_weights,
-    deconv_kernel,
     deconv_kernel_grid,
     gaussian_kernel,
 )
@@ -24,6 +22,14 @@ from hetdeconv.simulation import build_ensemble
 
 def _degenerate_ensemble(n):
     return ErrorEnsemble(tuple(ErrorModel(ErrorFamily.DEGENERATE) for _ in range(n)))
+
+
+def _quadrature_factor(quad):
+    """weight / pi at the nodes v >= 0, halved at v = 0: what c_jv carries besides psi_j."""
+    factor = quad.weights[quad.size // 2:] / np.pi
+    if quad.size % 2:
+        factor[0] *= 0.5
+    return factor
 
 
 def _plain_kernel(u, quad):
@@ -70,6 +76,19 @@ class TestQuadratureGrid:
         nodes = np.linspace(-1, 1, 20)
         with pytest.raises(ValueError):
             QuadratureGrid(nodes, np.full(20, 0.5), QuadratureRule.TRAPEZOID)
+
+    def test_unmirrored_grid_is_rejected(self):
+        # raw linspace nodes miss exact mirror symmetry by an ulp for m = 20
+        nodes = np.linspace(-1.0, 1.0, 20)
+        assert not np.array_equal(nodes, -nodes[::-1])
+        with pytest.raises(ValueError, match="mirror"):
+            QuadratureGrid(nodes, np.full(20, 0.1), QuadratureRule.TRAPEZOID)
+        symmetric = 0.5 * (nodes - nodes[::-1])
+        weights = np.full(20, 0.1)
+        weights[0], weights[-1] = 0.09, 0.11
+        with pytest.raises(ValueError, match="mirror"):
+            QuadratureGrid(symmetric, weights, QuadratureRule.TRAPEZOID)
+        QuadratureGrid(symmetric, np.full(20, 0.1), QuadratureRule.TRAPEZOID)
 
 
 class TestScalarKernels:
@@ -125,31 +144,56 @@ class TestScalarKernels:
 
 
 class TestDeconvWeights:
+    """The half-node cosine coefficients c_jv, read with the quadrature factor divided out."""
+
     def test_degenerate_weights_are_transform_over_n(self, quad128):
         n = 4
         w = build_deconv_weights(_degenerate_ensemble(n), 0.1, quad128)
-        expected = bandlimited_kernel_ft(quad128.nodes) / n
-        assert np.allclose(w.values.real, expected, rtol=0, atol=1e-15)
-        assert np.all(w.values.imag == 0.0)
+        expected = bandlimited_kernel_ft(w.nodes) / n
+        assert np.array_equal(w.nodes, quad128.nodes[64:])
+        assert np.allclose(w.values / _quadrature_factor(quad128), expected, rtol=0, atol=1e-15)
+        assert w.values.dtype == float
 
     def test_endpoint_nodes_get_zero_weight(self):
         quad = QuadratureGrid.trapezoid(33)
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad)
-        assert w.values[0, 0] == 0.0 and w.values[0, -1] == 0.0
+        # v = 1 is the last half node; v = -1 is its mirror image
+        assert w.nodes[-1] == 1.0 and w.values[0, -1] == 0.0
 
     def test_homoscedastic_laplace_closed_form(self, quad128):
         n, s, b = 5, 0.8, 0.2
         ens = ErrorEnsemble(tuple(ErrorModel(ErrorFamily.LAPLACE, s) for _ in range(n)))
         w = build_deconv_weights(ens, b, quad128)
-        v = quad128.nodes
+        v = w.nodes
         expected = bandlimited_kernel_ft(v) * (1.0 + s * (v / b) ** 2 / 2.0) / n
-        assert np.allclose(w.values.real, expected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(w.values / _quadrature_factor(quad128), expected,
+                           rtol=1e-12, atol=1e-15)
 
     def test_shape_and_finiteness(self, quad64):
         ens = build_ensemble(ErrorFamily.LAPLACE, 11)
         w = build_deconv_weights(ens, 0.05, quad64)
-        assert w.values.shape == (11, 64)
+        assert w.values.shape == (11, 32)
         assert np.all(np.isfinite(w.values))
+
+    def test_odd_grid_keeps_the_zero_node_at_half_its_coefficient(self):
+        quad = QuadratureGrid.trapezoid(65)
+        n = 3
+        w = build_deconv_weights(_degenerate_ensemble(n), 0.1, quad)
+        assert w.values.shape == (n, 33) and w.nodes[0] == 0.0
+        assert w.values[0, 0] == pytest.approx(quad.weights[32] / np.pi / n / 2.0, rel=1e-15)
+        expected = bandlimited_kernel_ft(w.nodes) / n
+        assert np.allclose(w.values / _quadrature_factor(quad), expected, rtol=0, atol=1e-15)
+
+    def test_weights_are_the_half_of_the_full_complex_weights(self):
+        # c_jv is bit for bit the v >= 0 half of the full weights times weight / pi
+        for quad in (QuadratureGrid.gauss_legendre(64), QuadratureGrid.trapezoid(65)):
+            ens = build_ensemble(ErrorFamily.GAUSSIAN, 7)
+            w = build_deconv_weights(ens, 0.15, quad)
+            half = quad.size // 2
+            expected = full_weights(w)[:, half:] * (quad.weights[half:] / np.pi)
+            if quad.size % 2:
+                expected[:, 0] *= 0.5
+            assert np.array_equal(w.values, expected)
 
 
 class TestDeconvKernelEvaluation:
@@ -210,15 +254,6 @@ class TestDeconvKernelEvaluation:
                 direct = deconv_kernel(w, j, (t - obs[j]) / b)
                 assert grid_vals[j, i] == pytest.approx(direct, rel=1e-11, abs=1e-13)
 
-    def test_non_hermitian_law_trips_the_realness_check(self, quad64):
-        ens = ErrorEnsemble((NonHermitianCF(), NonHermitianCF(variance=0.8, phase=-0.3)))
-        w = build_deconv_weights(ens, 0.5, quad64)
-        assert not w.real
-        with pytest.raises(NonRealKernel):
-            deconv_kernel(w, 0, 1.0)
-        with pytest.raises(NonRealKernel):
-            deconv_kernel_grid(w, [0.0, 0.5], [1.0, 2.0])
-
     def test_index_out_of_range(self, quad64):
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad64)
         with pytest.raises(IndexError):
@@ -275,15 +310,16 @@ def _assert_grid_matches_scalar(weights, obs, evals):
     b = weights.bandwidth
     grid = deconv_kernel_grid(weights, obs / b, evals / b)
     quad = weights.quad
+    full = full_weights(weights)
     for j in range(weights.n):
-        scale = (quad.weights * np.abs(weights.values[j])).sum() / (2 * np.pi)
+        scale = (quad.weights * np.abs(full[j])).sum() / (2 * np.pi)
         for i, t in enumerate(evals):
             direct = deconv_kernel(weights, j, (t - obs[j]) / b)
             assert abs(grid[j, i] - direct) <= 1e-11 * scale, (j, i, grid[j, i], direct)
 
 
 class TestRealHalfNodeKernel:
-    """The real path of deconv_kernel_grid against the complex scalar oracle."""
+    """deconv_kernel_grid, a real cosine sum, against the complex scalar oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -296,42 +332,15 @@ class TestRealHalfNodeKernel:
     def test_built_in_laws_take_the_real_path_and_match_the_oracle(
             self, laws, quad, b, obs, evals):
         weights = build_deconv_weights(ErrorEnsemble(laws), b, quad)
-        assert weights.real and weights.values.dtype == float
+        assert weights.values.dtype == float
         _assert_grid_matches_scalar(weights, np.array(obs[:len(laws)]), np.array(evals))
 
     @pytest.mark.parametrize("m", [16, 17, 64, 65])
     def test_every_built_in_grid_is_mirrored(self, m):
-        assert QuadratureGrid.gauss_legendre(m).mirrored
-        assert QuadratureGrid.trapezoid(m).mirrored
-
-    def test_real_even_stub_weights_take_the_real_path(self, quad64):
-        # the decision rests on the weights, not on the laws being built-in
-        weights = build_deconv_weights(ErrorEnsemble((VanishingCF(80.0), VanishingCF(60.0))),
-                                       0.5, quad64)
-        assert weights.real
-        _assert_grid_matches_scalar(weights, np.array([0.3, -1.1]), np.array([-2.0, 0.0, 0.7]))
-
-    def test_real_but_uneven_weights_trip_the_realness_check(self, quad64):
-        class LopsidedCF:
-            """Real but not even: no real random variable has it."""
-
-            def cf(self, v):
-                v = np.asarray(v, dtype=float)
-                return np.exp(-0.5 * v * v) * (1.0 + 0.3 * np.tanh(v))
-
-        weights = build_deconv_weights(ErrorEnsemble((LopsidedCF(), LopsidedCF())), 0.5, quad64)
-        assert not weights.real
-        with pytest.raises(NonRealKernel):
-            deconv_kernel_grid(weights, [0.0, 0.4], [1.0, -0.5])
+        for quad in (QuadratureGrid.gauss_legendre(m), QuadratureGrid.trapezoid(m)):
+            assert np.array_equal(quad.nodes, -quad.nodes[::-1])
+            assert np.array_equal(quad.weights, quad.weights[::-1])
 
     def test_vanishing_cf_is_still_invalid(self, quad64):
         with pytest.raises(EnsembleInvalid):
-            build_deconv_weights(ErrorEnsemble((VanishingCF(1.0), VanishingCF(1.0))), 0.5, quad64)
-
-    def test_unmirrored_grid_takes_the_complex_path(self):
-        # raw linspace nodes miss exact mirror symmetry by an ulp for m = 20
-        quad = QuadratureGrid(np.linspace(-1.0, 1.0, 20), np.full(20, 0.1),
-                              QuadratureRule.TRAPEZOID)
-        weights = build_deconv_weights(build_ensemble(ErrorFamily.LAPLACE, 3), 0.3, quad)
-        assert not quad.mirrored and not weights.real
-        _assert_grid_matches_scalar(weights, np.array([0.1, 0.2, -0.4]), np.array([0.0, 1.0]))
+            build_deconv_weights(underflowing_ensemble(2), 0.05, quad64)

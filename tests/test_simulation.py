@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import VanishingCF
+from conftest import underflowing_ensemble
 
 from hetdeconv import (
     AllPointsExcluded,
     ConfigError,
     EnsembleInvalid,
-    ErrorEnsemble,
     ErrorFamily,
     GridAxis,
     KernelCache,
@@ -50,10 +49,11 @@ class TestBuildEnsemble:
         assert ERROR_VARIANCE_SCALE == pytest.approx(4.0 / 15.0, abs=1e-16)
 
     def test_gaussian_ensemble_validates_at_small_bandwidth(self, quad64):
-        from hetdeconv import validate_ensemble
+        from hetdeconv import ValidationReport
 
         ens = build_ensemble(ErrorFamily.GAUSSIAN, 100)
-        report = validate_ensemble(ens, 0.02, quad64.nodes / 0.02)
+        freqs = quad64.nodes / 0.02
+        report = ValidationReport.from_denominator(0.02, freqs, ens.denominator(freqs))
         assert report.passed
 
 
@@ -184,10 +184,10 @@ class TestBandwidthSearch:
         assert res.ase_values[0] == res.ase_values[1]
 
     def test_invalid_bandwidths_recorded_and_skipped(self, quad64):
-        # cutoff CF degenerates once nodes/b pass the cutoff: small b invalid
+        # S(v) underflows at b = 0.05: small b invalid
         n = 30
         rng = np.random.default_rng(5)
-        ens = ErrorEnsemble(tuple(VanishingCF(cutoff=8.0) for _ in range(n)))
+        ens = underflowing_ensemble(n)
         x = rng.uniform(-2, 2, n)
         t = rng.uniform(-2, 2, n)
         y = true_regression(Model.MODEL1, x, t) + rng.normal(0, 0.25, n)
@@ -195,7 +195,7 @@ class TestBandwidthSearch:
         data = GeneratedData(sample=sample, latent=t, model=Model.MODEL1)
         cache = KernelCache(sample, np.linspace(-1, 1, 8), np.linspace(-1, 1, 8), quad64)
         res = bandwidth_search(data, [(0.1, 0.05), (0.1, 0.2)], cache)
-        assert not np.isfinite(res.ase_values[0])         # 1/0.05 > cutoff
+        assert not np.isfinite(res.ase_values[0])         # invalid at b = 0.05
         assert res.statuses[0] and "invalid" in res.statuses[0]
         assert res.best_pair == (0.1, 0.2)
 
@@ -224,10 +224,10 @@ class TestSharedKernelCache:
     PAIRS = [(0.1, 0.05), (0.1, 0.2), (0.2, 0.2), (0.15, 0.3)]
 
     def _data(self):
-        # the cutoff CF makes the ensemble invalid at b = 0.05 (nodes/b > 8)
+        # the ensemble is invalid at b = 0.05 (S(v) underflows) and valid above
         n = 30
         rng = np.random.default_rng(6)
-        ens = ErrorEnsemble(tuple(VanishingCF(cutoff=8.0) for _ in range(n)))
+        ens = underflowing_ensemble(n)
         x = rng.uniform(-2, 2, n)
         t = rng.uniform(-2, 2, n)
         y = true_regression(Model.MODEL2, x, t) + rng.normal(0, 0.25, n)
@@ -487,6 +487,30 @@ class TestConfig:
                 "t": {"start": -2, "stop": 2, "count": 10},
             }))
 
+    @pytest.mark.parametrize("extra", [
+        {"bandwidth_grid": 5},
+        {"eval_grid": [1, 2]},
+        {"schema_version": "x"},
+        {"eval_grid": {"x": {"start": -2, "stop": 2, "count": "a"},
+                       "t": {"start": -2, "stop": 2, "count": 5}}},
+        {"bandwidth_grid": {"h": {"start": 0.1, "stop": 0.2, "count": "a"},
+                            "b": {"start": 0.1, "stop": 0.2, "count": 2}}},
+        {"n": 2.9}, {"reps": 1.5}, {"quad_nodes": 32.5}, {"seed": 1.5}, {"n": None},
+        {"eval_grid": {"x": {"start": -2, "stop": 2, "count": 5.5},
+                       "t": {"start": -2, "stop": 2, "count": 5}}},
+    ], ids=["bandwidth_grid", "eval_grid", "schema_version", "eval_count", "bw_count",
+            "n", "reps", "quad_nodes", "seed", "n_null", "fractional_count"])
+    def test_malformed_values_raise_config_error(self, extra):
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_dict(self._raw(**extra))
+
+    def test_integral_numbers_are_accepted_as_integers(self):
+        cfg = SimulationConfig.from_dict(self._raw(n=100.0, reps="3", quad_nodes=32.0,
+                                                   schema_version=1.0))
+        assert (cfg.n, cfg.reps, cfg.quad_nodes) == (100, 3, 32)
+        assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.quad_nodes, cfg.seed))
+        assert GridAxis(-2, 2, 5.0).count == 5
+
     def test_grid_axis_values_inclusive(self):
         axis = GridAxis(-2.0, 2.0, 5)
         assert np.array_equal(axis.values(), np.linspace(-2, 2, 5))
@@ -572,17 +596,6 @@ class TestCrossSection:
         data = self._data()
         section = cross_section(data, "deconv", "fix_t", 0.0, Bandwidths(0.2, 0.2), quad64)
         assert np.allclose(section.truth, section.coords ** 2, atol=0)
-
-    def test_injected_estimator_matches_truth_exactly(self, quad64):
-        data = self._data()
-
-        def oracle(xs, ts):
-            vals = true_regression(data.model, xs[:, None], ts[None, :])
-            return vals, np.zeros_like(vals, dtype=bool)
-
-        section = cross_section(data, oracle, "fix_x", 1.0, Bandwidths(0.2, 0.2), quad64)
-        assert np.array_equal(section.estimates, section.truth)
-        assert not section.flags.any()
 
     def test_partial_linear_section_is_affine_in_x(self, quad64):
         from hetdeconv import linear_slope
