@@ -1,0 +1,95 @@
+"""Hash the 17 pinned CLI outputs of one source tree.
+
+    python3 scripts/pinned_outputs.py --src path/to/tree/src
+
+Every run is a fresh ``python -m hetdeconv.cli`` process on the package in
+``--src``, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set
+to 1: the estimate outputs depend on the BLAS thread count.  Prints one
+``name sha256[:12]`` line per output file; two trees give the same outputs
+when they print the same lines.
+
+The runs: desk ``simulate`` (reps 4, seed 20250808, 2 workers) for model1/2
+x gaussian/laplace x n 100/500; full-scale ``simulate`` of model2 laplace
+n=500 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
+at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
+``bench/inputs.py`` estimate-mixed-n5000 inputs of seed 7 at h = b = 0.3 on
+a 60 x 60 grid and at h = 0.1, b = 0.05 on a 30 x 30 grid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 20250808
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _config(work: Path, name: str, **fields) -> Path:
+    path = work / f"{name}.json"
+    path.write_text(json.dumps(fields))
+    return path
+
+
+def runs(work: Path):
+    """(name, CLI arguments, output file) of every pinned run, in print order."""
+    out = []
+    for model in ("model1", "model2"):
+        for family in ("gaussian", "laplace"):
+            for n in (100, 500):
+                name = f"desk_{model}_{family}_{n}"
+                cfg = _config(work, name, model=model, error_family=family, n=n, reps=4,
+                              seed=SEED)
+                out.append((name, ["simulate", "--config", str(cfg), "--workers", "2"],
+                            "ase_report.csv"))
+    cfg = _config(work, "full", model="model2", error_family="laplace", n=500, reps=2,
+                  seed=SEED)
+    out.append(("full_m2_laplace_500",
+                ["simulate", "--config", str(cfg), "--full-scale", "--workers", "1"],
+                "ase_report.csv"))
+    cfg = work / "desk_model2_laplace_100.json"
+    for estimator in ("deconv", "naive", "partial-linear"):
+        for axis in ("t", "x"):
+            out.append((f"cs_{estimator}_{axis}",
+                        ["cross-section", "--config", str(cfg), "--axis", axis,
+                         "--value", "0.5", "--estimator", estimator],
+                        "cross_section.csv"))
+    inputs = ["--data", str(work / "data.csv"), "--errors", str(work / "errors.csv")]
+    for name, h, b, count in (("est_a", "0.3", "0.3", 60), ("est_b", "0.1", "0.05", 30)):
+        out.append((name, ["estimate", *inputs, "--h", h, "--b", b,
+                           f"--x-grid=-2:2:{count}", f"--t-grid=-2:2:{count}"],
+                    "predictions.csv"))
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="the src directory holding the hetdeconv package")
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()),
+               **dict.fromkeys(THREAD_VARS, "1"))
+    env.pop("HETDECONV_SEED", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"), "--workload",
+                        "estimate-mixed-n5000", "--seed", "7", "--out", str(work)],
+                       check=True, env=env, stdout=subprocess.DEVNULL)
+        for name, cli_args, output in runs(work):
+            out_dir = work / name
+            subprocess.run([sys.executable, "-m", "hetdeconv.cli", *cli_args,
+                            "--out", str(out_dir)],
+                           check=True, env=env, cwd=work, stdout=subprocess.DEVNULL)
+            digest = hashlib.sha256((out_dir / output).read_bytes()).hexdigest()
+            print(f"{name} {digest[:12]}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

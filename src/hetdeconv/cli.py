@@ -406,8 +406,8 @@ def validate(config_path, overrides, c_sup, full_scale):
     """Check ensemble validity and print the variance bound per bandwidth pair."""
     try:
         config = _load_config(config_path, overrides, full_scale)
-        if c_sup <= 0:
-            raise ConfigError(f"--c-sup must be positive, got {c_sup}")
+        if not 0 < c_sup < np.inf:
+            raise ConfigError(f"--c-sup must be finite and positive, got {c_sup}")
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 

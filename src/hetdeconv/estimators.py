@@ -99,45 +99,23 @@ def floored_ratio(num, den, floor):
     return ratio, flagged
 
 
-def ratio_grid(kx, kt, y, scale, floor):
-    """The ratio estimator on a tensor grid: (values, flags, density).
+def stacked_ratio_grid(stack, y, kt, scale, floor):
+    """The ratio estimator on a tensor grid for every h of a kx stack: (values, flags, density).
 
-    density = kx.T @ kt / scale and values = (kx * y).T @ kt / scale / density,
-    with |density| <= floor ridge-floored.  kx (n, X) smooths the exact
-    direction and kt (n, T) the contaminated one; kx=None smooths the
-    contaminated direction alone and returns arrays of shape (T,).
+    density = kx_h.T @ kt / scale and values = (kx_h * y).T @ kt / scale / density
+    per h, with |density| <= floor ridge-floored; ``stack`` (n, H, X) holds the
+    kx_h, ``scale`` and ``floor`` one value per h, and each result is (H, X, T).
+    Each batched product runs one (X, n) @ (n, T) product per h, as for H = 1;
+    one flat (H X, n) @ (n, T) product would not (BLAS may pick another kernel
+    for the larger shape, with another summation order).  kx * y is formed
+    here, after kt, and lives only for its product: a stack that kept it
+    would hold it beside kt's temporaries and raise a single fit's peak memory.
     """
-    if kx is None:
-        num = y @ kt / scale
-        den = kt.sum(axis=0) / scale
-    else:
-        num = (kx * y[:, None]).T @ kt / scale
-        den = kx.T @ kt / scale
-    values, flags = floored_ratio(num, den, floor)
-    return values, flags, den
-
-
-def stacked_ratio_grid(stack, kt, scale, floor):
-    """ratio_grid for every h of a KernelCache.kx_stack at once: (values, flags, density).
-
-    One batched product of the (H, 2, X, n) view of the stack with kt (n, T);
-    ``scale`` and ``floor`` hold one value per h, and each result is
-    (H, X, T).  The batch runs the very (X, n) @ (n, T) products ratio_grid
-    runs, so every entry is bit for bit ratio_grid's on kx_h.  (One flat
-    (2 H X, n) @ (n, T) product is not: BLAS may pick another kernel for the
-    larger shape, with another summation order.)
-    """
-    product = np.matmul(np.moveaxis(stack, 0, -1), kt)
     scale = np.asarray(scale, dtype=float)[:, None, None]
-    num = product[:, 0] / scale
-    den = product[:, 1] / scale
+    num = np.matmul((stack * y[:, None, None]).transpose(1, 2, 0), kt) / scale
+    den = np.matmul(stack.transpose(1, 2, 0), kt) / scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, None, None])
     return values, flags, den
-
-
-def _normal_kernel(eval_values, obs, bandwidth):
-    """Normal kernel of (eval - obs) / bandwidth, shape (n, E)."""
-    return gaussian_kernel((eval_values[None, :] - obs[:, None]) / bandwidth)
 
 
 def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> dict:
@@ -154,15 +132,15 @@ def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> d
 class KernelCache:
     """Kernel matrices of one sample on one tensor evaluation grid.
 
-    Lives for one sample (one replication).  It keeps the normal kernel
-    kx (n, X) of each h, and the deconvolution weights of each b (an
-    EnsembleInvalid raised at b is kept too and raised again on every later
-    request).  The kernels at b, the deconvolution lt (n, T) and the naive
-    normal kt (n, T), are rebuilt on every request and kept by nobody, so a
-    b-major sweep holds one of each at a time.  ``weights`` maps b to
-    weights built beforehand for the sample's ensemble (as by ``fit``, or
-    entries of ``kernel_weights``), used instead of a rebuild.  Every
-    estimator below returns (values, flags, density) on the (X, T) grid.
+    Lives for one sample (one replication).  It keeps the last ``kx_stack``
+    with the row of each of its h, and the deconvolution weights of each b
+    (an EnsembleInvalid raised at b is kept too and raised again on every
+    later request).  The kernels at b, the deconvolution lt (n, T) and the
+    naive normal kt (n, T), are rebuilt on every request and kept by nobody.
+    ``weights`` maps b to weights built beforehand for the sample's ensemble
+    (as by ``fit``, or entries of ``kernel_weights``).  ``deconv`` and
+    ``naive`` take a sequence of h and return (values, flags, density), each
+    (H, X, T); ``partial_linear`` returns them on the (X, T) grid.
     """
 
     def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,
@@ -171,28 +149,32 @@ class KernelCache:
         self.x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
         self.t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
         self.quad = quad
-        self._kx = {}
+        self._stack, self._row = None, {}
         self._weights = dict(weights or {})
 
     def kx_stack(self, hs):
-        """[kx_h * y | kx_h] for every h in ``hs``, shape (n, H, 2, X).
+        """kx_h for every h in ``hs``, shape (n, H, X); kept for later calls.
 
-        kx(h) for these h is then a view into the stack, not a copy.
+        (x_values - x_j) / h is formed in the row of kx_h, so the normal
+        kernel's one temporary is the only memory beyond the stack.
         """
-        stack = np.empty((self.sample.n, len(hs), 2, self.x_values.size))
+        stack = np.empty((self.sample.n, len(hs), self.x_values.size))
         for i, h in enumerate(hs):
-            stack[:, i, 1] = _normal_kernel(self.x_values, self.sample.x, h)
-            np.multiply(stack[:, i, 1], self.sample.y[:, None], out=stack[:, i, 0])
-            self._kx[h] = stack[:, i, 1]
+            u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[:, i])
+            u /= h
+            stack[:, i] = gaussian_kernel(u)
+        self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
         return stack
 
-    def kx(self, h):
-        if h not in self._kx:
-            self._kx[h] = _normal_kernel(self.x_values, self.sample.x, h)
-        return self._kx[h]
+    def _stack_of(self, hs):
+        """The kept stack restricted to ``hs``, in their order; a new stack if one is missing."""
+        if not all(h in self._row for h in hs):
+            return self.kx_stack(hs)
+        rows = [self._row[h] for h in hs]
+        return self._stack if rows == list(range(self._stack.shape[1])) else self._stack[:, rows]
 
     def kt(self, b):
-        return _normal_kernel(self.t_values, self.sample.w, b)
+        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / b)
 
     def lt(self, b):
         if b not in self._weights:
@@ -202,18 +184,21 @@ class KernelCache:
             raise weights.with_traceback(None)
         return deconv_kernel_grid(weights, self.sample.w / b, self.t_values / b)
 
-    def deconv(self, h, b):
-        """The heteroscedastic partial deconvolution estimator."""
-        return ratio_grid(self.kx(h), self.lt(b), self.sample.y, h * b, RIDGE_SCALE / (h * b))
+    def deconv(self, hs, b, lt=None):
+        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(b) if at hand."""
+        hs = np.asarray(hs, dtype=float)
+        return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
+                                  self.lt(b) if lt is None else lt, hs * b, RIDGE_SCALE / (hs * b))
 
-    def naive(self, h, b):
+    def naive(self, hs, b):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
 
         Ignores the measurement error entirely; the ridge policy matches the
         deconvolution estimator with the denominator on the same density scale.
         """
-        return ratio_grid(self.kx(h), self.kt(b), self.sample.y, self.sample.n * h * b,
-                          RIDGE_SCALE / (h * b))
+        hs = np.asarray(hs, dtype=float)
+        return stacked_ratio_grid(self._stack_of(hs), self.sample.y, self.kt(b),
+                                  self.sample.n * hs * b, RIDGE_SCALE / (hs * b))
 
     def partial_linear(self, b, slope, lt=None):
         """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope.
@@ -221,9 +206,10 @@ class KernelCache:
         Only the contaminated direction is smoothed, so flags and density
         are constant across x.  ``lt`` is lt(b) if the caller has it.
         """
+        lt = self.lt(b) if lt is None else lt
         resid = self.sample.y - self.sample.x * slope
-        ratio, flags, density = ratio_grid(None, self.lt(b) if lt is None else lt, resid, b,
-                                           RIDGE_SCALE / b)
+        density = lt.sum(axis=0) / b
+        ratio, flags = floored_ratio(resid @ lt / b, density, RIDGE_SCALE / b)
         values = self.x_values[:, None] * slope + ratio[None, :]
         return (values, np.broadcast_to(flags[None, :], values.shape).copy(),
                 np.broadcast_to(density[None, :], values.shape).copy())
@@ -251,7 +237,7 @@ class DeconvEstimator:
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
         cache = KernelCache(self.sample, x_values, t_values, self.quad,
                             {self.bandwidths.b: self.weights})
-        return cache.deconv(self.bandwidths.h, self.bandwidths.b)
+        return tuple(a[0] for a in cache.deconv([self.bandwidths.h], self.bandwidths.b))
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:
@@ -266,7 +252,8 @@ def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvE
 
 def naive_regression_grid(sample: Sample, bandwidths: Bandwidths, x_values, t_values):
     """Naive Nadaraya-Watson baseline on the tensor grid: (values, flags, density)."""
-    return KernelCache(sample, x_values, t_values).naive(bandwidths.h, bandwidths.b)
+    cache = KernelCache(sample, x_values, t_values)
+    return tuple(a[0] for a in cache.naive([bandwidths.h], bandwidths.b))
 
 
 def linear_slope(sample: Sample) -> float:
@@ -303,8 +290,8 @@ def variance_bound_diagnostic(
     the substituted form of the variance bound; monotone diagnostics only.
     ``denominator`` is S already tabulated at quad.nodes / b, if the caller has it.
     """
-    if c_sup <= 0:
-        raise ValueError(f"c_sup must be positive, got {c_sup}")
+    if not 0 < c_sup < np.inf:
+        raise ValueError(f"c_sup must be finite and positive, got {c_sup}")
     h, b = bandwidths.h, bandwidths.b
     denom = ensemble.denominator(quad.nodes / b) if denominator is None else denominator
     if np.any(denom <= DENOMINATOR_FLOOR):

@@ -93,10 +93,15 @@ def gaussian_kernel(u):
     Values below the smallest normal double (|u| > 37.5 or so) are exactly 0.
     Subnormal operands put BLAS matrix products on a slow path, and a term of
     at most 2.2e-308 cannot move a kernel sum that clears the ridge floor.
+    Computed in place in one buffer (0-d for scalar ``u``).
     """
     u = np.asarray(u, dtype=float)
-    k = np.exp(-0.5 * u * u) / np.sqrt(TWO_PI)
-    return np.where(k < SMALLEST_NORMAL, 0.0, k)
+    k = np.multiply(-0.5, u, out=np.empty_like(u))
+    k *= u
+    np.exp(k, out=k)
+    k /= np.sqrt(TWO_PI)
+    k[k < SMALLEST_NORMAL] = 0.0
+    return k
 
 
 def bandlimited_kernel_ft(v):
@@ -182,6 +187,7 @@ def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarra
     eval_args = np.atleast_1d(np.asarray(eval_args, dtype=float))
     coef, v = weights.values, weights.nodes
     obs_phase = np.outer(obs_args, v)
-    eval_phase = np.outer(v, eval_args)
     left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
+    del obs_phase                # not alive beside the (n, T) product
+    eval_phase = np.outer(v, eval_args)
     return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])

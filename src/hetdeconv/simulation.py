@@ -15,15 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
-from .estimators import (
-    RIDGE_SCALE,
-    Bandwidths,
-    KernelCache,
-    Sample,
-    kernel_weights,
-    linear_slope,
-    stacked_ratio_grid,
-)
+from .estimators import Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
 from .exceptions import (
     AllPointsExcluded,
     ConfigError,
@@ -220,11 +212,12 @@ class _Scores:
 def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
     """Score every estimator on every (h, b) candidate in one b-major pass.
 
-    The [kx_h * y | kx_h] blocks of all h are stacked once.  Per distinct b,
-    lt is built once and serves the deconvolution estimator over all h (one
-    stacked product) and the partial-linear one; then kt is built once and
-    serves the naive estimator over all h.  Neither outlives its b.  Returns
-    name -> SearchResult, or the exception that left the estimator without one.
+    The normal kernels kx_h of all h are stacked once in the cache.  Per
+    distinct b, lt is built once and serves the deconvolution estimator over
+    the h paired with b (one stacked product) and the partial-linear one;
+    then kt is built once and serves the naive estimator over the same h.
+    Neither outlives its b.  Returns name -> SearchResult, or the exception
+    that left the estimator without one.
     """
     pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
     if not pairs:
@@ -242,18 +235,16 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
             out[PARTIAL_LINEAR] = exc
             del scores[PARTIAL_LINEAR]
     deconv, naive, plin = (scores.get(name) for name in (DECONV, NAIVE, PARTIAL_LINEAR))
-    stack = cache.kx_stack(hs) if deconv or naive else None
+    if deconv or naive:
+        cache.kx_stack(hs)
 
-    row_of = {h: r for r, h in enumerate(hs)}
     members = {b: [] for b in b_values}
     for i, (h, b) in enumerate(pairs):
-        members[b].append((i, row_of[h]))
+        members[b].append((i, h))
 
     for j, b in enumerate(b_values):
-        rows = sorted({r for _, r in members[b]})         # the h paired with this b
-        targets = [(i, rows.index(r)) for i, r in members[b]]
-        block = stack if stack is None or len(rows) == len(hs) else stack[:, rows]
-        h_b = np.array([hs[r] for r in rows])
+        h_b = sorted({h for _, h in members[b]})          # the h paired with this b
+        targets = [(i, h_b.index(h)) for i, h in members[b]]
         if deconv or plin:
             try:
                 lt = cache.lt(b)
@@ -264,15 +255,13 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
                     plin.fail([j], exc)
             else:
                 if deconv:
-                    deconv.score(targets, stacked_ratio_grid(
-                        block, lt, h_b * b, RIDGE_SCALE / (h_b * b)), truth)
+                    deconv.score(targets, cache.deconv(h_b, b, lt), truth)
                 if plin:
                     plin.score([(j, 0)], [a[None] for a in cache.partial_linear(b, slope, lt)],
                                truth)
                 del lt
         if naive:
-            naive.score(targets, stacked_ratio_grid(
-                block, cache.kt(b), cache.sample.n * h_b * b, RIDGE_SCALE / (h_b * b)), truth)
+            naive.score(targets, cache.naive(h_b, b), truth)
 
     for name, found in scores.items():
         try:
@@ -579,7 +568,7 @@ class RunContext:
 
 
 def _replicate(context: RunContext, rep_index: int) -> dict:
-    """Run one replication; returns per-estimator outcomes keyed by name."""
+    """Run one replication: name -> SearchResult, or the message of the failure that left none."""
     config = context.config
     data = generate(config.model, config.n, context.ensemble,
                     replication_rng(config.seed, rep_index))
@@ -590,19 +579,7 @@ def _replicate(context: RunContext, rep_index: int) -> dict:
         found = _sweep(config.bw_pairs, cache, names, context.truth)
     except Exception as exc:  # recorded, never aborts the batch
         found = dict.fromkeys(names, exc)
-    out = {}
-    for name in names:
-        res = found[name]
-        if isinstance(res, Exception):
-            out[name] = {"failure": f"rep {rep_index}: {res}"}
-            continue
-        h, b = res.best_pair
-        out[name] = {
-            "optimum": RepOutcome(rep_index, h, b, res.best_ase, res.best_excluded),
-            "ase_values": res.ase_values,
-            "pairs": res.pairs,
-        }
-    return out
+    return {name: str(res) if isinstance(res, Exception) else res for name, res in found.items()}
 
 
 _worker_context = None      # the RunContext of a pool worker, set by _init_worker
@@ -641,30 +618,22 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
 
     summaries = {}
     for name in estimators_for(config.model):
-        optima, failures, matrices = [], [], []
-        pairs = None
-        for i in sorted(results):
-            entry = results[i][name]
-            if "failure" in entry:
-                failures.append((i, entry["failure"]))
-                continue
-            optima.append(entry["optimum"])
-            matrices.append(entry["ase_values"])
-            pairs = entry["pairs"]
-        if pairs is None:
-            # every replication failed for this estimator
-            first_b = config.bw_pairs[0][1]
-            pairs = ((None, first_b),) if name == PARTIAL_LINEAR else tuple(config.bw_pairs)
-            mean_matrix = np.full(len(pairs), np.inf)
-        else:
+        found = [(i, results[i][name]) for i in sorted(results)]
+        done = [(i, res) for i, res in found if isinstance(res, SearchResult)]
+        pairs = (tuple((None, b) for b in config.b_values) if name == PARTIAL_LINEAR
+                 else config.bw_pairs)
+        if done:
             with np.errstate(over="ignore", invalid="ignore"):
-                mean_matrix = np.mean(np.vstack(matrices), axis=0)
+                mean_matrix = np.mean(np.vstack([res.ase_values for _, res in done]), axis=0)
+        else:
+            mean_matrix = np.full(len(pairs), np.inf)
         summaries[name] = EstimatorSummary(
             name=name,
             pairs=pairs,
             mean_ase_by_pair=mean_matrix,
-            rep_optima=tuple(optima),
-            failures=tuple(failures),
+            rep_optima=tuple(RepOutcome(i, *res.best_pair, res.best_ase, res.best_excluded)
+                             for i, res in done),
+            failures=tuple((i, res) for i, res in found if isinstance(res, str)),
         )
     return AseReport(config=config, estimators=summaries, workers=workers)
 
@@ -710,7 +679,7 @@ def cross_section(
         values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
     elif estimator in (DECONV, NAIVE):
         evaluate = cache.deconv if estimator == DECONV else cache.naive
-        values, flags, _ = evaluate(bandwidths.h, bandwidths.b)
+        values, flags, _ = (a[0] for a in evaluate([bandwidths.h], bandwidths.b))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     if axis == "fix_x":

@@ -4,7 +4,8 @@
 (the deconvolution kernel of one error-free observation), and
 ``deconv_kernel`` sums the complex Fourier series of one observation's
 kernel over all M quadrature nodes, the form the program reduces to a real
-cosine sum over the nodes v >= 0.
+cosine sum over the nodes v >= 0.  ``ratio_grid`` evaluates one estimator
+at one (h, b) pair from its kernel matrices.
 """
 
 from math import factorial
@@ -12,6 +13,7 @@ from math import factorial
 import numpy as np
 
 from hetdeconv import DeconvWeights, bandlimited_kernel_ft
+from hetdeconv.estimators import floored_ratio
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,3 +73,22 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
     phases = np.exp(-1j * float(arg) * weights.quad.nodes)
     total = (weights.quad.weights * phases) @ full_weights(weights)[j] / TWO_PI
     return float(total.real)
+
+
+def ratio_grid(kx, kt, y, scale, floor):
+    """The ratio estimator on a tensor grid for one h: (values, flags, density).
+
+    density = kx.T @ kt / scale and values = (kx * y).T @ kt / scale / density,
+    with |density| <= floor ridge-floored.  kx (n, X) smooths the exact
+    direction and kt (n, T) the contaminated one; kx=None smooths the
+    contaminated direction alone and returns arrays of shape (T,).  The
+    per-pair reference for the program's stacked contraction.
+    """
+    if kx is None:
+        num = y @ kt / scale
+        den = kt.sum(axis=0) / scale
+    else:
+        num = (kx * y[:, None]).T @ kt / scale
+        den = kx.T @ kt / scale
+    values, flags = floored_ratio(num, den, floor)
+    return values, flags, den

@@ -178,6 +178,22 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["workers"] == 1
 
+    def test_every_replication_failing_exits_3_without_a_report(self, runner, tmp_path):
+        # the Gaussian laws are invalid at b = 0.01: deconv and partial-linear fail
+        cfg = _write_config(tmp_path, model="model2", error_family="normal", reps=3,
+                            bandwidth_grid={"pairs": [[0.1, 0.01], [0.2, 0.01]]})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--workers", "1"])
+        assert result.exit_code == 3, result.output
+        for name in ("deconv", "partial_linear"):
+            for rep in (1, 2, 3):
+                assert (f"warning: {name} replication {rep} failed: no bandwidth candidate"
+                        in result.output)
+        assert "rep 1:" not in result.output
+        assert "no successful replication for ['deconv', 'partial_linear']" in result.output
+        assert not (out / "ase_report.csv").exists()
+
     def test_invalid_json_exits_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -663,6 +679,14 @@ class TestValidate:
         cfg = _write_config(tmp_path, bandwidth_grid={"pairs": [[bad, 0.1], [0.1, 0.2]]})
         result = runner.invoke(main, ["validate", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
+        assert "variance_bound" not in result.output
+
+    @pytest.mark.parametrize("c_sup", ["nan", "inf", "-1"])
+    def test_nonfinite_or_negative_c_sup_exits_2(self, runner, tmp_path, c_sup):
+        cfg = _write_config(tmp_path)
+        result = runner.invoke(main, ["validate", "--config", str(cfg), "--c-sup", c_sup])
+        assert result.exit_code == 2, result.output
+        assert "--c-sup must be finite and positive" in result.output
         assert "variance_bound" not in result.output
 
     def test_tabulates_each_cf_once_per_distinct_b(self, runner, tmp_path, monkeypatch):

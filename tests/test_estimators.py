@@ -393,3 +393,9 @@ class TestVarianceBoundDiagnostic:
         with pytest.raises(ValueError):
             variance_bound_diagnostic(_degenerate_ensemble(3), Bandwidths(0.1, 0.1),
                                       quad64, 0.0)
+
+    @pytest.mark.parametrize("c_sup", [float("nan"), float("inf"), -1.0])
+    def test_nonfinite_or_negative_constant_rejected(self, quad64, c_sup):
+        with pytest.raises(ValueError, match="finite and positive"):
+            variance_bound_diagnostic(_degenerate_ensemble(3), Bandwidths(0.1, 0.1),
+                                      quad64, c_sup)

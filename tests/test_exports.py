@@ -4,6 +4,7 @@ import hetdeconv
 from hetdeconv import (
     DeconvWeights,
     ErrorModel,
+    KernelCache,
     QuadratureGrid,
     error_models,
     estimators,
@@ -15,9 +16,11 @@ from hetdeconv import (
 MODULES = (hetdeconv, error_models, estimators, exceptions, kernels, simulation)
 
 # Names of the general-CF and complex-kernel path, which only laws other than
-# the built-in ones reached; the scalar kernel oracles now live in tests/oracles.py.
+# the built-in ones reached, and the per-pair ratio that the stacked one
+# replaced; the scalar kernel oracles and ratio_grid now live in tests/oracles.py.
 DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
-           "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form")
+           "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form",
+           "ratio_grid")
 
 
 def test_every_exported_name_resolves():
@@ -35,7 +38,7 @@ def test_deleted_names_do_not_resolve(name):
 
 @pytest.mark.parametrize("owner,attr", [
     (ErrorModel, "draw"), (QuadratureGrid, "mirrored"), (DeconvWeights, "real"),
-    (DeconvWeights, "of"),
+    (DeconvWeights, "of"), (KernelCache, "kx"),
 ])
 def test_deleted_attributes_do_not_resolve(owner, attr):
     assert not hasattr(owner, attr)

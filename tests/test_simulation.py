@@ -25,8 +25,10 @@ from hetdeconv import (
     run_replications,
     true_regression,
 )
-from hetdeconv.estimators import RIDGE_SCALE, Bandwidths, stacked_ratio_grid
-from hetdeconv.simulation import ERROR_VARIANCE_SCALE, GeneratedData, _select_best
+from hetdeconv.estimators import RIDGE_SCALE, Bandwidths
+from hetdeconv.kernels import gaussian_kernel
+from hetdeconv.simulation import ERROR_VARIANCE_SCALE, GeneratedData, SearchResult, _select_best
+from oracles import ratio_grid
 
 
 class TestTrueRegression:
@@ -276,9 +278,9 @@ class TestSharedKernelCache:
 
         cfg = _tiny_config(model="model2", reps=1)
         context = simulation.RunContext.build(cfg)
-        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0, "stacked": [], "ratio_grid": []}
+        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0, "stacked": [], "floored_ratio": 0}
         grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
-        stacked_fn, ratio_fn = simulation.stacked_ratio_grid, estimators.ratio_grid
+        stacked_fn, floored_fn = estimators.stacked_ratio_grid, estimators.floored_ratio
 
         def counted_grid(weights, obs_args, eval_args):
             calls["deconv_kernel_grid"].append(weights.bandwidth)
@@ -288,47 +290,61 @@ class TestSharedKernelCache:
             calls["gaussian_kernel"] += 1
             return gauss_fn(u)
 
-        def counted_stacked(stack, kt, scale, floor):
+        def counted_stacked(stack, y, kt, scale, floor):
             calls["stacked"].append(stack.shape[1])
-            return stacked_fn(stack, kt, scale, floor)
+            return stacked_fn(stack, y, kt, scale, floor)
 
-        def counted_ratio(kx, kt, y, scale, floor):
-            calls["ratio_grid"].append(kx)
-            return ratio_fn(kx, kt, y, scale, floor)
+        def counted_floored(num, den, floor):
+            calls["floored_ratio"] += 1
+            return floored_fn(num, den, floor)
 
         monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
-        monkeypatch.setattr(simulation, "stacked_ratio_grid", counted_stacked)
-        monkeypatch.setattr(estimators, "ratio_grid", counted_ratio)
+        monkeypatch.setattr(estimators, "stacked_ratio_grid", counted_stacked)
+        monkeypatch.setattr(estimators, "floored_ratio", counted_floored)
         out = simulation._replicate(context, 1)
-        assert all("optimum" in out[name] for name in ("deconv", "naive", "partial_linear"))
+        assert all(isinstance(out[name], SearchResult)
+                   for name in ("deconv", "naive", "partial_linear"))
         h_values = {h for h, _ in cfg.bw_pairs}
         # lt once per distinct b, shared by deconv and partial-linear
         assert sorted(calls["deconv_kernel_grid"]) == list(cfg.b_values)
         # kx once per distinct h (into the stack), the naive kt once per b
         assert calls["gaussian_kernel"] == len(h_values) + len(cfg.b_values)
         # one contraction per (b, estimator): deconv and naive over all h at
-        # once, partial-linear through ratio_grid without kx; no per-pair ratio
+        # once, partial-linear over the contaminated direction alone
         assert calls["stacked"] == [len(h_values)] * (2 * len(cfg.b_values))
-        assert calls["ratio_grid"] == [None] * len(cfg.b_values)
+        assert calls["floored_ratio"] == 3 * len(cfg.b_values)
+
+
+def _per_pair(cache, estimator, h, b, slope=None):
+    """One estimator at one (h, b) by oracles.ratio_grid on per-pair kx, kt and lt."""
+    sample = cache.sample
+    if estimator == "partial_linear":
+        ratio, flags, density = ratio_grid(None, cache.lt(b), sample.y - sample.x * slope, b,
+                                           RIDGE_SCALE / b)
+        values = cache.x_values[:, None] * slope + ratio[None, :]
+        return (values, np.broadcast_to(flags, values.shape),
+                np.broadcast_to(density, values.shape))
+    kx = gaussian_kernel((cache.x_values[None, :] - sample.x[:, None]) / h)
+    if estimator == "deconv":
+        return ratio_grid(kx, cache.lt(b), sample.y, h * b, RIDGE_SCALE / (h * b))
+    return ratio_grid(kx, cache.kt(b), sample.y, sample.n * h * b, RIDGE_SCALE / (h * b))
 
 
 def _per_pair_search(data, pairs, cache, estimator):
-    """The search as one KernelCache ratio per pair: the reference for the stacked pass.
+    """The search as one oracle ratio per pair: the reference for the stacked pass.
 
     Returns (ase_values, excluded, statuses) as a SearchResult holds them.
     """
     truth = true_regression(data.model, cache.x_values[:, None], cache.t_values[None, :])
+    slope = None
     if estimator == "partial_linear":
         slope = linear_slope(data.sample)
         pairs = [(None, b) for b in sorted({b for _, b in pairs})]
-        evaluate = lambda h, b: cache.partial_linear(b, slope)  # noqa: E731
-    else:
-        evaluate = cache.deconv if estimator == "deconv" else cache.naive
     scores, statuses = [], []
     for h, b in pairs:
         try:
-            values, flags, _ = evaluate(h, b)
+            values, flags, _ = _per_pair(cache, estimator, h, b, slope)
             scores.append(ase(values, flags, truth))
             statuses.append(None)
         except (EnsembleInvalid, AllPointsExcluded) as exc:
@@ -339,7 +355,7 @@ def _per_pair_search(data, pairs, cache, estimator):
 
 
 class TestStackedSweep:
-    """The b-major pass reproduces the per-pair KernelCache estimators."""
+    """The stacked estimators and the b-major pass reproduce the per-pair oracle ratio."""
 
     def test_stacked_pass_equals_per_pair_estimators(self, quad64):
         # n = 500 on a 20 x 20 grid: one flat (2 H X, n) @ (n, T) product
@@ -352,17 +368,14 @@ class TestStackedSweep:
         xg = tg = np.linspace(-2, 2, 20)
         cache = KernelCache(data.sample, xg, tg, quad64)
         hs, b = sorted(grid), grid[2]
-        values, flags, density = stacked_ratio_grid(cache.kx_stack(hs), cache.kt(b),
-                                                    n * np.array(hs) * b,
-                                                    RIDGE_SCALE / (np.array(hs) * b))
-        deconv = stacked_ratio_grid(cache.kx_stack(hs), cache.lt(b), np.array(hs) * b,
-                                    RIDGE_SCALE / (np.array(hs) * b))
+        values, flags, density = cache.naive(hs, b)
+        deconv = cache.deconv(hs, b)
         reference = KernelCache(data.sample, xg, tg, quad64)
         for r, h in enumerate(hs):
-            ref = reference.naive(h, b)
+            ref = _per_pair(reference, "naive", h, b)
             assert np.array_equal(values[r], ref[0]) and np.array_equal(density[r], ref[2])
             assert np.array_equal(flags[r], ref[1])
-            ref = reference.deconv(h, b)
+            ref = _per_pair(reference, "deconv", h, b)
             np.testing.assert_allclose(deconv[0][r], ref[0], rtol=1e-12, atol=0)
             np.testing.assert_allclose(deconv[2][r], ref[2], rtol=1e-12, atol=0)
             assert np.array_equal(deconv[1][r], ref[1])
@@ -374,6 +387,34 @@ class TestStackedSweep:
             else:
                 np.testing.assert_allclose(res.ase_values, ase_values, rtol=1e-12, atol=0)
             assert np.array_equal(res.excluded, excluded) and res.statuses == statuses
+
+    def test_stack_answers_subsets_as_fresh_caches_do(self, quad64, monkeypatch):
+        import hetdeconv.estimators as estimators
+
+        n = 200
+        data = generate(Model.MODEL2, n, build_ensemble(ErrorFamily.LAPLACE, n),
+                        replication_rng(3, 1))
+        xg, tg = np.linspace(-2, 2, 12), np.linspace(-2, 2, 9)
+        hs, b = [0.02, 0.065, 0.11, 0.155, 0.2], 0.11
+        subsets = ([0.155, 0.065], [0.11], hs)
+        fresh = [KernelCache(data.sample, xg, tg, quad64) for _ in subsets]
+        expected = [(c.deconv(subset, b), c.naive(subset, b)) for c, subset in zip(fresh, subsets)]
+        cache = KernelCache(data.sample, xg, tg, quad64)
+        cache.kx_stack(hs)
+        gauss_fn, calls = estimators.gaussian_kernel, []
+
+        def counted_gauss(u):
+            calls.append(np.shape(u))
+            return gauss_fn(u)
+
+        monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
+        for subset, refs in zip(subsets, expected):
+            for got, ref in zip((cache.deconv(subset, b), cache.naive(subset, b)), refs):
+                for a, r in zip(got, ref):
+                    assert a.shape == (len(subset), xg.size, tg.size)
+                    assert a.tobytes() == r.tobytes()
+        # one kt per naive call; every kx came from the stack
+        assert calls == [(n, tg.size)] * len(subsets)
 
     def test_statuses_match_per_pair(self, quad64):
         # x far from the x grid: at h = 0.05 every kx underflows to 0 and the
@@ -564,6 +605,24 @@ class TestRunReplications:
         assert [r["estimator"] for r in rows] == ["deconv", "naive", "partial_linear"]
         assert rows[2]["h"] is None
         assert all(r["rep_count"] == 2 for r in rows)
+
+    def test_every_replication_failing_keeps_the_config_pairs(self):
+        # the Gaussian laws are invalid at b = 0.01, so only the naive estimator scores
+        cfg = _tiny_config(model="model2", error_family="normal", reps=3,
+                           bandwidth_grid={"pairs": [[0.1, 0.01], [0.2, 0.01]]})
+        report = run_replications(cfg)
+        expected = {"deconv": cfg.bw_pairs, "partial_linear": ((None, 0.01),)}
+        for name, pairs in expected.items():
+            summary = report.estimators[name]
+            assert [rep for rep, _ in summary.failures] == [1, 2, 3]
+            assert all(message == "no bandwidth candidate produced a finite ASE"
+                       for _, message in summary.failures)
+            assert summary.rep_optima == ()
+            assert summary.pairs == pairs
+            assert summary.mean_ase_by_pair.shape == (len(pairs),)
+            assert np.all(summary.mean_ase_by_pair == np.inf)
+        assert report.estimators["naive"].rep_count == 3
+        assert not report.estimators["naive"].failures
 
     def test_family_swap_changes_values_not_shape(self):
         a = run_replications(_tiny_config())
