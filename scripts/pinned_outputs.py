@@ -1,19 +1,21 @@
-"""Hash the 17 pinned CLI outputs of one source tree.
+"""Hash the 17 pinned CLI outputs and the 2 pinned validate reports of one source tree.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
 Every run is a fresh ``python -m hetdeconv.cli`` process on the package in
 ``--src``, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set
 to 1: the estimate outputs depend on the BLAS thread count.  Prints one
-``name sha256[:12]`` line per output file; two trees give the same outputs
-when they print the same lines.
+``name sha256[:12]`` line per output file (per stdout for ``validate``); two
+trees give the same outputs when they print the same lines.
 
 The runs: desk ``simulate`` (reps 4, seed 20250808, 2 workers) for model1/2
 x gaussian/laplace x n 100/500; full-scale ``simulate`` of model2 laplace
 n=500 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
 at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 ``bench/inputs.py`` estimate-mixed-n5000 inputs of seed 7 at h = b = 0.3 on
-a 60 x 60 grid and at h = 0.1, b = 0.05 on a 30 x 30 grid.
+a 60 x 60 grid and at h = 0.1, b = 0.05 on a 30 x 30 grid; ``validate`` of
+the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
+config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def _config(work: Path, name: str, **fields) -> Path:
 
 
 def runs(work: Path):
-    """(name, CLI arguments, output file) of every pinned run, in print order."""
+    """(name, CLI arguments, output file or None for stdout, exit code) of every
+    pinned run, in print order."""
     out = []
     for model in ("model1", "model2"):
         for family in ("gaussian", "laplace"):
@@ -48,24 +51,28 @@ def runs(work: Path):
                 cfg = _config(work, name, model=model, error_family=family, n=n, reps=4,
                               seed=SEED)
                 out.append((name, ["simulate", "--config", str(cfg), "--workers", "2"],
-                            "ase_report.csv"))
+                            "ase_report.csv", 0))
     cfg = _config(work, "full", model="model2", error_family="laplace", n=500, reps=2,
                   seed=SEED)
     out.append(("full_m2_laplace_500",
                 ["simulate", "--config", str(cfg), "--full-scale", "--workers", "1"],
-                "ase_report.csv"))
+                "ase_report.csv", 0))
     cfg = work / "desk_model2_laplace_100.json"
     for estimator in ("deconv", "naive", "partial-linear"):
         for axis in ("t", "x"):
             out.append((f"cs_{estimator}_{axis}",
                         ["cross-section", "--config", str(cfg), "--axis", axis,
                          "--value", "0.5", "--estimator", estimator],
-                        "cross_section.csv"))
+                        "cross_section.csv", 0))
     inputs = ["--data", str(work / "data.csv"), "--errors", str(work / "errors.csv")]
     for name, h, b, count in (("est_a", "0.3", "0.3", 60), ("est_b", "0.1", "0.05", 30)):
         out.append((name, ["estimate", *inputs, "--h", h, "--b", b,
                            f"--x-grid=-2:2:{count}", f"--t-grid=-2:2:{count}"],
-                    "predictions.csv"))
+                    "predictions.csv", 0))
+    failing = _config(work, "validate_fail", model="model1", error_family="gaussian", n=100,
+                      seed=SEED, bandwidth_grid={"pairs": [[0.1, 0.003], [0.1, 0.2]]})
+    out.append(("validate_pass", ["validate", "--config", str(cfg)], None, 0))
+    out.append(("validate_fail", ["validate", "--config", str(failing)], None, 1))
     return out
 
 
@@ -82,12 +89,14 @@ def main() -> None:
         subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"), "--workload",
                         "estimate-mixed-n5000", "--seed", "7", "--out", str(work)],
                        check=True, env=env, stdout=subprocess.DEVNULL)
-        for name, cli_args, output in runs(work):
-            out_dir = work / name
-            subprocess.run([sys.executable, "-m", "hetdeconv.cli", *cli_args,
-                            "--out", str(out_dir)],
-                           check=True, env=env, cwd=work, stdout=subprocess.DEVNULL)
-            digest = hashlib.sha256((out_dir / output).read_bytes()).hexdigest()
+        for name, cli_args, output, code in runs(work):
+            out_args = [] if output is None else ["--out", str(work / name)]
+            proc = subprocess.run([sys.executable, "-m", "hetdeconv.cli", *cli_args, *out_args],
+                                  env=env, cwd=work, stdout=subprocess.PIPE)
+            if proc.returncode != code:
+                sys.exit(f"{name}: exit {proc.returncode}, expected {code}")
+            data = proc.stdout if output is None else (work / name / output).read_bytes()
+            digest = hashlib.sha256(data).hexdigest()
             print(f"{name} {digest[:12]}", flush=True)
 
 

@@ -23,18 +23,18 @@ import click
 import numpy as np
 
 from . import __version__
-from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel, ValidationReport
+from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel
 from .estimators import Bandwidths, KernelCache, Sample, fit, variance_bound_diagnostic
-from .exceptions import ConfigError, HetdeconvError
+from .exceptions import ConfigError, EnsembleInvalid, HetdeconvError
 from .kernels import QuadratureGrid
 from .simulation import (
     DECONV,
     NAIVE,
     PARTIAL_LINEAR,
     Model,
+    RunContext,
     SimulationConfig,
     bandwidth_search,
-    build_ensemble,
     cross_section,
     generate,
     replication_rng,
@@ -229,7 +229,7 @@ def simulate(config_path, overrides, out, workers, full_scale):
 
 
 def _read_table(path: str, required: tuple[str, ...]) -> dict[str, list[str]]:
-    """The ``required`` columns of a CSV whose every nonblank row matches its header."""
+    """The ``required`` columns, each named once, of a CSV whose every nonblank row matches its header."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -237,6 +237,10 @@ def _read_table(path: str, required: tuple[str, ...]) -> dict[str, list[str]]:
             missing = [c for c in required if c not in header]
             if missing:
                 raise ConfigError(f"{path}: missing columns {missing} (found {header})")
+            repeated = [c for c in required if header.count(c) > 1]
+            if repeated:
+                raise ConfigError(f"{path}: column {repeated[0]!r} named more than once "
+                                  f"in the header {header}")
             rows = [row for row in reader if row]
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
@@ -361,16 +365,15 @@ def cmd_cross_section(config_path, overrides, axis, value, estimator_name, out, 
         _fail(EXIT_CONFIG, str(exc))
 
     try:
-        rng = replication_rng(config.seed, 1)
-        ensemble = build_ensemble(config.error_family, config.n)
-        data = generate(config.model, config.n, ensemble, rng)
-        quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
-        cache = KernelCache(data.sample, config.eval_x.values(), config.eval_t.values(), quad)
+        context = RunContext.build(config)
+        data = generate(config.model, config.n, context.ensemble, replication_rng(config.seed, 1))
+        cache = KernelCache(data.sample, context.x_values, context.t_values, context.quad,
+                            context.weights)
         search = bandwidth_search(data, config.bw_pairs, cache, estimator=estimator)
         best_h, best_b = search.best_pair
         bw = Bandwidths(best_h if best_h is not None else best_b, best_b)
         section = cross_section(
-            data, estimator, "fix_x" if axis == "x" else "fix_t", value, bw, quad
+            data, estimator, "fix_x" if axis == "x" else "fix_t", value, bw, context.quad
         )
     except Exception as exc:
         _fail(EXIT_RUNTIME, f"cross-section failed: {exc}")
@@ -411,21 +414,16 @@ def validate(config_path, overrides, c_sup, full_scale):
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
 
-    ensemble = build_ensemble(config.error_family, config.n)
-    quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
+    weights = RunContext.build(config).weights
     all_passed = True
-    tabulated = {}   # b -> (report, S(v) at the quadrature nodes / b)
     for h, b in config.bw_pairs:
-        if b not in tabulated:
-            denom = ensemble.denominator(quad.nodes / b)
-            tabulated[b] = ValidationReport.from_denominator(b, quad.nodes / b, denom), denom
-        report, denom = tabulated[b]
-        if report.passed:
-            bound = variance_bound_diagnostic(ensemble, Bandwidths(h, b), quad, c_sup, denom)
-            click.echo(f"h={h:g} b={b:g}: {report.summary()}  variance_bound={bound:.6e}")
-        else:
+        found = weights[b]       # DeconvWeights, or the EnsembleInvalid raised at b
+        if isinstance(found, EnsembleInvalid):
             all_passed = False
-            click.echo(f"h={h:g} b={b:g}: {report.summary()}  variance_bound=degenerate")
+            bound = "degenerate"
+        else:
+            bound = f"{variance_bound_diagnostic(found, h, c_sup):.6e}"
+        click.echo(f"h={h:g} b={b:g}: {found.report.summary()}  variance_bound={bound}")
     sys.exit(EXIT_OK if all_passed else EXIT_VALIDATION)
 
 

@@ -81,7 +81,6 @@ class ErrorEnsemble:
             if not isinstance(m, ErrorModel):
                 raise TypeError(f"error laws must be ErrorModel, got {type(m).__name__}")
         self._set_arrays([m.family for m in models], [m.variance for m in models])
-        self._models = models
 
     @classmethod
     def from_arrays(cls, families, variances) -> "ErrorEnsemble":
@@ -93,7 +92,6 @@ class ErrorEnsemble:
         """
         ensemble = cls.__new__(cls)
         ensemble._set_arrays(families, variances)
-        ensemble._models = None
         return ensemble
 
     def _set_arrays(self, families, variances):
@@ -114,15 +112,6 @@ class ErrorEnsemble:
         self.codes, self.variances = codes, variances
 
     @property
-    def models(self) -> tuple:
-        """The laws as objects; built on first use for an ensemble made from arrays."""
-        if self._models is None:
-            families = tuple(ErrorFamily)
-            self._models = tuple(ErrorModel(families[c], s)
-                                 for c, s in zip(self.codes.tolist(), self.variances.tolist()))
-        return self._models
-
-    @property
     def n(self) -> int:
         return self.variances.size
 
@@ -136,10 +125,6 @@ class ErrorEnsemble:
         cf[gaussian] = np.exp(-p[gaussian])
         cf[laplace] = 1.0 / (1.0 + p[laplace])
         return cf
-
-    def denominator(self, v) -> np.ndarray:
-        """Shared denominator S(v) = sum_k cf_k(v)^2, shape (len(v),)."""
-        return shared_denominator(self.cf_matrix(v))
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One error draw per observation, in observation order.

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_models import DENOMINATOR_FLOOR, ErrorEnsemble
-from .exceptions import (
-    DegenerateDenominator,
-    DegenerateDesign,
-    DimensionMismatch,
-    EnsembleInvalid,
-)
+from .error_models import ErrorEnsemble
+from .exceptions import DegenerateDesign, DimensionMismatch, EnsembleInvalid
 from .kernels import (
     TWO_PI,
     DeconvWeights,
@@ -280,25 +275,18 @@ def partial_linear_grid(sample: Sample, b: float, quad: QuadratureGrid, slope: f
     return KernelCache(sample, x_values, t_values, quad).partial_linear(b, slope)
 
 
-def variance_bound_diagnostic(
-    ensemble: ErrorEnsemble, bandwidths: Bandwidths, quad: QuadratureGrid, c_sup: float,
-    denominator=None,
-) -> float:
+def variance_bound_diagnostic(weights: DeconvWeights, h: float, c_sup: float) -> float:
     """Upper bound on the estimator's variance term, up to the caller's sup-norm constant.
 
     Computes c_sup / (2 pi h b) * int_{-1}^{1} kernel_ft(u)^2 / S(u/b) du,
-    the substituted form of the variance bound; monotone diagnostics only.
-    ``denominator`` is S already tabulated at quad.nodes / b, if the caller has it.
+    the substituted form of the variance bound, from the S(v/b) that
+    ``weights`` holds (b is ``weights.bandwidth``); monotone diagnostics only.
     """
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
     if not 0 < c_sup < np.inf:
         raise ValueError(f"c_sup must be finite and positive, got {c_sup}")
-    h, b = bandwidths.h, bandwidths.b
-    denom = ensemble.denominator(quad.nodes / b) if denominator is None else denominator
-    if np.any(denom <= DENOMINATOR_FLOOR):
-        idx = int(np.argmin(denom))
-        raise DegenerateDenominator(
-            f"denominator {denom[idx]:.3e} at node {idx} below floor"
-        )
-    integrand = bandlimited_kernel_ft(quad.nodes) ** 2 / denom
+    quad = weights.quad
+    integrand = bandlimited_kernel_ft(quad.nodes) ** 2 / weights.denominator
     integral = float(quad.weights @ integrand)
-    return c_sup * integral / (TWO_PI * h * b)
+    return c_sup * integral / (TWO_PI * h * weights.bandwidth)

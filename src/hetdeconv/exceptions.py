@@ -9,10 +9,6 @@ class DimensionMismatch(HetdeconvError, ValueError):
     """Arrays or ensembles that must share a length do not."""
 
 
-class DegenerateDenominator(HetdeconvError, ArithmeticError):
-    """The shared characteristic-function denominator fell below the numeric floor."""
-
-
 class EnsembleInvalid(HetdeconvError, ValueError):
     """Ensemble validation failed for the requested bandwidth.
 

@@ -120,12 +120,16 @@ class DeconvWeights:
     (quadrature weight at v) / pi for the nodes v >= 0 (``nodes``), with the
     v = 0 node (odd M) at half its coefficient; psi_j = cf_j / S is real and
     even for every built-in law, so the nodes v < 0 repeat these values.
+    ``denominator`` is S(v/b) on all M nodes, read-only, and ``report`` the
+    passed validation report of it.
     """
 
     ensemble: ErrorEnsemble
     bandwidth: float
     quad: QuadratureGrid
     values: np.ndarray
+    denominator: np.ndarray
+    report: ValidationReport
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -136,8 +140,10 @@ class DeconvWeights:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite deconvolution weights; validate the ensemble first")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        denominator = np.asarray(self.denominator, dtype=float)
+        for name, arr in (("values", values), ("denominator", denominator)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -155,8 +161,9 @@ def build_deconv_weights(
 
     One CF tabulation at the scaled nodes v/b gives S(v/b) on all M nodes,
     which feeds the validation report, and the weights cf_j(v/b) / S(v/b) on
-    the nodes v >= 0.  Raises EnsembleInvalid, carrying the report, when S
-    falls at or below the numeric floor.
+    the nodes v >= 0; the weights keep S(v/b) and the report.  This is the
+    only place S(v/b) is tabulated and checked.  Raises EnsembleInvalid,
+    carrying the report, when S falls at or below the numeric floor.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -171,7 +178,8 @@ def build_deconv_weights(
               * (quad.weights[half:] / np.pi))
     if quad.size % 2:
         values[:, 0] *= 0.5
-    return DeconvWeights(ensemble=ensemble, bandwidth=float(bandwidth), quad=quad, values=values)
+    return DeconvWeights(ensemble=ensemble, bandwidth=float(bandwidth), quad=quad,
+                         values=values, denominator=denom, report=report)
 
 
 def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:

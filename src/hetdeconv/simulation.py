@@ -209,6 +209,13 @@ class _Scores:
                             tuple(self.statuses), _select_best(self.pairs, self.ase_values))
 
 
+def _candidates(name: str, pairs: tuple) -> tuple:
+    """``pairs``, or (None, b) per sorted distinct b for partial-linear, which has no h."""
+    if name == PARTIAL_LINEAR:
+        return tuple((None, b) for b in sorted({b for _, b in pairs}))
+    return pairs
+
+
 def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
     """Score every estimator on every (h, b) candidate in one b-major pass.
 
@@ -224,9 +231,7 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
         raise ValueError("bandwidth grid is empty")
     b_values = sorted({b for _, b in pairs})
     hs = sorted({h for h, _ in pairs})
-    scores = {name: _Scores(name, tuple((None, b) for b in b_values) if name == PARTIAL_LINEAR
-                            else pairs)
-              for name in estimators}
+    scores = {name: _Scores(name, _candidates(name, pairs)) for name in estimators}
     out = {}
     if PARTIAL_LINEAR in scores:
         try:
@@ -620,8 +625,7 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     for name in estimators_for(config.model):
         found = [(i, results[i][name]) for i in sorted(results)]
         done = [(i, res) for i, res in found if isinstance(res, SearchResult)]
-        pairs = (tuple((None, b) for b in config.b_values) if name == PARTIAL_LINEAR
-                 else config.bw_pairs)
+        pairs = _candidates(name, config.bw_pairs)
         if done:
             with np.errstate(over="ignore", invalid="ignore"):
                 mean_matrix = np.mean(np.vstack([res.ase_values for _, res in done]), axis=0)

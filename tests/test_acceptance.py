@@ -269,9 +269,10 @@ class TestCriterion8DiagnosticScaling:
         ens = build_ensemble(ErrorFamily.GAUSSIAN, 100)
         worst = 0.0
         for b in (0.05, 0.1, 0.2):
+            weights = build_deconv_weights(ens, b, quad64)
             for h in (0.04, 0.1):
-                full = variance_bound_diagnostic(ens, Bandwidths(h, b), quad64, 2.5)
-                halved = variance_bound_diagnostic(ens, Bandwidths(h / 2.0, b), quad64, 2.5)
+                full = variance_bound_diagnostic(weights, h, 2.5)
+                halved = variance_bound_diagnostic(weights, h / 2.0, 2.5)
                 worst = max(worst, abs(halved / (2.0 * full) - 1.0))
         ok = worst < 1e-12
         line = _report(8, "variance bound halves when h doubles", ok,

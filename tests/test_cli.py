@@ -400,6 +400,29 @@ class TestEstimate:
         assert result.exit_code == 2
         assert "missing columns" in result.output
 
+    @pytest.mark.parametrize("which,header,column", [
+        ("data", "x,w,y,x", "x"), ("data", "y,x,w,y", "y"),
+        ("errors", "family,variance,family", "family"),
+        ("errors", "variance,family,variance", "variance"),
+    ])
+    def test_required_column_named_twice_exits_2(self, runner, tmp_path, which, header, column):
+        # a repeated name would otherwise read whichever of its columns comes last
+        tables = {"data": "x,w,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+                  "errors": "family,variance\ndegenerate,0\ndegenerate,0\n"}
+        tables[which] = header + "\n" + "".join(
+            ",".join(["0"] * len(header.split(","))) + "\n" for _ in range(2))
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(tmp_path / "data.csv"),
+            "--errors", str(tmp_path / "errors.csv"),
+            "--h", "0.4", "--b", "0.4", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{which}.csv: column '{column}' named more than once" in result.output
+        assert not out.exists()
+
     def test_heteroscedastic_error_spec_accepted(self, runner, tmp_path):
         import hetdeconv as hd
 

@@ -13,6 +13,7 @@ from hetdeconv import (
     ErrorModel,
     Model,
     Sample,
+    build_deconv_weights,
     build_ensemble,
     fit,
     gaussian_kernel,
@@ -369,33 +370,39 @@ class TestVarianceBoundDiagnostic:
         # S == n, so the bound is c_sup/(2 pi h b n) * int (1-u^2)^6 du,
         # and the exact polynomial integral is 2048/3003
         n, h, b, c_sup = 7, 0.1, 0.2, 3.0
-        ens = _degenerate_ensemble(n)
-        bound = variance_bound_diagnostic(ens, Bandwidths(h, b), quad128, c_sup)
+        weights = build_deconv_weights(_degenerate_ensemble(n), b, quad128)
+        bound = variance_bound_diagnostic(weights, h, c_sup)
         exact = c_sup / (2 * np.pi * h * b * n) * (2048.0 / 3003.0)
         assert bound == pytest.approx(exact, rel=1e-12)
 
     def test_halving_h_doubles_exactly(self, quad64):
-        ens = build_ensemble(ErrorFamily.GAUSSIAN, 25)
         b, c_sup = 0.1, 1.0
-        lo = variance_bound_diagnostic(ens, Bandwidths(0.05, b), quad64, c_sup)
-        hi = variance_bound_diagnostic(ens, Bandwidths(0.1, b), quad64, c_sup)
+        weights = build_deconv_weights(build_ensemble(ErrorFamily.GAUSSIAN, 25), b, quad64)
+        lo = variance_bound_diagnostic(weights, 0.05, c_sup)
+        hi = variance_bound_diagnostic(weights, 0.1, c_sup)
         assert lo == pytest.approx(2.0 * hi, rel=1e-12)
 
     def test_monotone_in_bandwidth_for_gaussian(self, quad64):
         ens = build_ensemble(ErrorFamily.GAUSSIAN, 25)
         bounds = [
-            variance_bound_diagnostic(ens, Bandwidths(0.1, b), quad64, 1.0)
+            variance_bound_diagnostic(build_deconv_weights(ens, b, quad64), 0.1, 1.0)
             for b in (0.2, 0.1, 0.05)
         ]
         assert bounds[0] < bounds[1] < bounds[2]
 
     def test_nonpositive_constant_rejected(self, quad64):
         with pytest.raises(ValueError):
-            variance_bound_diagnostic(_degenerate_ensemble(3), Bandwidths(0.1, 0.1),
-                                      quad64, 0.0)
+            variance_bound_diagnostic(build_deconv_weights(_degenerate_ensemble(3), 0.1, quad64),
+                                      0.1, 0.0)
 
     @pytest.mark.parametrize("c_sup", [float("nan"), float("inf"), -1.0])
     def test_nonfinite_or_negative_constant_rejected(self, quad64, c_sup):
         with pytest.raises(ValueError, match="finite and positive"):
-            variance_bound_diagnostic(_degenerate_ensemble(3), Bandwidths(0.1, 0.1),
-                                      quad64, c_sup)
+            variance_bound_diagnostic(build_deconv_weights(_degenerate_ensemble(3), 0.1, quad64),
+                                      0.1, c_sup)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonfinite_or_nonpositive_h_rejected(self, quad64, h):
+        weights = build_deconv_weights(_degenerate_ensemble(3), 0.1, quad64)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            variance_bound_diagnostic(weights, h, 1.0)

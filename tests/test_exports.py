@@ -3,6 +3,7 @@ import pytest
 import hetdeconv
 from hetdeconv import (
     DeconvWeights,
+    ErrorEnsemble,
     ErrorModel,
     KernelCache,
     QuadratureGrid,
@@ -18,9 +19,11 @@ MODULES = (hetdeconv, error_models, estimators, exceptions, kernels, simulation)
 # Names of the general-CF and complex-kernel path, which only laws other than
 # the built-in ones reached, and the per-pair ratio that the stacked one
 # replaced; the scalar kernel oracles and ratio_grid now live in tests/oracles.py.
+# S(v/b) is tabulated and checked in build_deconv_weights alone, so the
+# exception of a second floor check is gone too.
 DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
            "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form",
-           "ratio_grid")
+           "ratio_grid", "DegenerateDenominator")
 
 
 def test_every_exported_name_resolves():
@@ -38,7 +41,8 @@ def test_deleted_names_do_not_resolve(name):
 
 @pytest.mark.parametrize("owner,attr", [
     (ErrorModel, "draw"), (QuadratureGrid, "mirrored"), (DeconvWeights, "real"),
-    (DeconvWeights, "of"), (KernelCache, "kx"),
+    (DeconvWeights, "of"), (KernelCache, "kx"), (ErrorEnsemble, "denominator"),
+    (ErrorEnsemble, "models"),
 ])
 def test_deleted_attributes_do_not_resolve(owner, attr):
     assert not hasattr(owner, attr)

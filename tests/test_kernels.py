@@ -12,11 +12,13 @@ from hetdeconv import (
     ErrorModel,
     QuadratureGrid,
     QuadratureRule,
+    ValidationReport,
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
     gaussian_kernel,
 )
+from hetdeconv.error_models import shared_denominator
 from hetdeconv.simulation import build_ensemble
 
 
@@ -194,6 +196,21 @@ class TestDeconvWeights:
             if quad.size % 2:
                 expected[:, 0] *= 0.5
             assert np.array_equal(w.values, expected)
+
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_weights_keep_the_denominator_and_its_report(self, family):
+        # S(v/b) on all M nodes and its passed report, as tabulated from the CFs
+        for quad in (QuadratureGrid.gauss_legendre(64), QuadratureGrid.trapezoid(65)):
+            ens, b = build_ensemble(family, 9), 0.07
+            w = build_deconv_weights(ens, b, quad)
+            denom = shared_denominator(ens.cf_matrix(quad.nodes / b))
+            assert w.denominator.shape == (quad.size,)
+            assert np.array_equal(w.denominator, denom)
+            assert not w.denominator.flags.writeable
+            with pytest.raises(ValueError):
+                w.denominator[0] = 1.0
+            assert w.report == ValidationReport.from_denominator(b, quad.nodes / b, denom)
+            assert w.report.passed
 
 
 class TestDeconvKernelEvaluation:

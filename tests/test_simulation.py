@@ -46,17 +46,15 @@ class TestBuildEnsemble:
     def test_variance_profile(self):
         ens = build_ensemble(ErrorFamily.GAUSSIAN, 100)
         assert ens.n == 100
-        assert ens.models[99].variance == pytest.approx(8.0 / 15.0, abs=1e-15)
-        assert ens.models[0].variance == pytest.approx((4.0 / 15.0) * 1.01, abs=1e-15)
+        assert ens.variances[99] == pytest.approx(8.0 / 15.0, abs=1e-15)
+        assert ens.variances[0] == pytest.approx((4.0 / 15.0) * 1.01, abs=1e-15)
         assert ERROR_VARIANCE_SCALE == pytest.approx(4.0 / 15.0, abs=1e-16)
 
     def test_gaussian_ensemble_validates_at_small_bandwidth(self, quad64):
-        from hetdeconv import ValidationReport
+        from hetdeconv import build_deconv_weights
 
         ens = build_ensemble(ErrorFamily.GAUSSIAN, 100)
-        freqs = quad64.nodes / 0.02
-        report = ValidationReport.from_denominator(0.02, freqs, ens.denominator(freqs))
-        assert report.passed
+        assert build_deconv_weights(ens, 0.02, quad64).report.passed
 
 
 class TestGenerate:
