@@ -63,20 +63,44 @@ _ESTIMATOR_CHOICES = {
 
 
 def _fields(column) -> list[str]:
-    """CSV text of a bool/float array or a str/int/float/None list: %.17g floats, 1/0 flags, None empty."""
-    if isinstance(column, np.ndarray) and column.dtype == bool:
-        return ["1" if v else "0" for v in column.ravel().tolist()]
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return [format(v, ".17g") for v in column.ravel().tolist()]
-    return ["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v) for v in column]
+    """CSV text of a float array or a str/int/float/None sequence: %.17g floats, None empty.
+
+    A sequence that is all str already is returned as it is.
+    """
+    values = column.ravel().tolist() if isinstance(column, np.ndarray) else column
+    if set(map(type, values)) == {str}:
+        return values
+    return ["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v) for v in values]
 
 
 def _write_csv(path: Path, header, columns) -> None:
-    """Write one sequence per column; no field needs quoting (numbers, flags, enum names)."""
-    fields = [_fields(column) for column in columns]
+    """Write one sequence per column; no field needs quoting (numbers, flags, enum names).
+
+    The body is one ``%`` operation over a row template: %.17g for float
+    arrays, %d for bool arrays (1/0 flags) and %s for any other column,
+    formatted by ``_fields`` (a column of str, such as the grid coordinates
+    ``estimate`` formats once, is taken as it is).  Arrays are read in C
+    order.  Raises ValueError naming the lengths when the columns differ in
+    length.
+    """
+    specs, texts = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype.kind in "bf":
+            specs.append("%d" if column.dtype == bool else "%.17g")
+            texts.append(column.ravel().tolist())
+        else:
+            specs.append("%s")
+            texts.append(_fields(column))
+    lengths = [len(t) for t in texts]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    rows, k = lengths[0] if lengths else 0, len(texts)
+    flat = [None] * (rows * k)
+    for i, text in enumerate(texts):
+        flat[i::k] = text
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+        fh.write((",".join(specs) + "\n") * rows % tuple(flat))
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo, seed, outputs, started, extra=None) -> Path:
@@ -373,7 +397,8 @@ def cmd_cross_section(config_path, overrides, axis, value, estimator_name, out, 
         best_h, best_b = search.best_pair
         bw = Bandwidths(best_h if best_h is not None else best_b, best_b)
         section = cross_section(
-            data, estimator, "fix_x" if axis == "x" else "fix_t", value, bw, context.quad
+            data, estimator, "fix_x" if axis == "x" else "fix_t", value, bw, context.quad,
+            context.weights,
         )
     except Exception as exc:
         _fail(EXIT_RUNTIME, f"cross-section failed: {exc}")

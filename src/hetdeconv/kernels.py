@@ -159,22 +159,25 @@ def build_deconv_weights(
 ) -> DeconvWeights:
     """Validate the ensemble at bandwidth b and tabulate its deconvolution weights.
 
-    One CF tabulation at the scaled nodes v/b gives S(v/b) on all M nodes,
-    which feeds the validation report, and the weights cf_j(v/b) / S(v/b) on
-    the nodes v >= 0; the weights keep S(v/b) and the report.  This is the
-    only place S(v/b) is tabulated and checked.  Raises EnsembleInvalid,
+    One CF tabulation at the scaled nodes v/b >= 0 (ceil(M/2) of them) gives
+    S(v/b) there and the weights cf_j(v/b) / S(v/b).  Every built-in law is
+    even and the grid mirrored, so S(-v/b) = S(v/b) bit for bit: S is
+    mirrored to all M nodes (the v = 0 node of odd M once) for the
+    validation report, and the weights keep S(v/b) and the report.  This is
+    the only place S(v/b) is tabulated and checked.  Raises EnsembleInvalid,
     carrying the report, when S falls at or below the numeric floor.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    freqs = quad.nodes / bandwidth
-    cf = ensemble.cf_matrix(freqs)
-    denom = shared_denominator(cf)
-    report = ValidationReport.from_denominator(bandwidth, freqs, denom)
+    half = quad.size // 2          # quad.nodes[half:] are the nodes v >= 0
+    nodes = quad.nodes[half:]
+    cf = ensemble.cf_matrix(nodes / bandwidth)
+    denom_half = shared_denominator(cf)
+    denom = np.concatenate([denom_half[::-1][:half], denom_half])
+    report = ValidationReport.from_denominator(bandwidth, quad.nodes / bandwidth, denom)
     if not report.passed:
         raise EnsembleInvalid(f"ensemble invalid at b={bandwidth:g}: {report.summary()}", report)
-    half = quad.size // 2          # quad.nodes[half:] are the nodes v >= 0
-    values = (bandlimited_kernel_ft(quad.nodes[half:])[None, :] * (cf[:, half:] / denom[half:])
+    values = (bandlimited_kernel_ft(nodes)[None, :] * (cf / denom_half)
               * (quad.weights[half:] / np.pi))
     if quad.size % 2:
         values[:, 0] *= 0.5
@@ -189,13 +192,23 @@ def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarra
     L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
     with c_jv the ``DeconvWeights`` coefficients.  That is one real product
     of [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner size M
-    (M + 1 for odd M).
+    (M + 1 for odd M); cos and sin are written straight into the two
+    operands.
     """
     obs_args = np.atleast_1d(np.asarray(obs_args, dtype=float))
     eval_args = np.atleast_1d(np.asarray(eval_args, dtype=float))
     coef, v = weights.values, weights.nodes
-    obs_phase = np.outer(obs_args, v)
-    left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
-    del obs_phase                # not alive beside the (n, T) product
-    eval_phase = np.outer(v, eval_args)
-    return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])
+    m = v.size
+    left = np.empty((obs_args.size, 2 * m))
+    phase = np.outer(obs_args, v)
+    np.cos(phase, out=left[:, :m])
+    np.sin(phase, out=left[:, m:])
+    del phase                    # not alive beside the (n, T) product
+    left[:, :m] *= coef
+    left[:, m:] *= coef
+    right = np.empty((2 * m, eval_args.size))
+    phase = np.outer(v, eval_args)
+    np.cos(phase, out=right[:m])
+    np.sin(phase, out=right[m:])
+    del phase
+    return left @ right

@@ -616,6 +616,7 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     if workers == 1:
         results = {i: _replicate(context, i) for i in reps}
     else:
+        import numpy.random  # noqa: F401  the lazy submodule, loaded before the fork, not per worker
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(context,)) as pool:
             chunks = pool.map(_replicate_in_worker, reps, chunksize=-(-config.reps // workers))
@@ -664,10 +665,14 @@ def cross_section(
     value: float,
     bandwidths: Bandwidths,
     quad: QuadratureGrid,
+    weights=None,
 ) -> CrossSection:
     """Evaluate one estimator along a fixed-x or fixed-t line over [-2, 2].
 
     ``estimator`` is a registry name: "deconv", "naive" or "partial_linear".
+    ``weights`` maps b to deconvolution weights built beforehand for the
+    sample's ensemble, as ``KernelCache(weights=)`` takes it (a run's
+    ``RunContext.weights``); a b it lacks is built here.
     """
     if axis not in ("fix_x", "fix_t"):
         raise ValueError(f"axis must be 'fix_x' or 'fix_t', got {axis!r}")
@@ -678,7 +683,7 @@ def cross_section(
     fixed = np.asarray([value])
     xs, ts = (fixed, coords) if axis == "fix_x" else (coords, fixed)
 
-    cache = KernelCache(data.sample, xs, ts, quad)
+    cache = KernelCache(data.sample, xs, ts, quad, weights)
     if estimator == PARTIAL_LINEAR:
         values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
     elif estimator in (DECONV, NAIVE):

@@ -4,8 +4,10 @@
 (the deconvolution kernel of one error-free observation), and
 ``deconv_kernel`` sums the complex Fourier series of one observation's
 kernel over all M quadrature nodes, the form the program reduces to a real
-cosine sum over the nodes v >= 0.  ``ratio_grid`` evaluates one estimator
-at one (h, b) pair from its kernel matrices.
+cosine sum over the nodes v >= 0.  ``stacked_kernel_grid`` is that cosine
+sum as a product of operands stacked by ``np.hstack``/``np.vstack``.
+``ratio_grid`` evaluates one estimator at one (h, b) pair from its kernel
+matrices.
 """
 
 from math import factorial
@@ -73,6 +75,15 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
     phases = np.exp(-1j * float(arg) * weights.quad.nodes)
     total = (weights.quad.weights * phases) @ full_weights(weights)[j] / TWO_PI
     return float(total.real)
+
+
+def stacked_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
+    """``deconv_kernel_grid`` as [c cos(v o), c sin(v o)] @ [cos(v e); sin(v e)], stacked."""
+    coef, v = weights.values, weights.nodes
+    obs_phase = np.outer(np.atleast_1d(obs_args), v)
+    eval_phase = np.outer(v, np.atleast_1d(eval_args))
+    left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])
+    return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])
 
 
 def ratio_grid(kx, kt, y, scale, floor):

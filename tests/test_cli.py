@@ -89,6 +89,13 @@ class TestCsvWriter:
         assert path.read_bytes() == _reference_csv(ASE_REPORT_COLUMNS, rows)
         assert path.read_text().splitlines()[2].split(",")[4] == ""
 
+    def test_columns_of_different_length_are_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        with pytest.raises(ValueError, match=r"differ in length: \[3, 3, 2\]"):
+            _write_csv(path, ("a", "b", "c"),
+                       (np.zeros(3), ["x", "y", "z"], np.array([True, False])))
+        assert not path.exists()
+
 
 class TestSimulate:
     def test_writes_report_and_manifest(self, runner, tmp_path):
@@ -627,6 +634,25 @@ class TestCrossSection:
         assert manifest["selected_bandwidths"]["h"] is not None
         rows = _read_rows(out / "cross_section.csv")
         assert len(rows) == 200
+
+    @pytest.mark.parametrize("estimator", ["deconv", "partial-linear"])
+    def test_one_cf_tabulation_per_distinct_b(self, runner, tmp_path, monkeypatch, estimator):
+        # the section at the selected b reuses the run's weights
+        from hetdeconv import ErrorEnsemble
+
+        calls = []
+        cf_matrix = ErrorEnsemble.cf_matrix
+        monkeypatch.setattr(ErrorEnsemble, "cf_matrix",
+                            lambda self, v: calls.append(v) or cf_matrix(self, v))
+        grid = {"h": {"start": 0.1, "stop": 0.2, "count": 2},
+                "b": {"start": 0.1, "stop": 0.3, "count": 3}}
+        cfg = _write_config(tmp_path, model="model2", n=60, reps=1, bandwidth_grid=grid)
+        result = runner.invoke(main, [
+            "cross-section", "--config", str(cfg), "--axis", "x", "--value", "0.5",
+            "--estimator", estimator, "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 3
 
     def test_value_outside_support_exits_2(self, runner, tmp_path):
         cfg = _write_config(tmp_path)

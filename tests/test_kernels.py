@@ -3,7 +3,12 @@ import pytest
 from conftest import underflowing_ensemble
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bandlimited_kernel_closed_form, deconv_kernel, full_weights
+from oracles import (
+    bandlimited_kernel_closed_form,
+    deconv_kernel,
+    full_weights,
+    stacked_kernel_grid,
+)
 
 from hetdeconv import (
     EnsembleInvalid,
@@ -212,6 +217,21 @@ class TestDeconvWeights:
             assert w.report == ValidationReport.from_denominator(b, quad.nodes / b, denom)
             assert w.report.passed
 
+    def test_invalid_report_is_that_of_the_all_node_tabulation(self, quad64):
+        # S(v/b) tabulated on the nodes v >= 0 and mirrored reports as the all-node S
+        ens, b = underflowing_ensemble(3), 0.05
+        with pytest.raises(EnsembleInvalid) as info:
+            build_deconv_weights(ens, b, quad64)
+        freqs = quad64.nodes / b
+        denom = shared_denominator(ens.cf_matrix(freqs))
+        report = info.value.report
+        assert report == ValidationReport.from_denominator(b, freqs, denom)
+        half = quad64.size // 2
+        failing = np.array(report.failing_indices)
+        assert (failing < half).any() and (failing >= half).any()
+        mirror = quad64.size - 1 - report.min_index
+        assert {report.min_index, mirror} <= set(report.failing_indices)
+
 
 class TestDeconvKernelEvaluation:
     def test_degenerate_reduces_to_plain_kernel(self, quad128):
@@ -270,6 +290,15 @@ class TestDeconvKernelEvaluation:
             for i, t in enumerate(evals):
                 direct = deconv_kernel(w, j, (t - obs[j]) / b)
                 assert grid_vals[j, i] == pytest.approx(direct, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("quad", [QuadratureGrid.gauss_legendre(64),
+                                      QuadratureGrid.trapezoid(65)], ids=["gl64", "trap65"])
+    def test_grid_equals_the_stacked_operand_product(self, quad):
+        ens, b = build_ensemble(ErrorFamily.LAPLACE, 9), 0.1
+        w = build_deconv_weights(ens, b, quad)
+        rng = np.random.default_rng(5)
+        obs, evals = rng.uniform(-2.5, 2.5, 9) / b, np.linspace(-2.0, 2.0, 13) / b
+        assert np.array_equal(deconv_kernel_grid(w, obs, evals), stacked_kernel_grid(w, obs, evals))
 
     def test_index_out_of_range(self, quad64):
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad64)
