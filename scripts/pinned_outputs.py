@@ -1,4 +1,4 @@
-"""Hash the 18 pinned CLI outputs and the 2 pinned validate reports of one source tree.
+"""Hash the 18 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -6,7 +6,14 @@ Every run is a fresh ``python -m hetdeconv.cli`` process on the package in
 ``--src``, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set
 to 1: the estimate outputs depend on the BLAS thread count.  Prints one
 ``name sha256[:12]`` line per output file (per stdout for ``validate``); two
-trees give the same outputs when they print the same lines.
+trees give the same outputs when they print the same lines.  It then compares
+the lines with ``scripts/pinned_outputs.txt`` and exits 1, naming every output
+whose hash differs from the file's or is missing from either side.
+
+The committed hashes hold for the BLAS they were recorded on (NumPy 2.4's
+bundled scipy-openblas 0.3.31, x86-64); another BLAS build may round the
+estimates differently and print other hashes.  A change that alters an
+output on purpose updates ``pinned_outputs.txt`` in the same commit.
 
 The runs: desk ``simulate`` (reps 4, seed 20250808, 2 workers) for model1/2
 x gaussian/laplace x n 100/500; full-scale ``simulate`` of model2 laplace
@@ -31,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+PINNED = Path(__file__).resolve().with_name("pinned_outputs.txt")
 SEED = 20250808
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -88,6 +96,7 @@ def main() -> None:
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()),
                **dict.fromkeys(THREAD_VARS, "1"))
     env.pop("HETDECONV_SEED", None)
+    printed = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"), "--workload",
@@ -100,8 +109,12 @@ def main() -> None:
             if proc.returncode != code:
                 sys.exit(f"{name}: exit {proc.returncode}, expected {code}")
             data = proc.stdout if output is None else (work / name / output).read_bytes()
-            digest = hashlib.sha256(data).hexdigest()
-            print(f"{name} {digest[:12]}", flush=True)
+            printed[name] = hashlib.sha256(data).hexdigest()[:12]
+            print(f"{name} {printed[name]}", flush=True)
+    pinned = dict(line.split() for line in PINNED.read_text().splitlines() if line.strip())
+    wrong = [name for name in {**pinned, **printed} if printed.get(name) != pinned.get(name)]
+    if wrong:
+        sys.exit(f"outputs that differ from {PINNED.name} or are missing: {', '.join(wrong)}")
 
 
 if __name__ == "__main__":

@@ -174,6 +174,8 @@ def _load_config(config_path: str, overrides, full_scale: bool) -> SimulationCon
         raise ConfigError(f"config file not found: {config_path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({config_path} line {exc.lineno}): {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     raw = _apply_overrides(raw, overrides)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:

@@ -212,14 +212,13 @@ class KernelCache:
 
 @dataclass(frozen=True)
 class DeconvEstimator:
-    """Fitted state: sample, bandwidths, quadrature grid, tabulated weights.
+    """Fitted state: sample, bandwidths, tabulated weights (which hold the grid).
 
     Immutable after fit; every evaluation is pure.
     """
 
     sample: Sample
     bandwidths: Bandwidths
-    quad: QuadratureGrid
     weights: DeconvWeights
 
     def __post_init__(self):
@@ -230,7 +229,7 @@ class DeconvEstimator:
 
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
-        cache = KernelCache(self.sample, x_values, t_values, self.quad,
+        cache = KernelCache(self.sample, x_values, t_values, self.weights.quad,
                             {self.bandwidths.b: self.weights})
         return tuple(a[0] for a in cache.deconv([self.bandwidths.h], self.bandwidths.b))
 
@@ -242,13 +241,7 @@ def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvE
     scaled quadrature grid, DimensionMismatch on inconsistent inputs.
     """
     weights = build_deconv_weights(sample.ensemble, bandwidths.b, quad)
-    return DeconvEstimator(sample=sample, bandwidths=bandwidths, quad=quad, weights=weights)
-
-
-def naive_regression_grid(sample: Sample, bandwidths: Bandwidths, x_values, t_values):
-    """Naive Nadaraya-Watson baseline on the tensor grid: (values, flags, density)."""
-    cache = KernelCache(sample, x_values, t_values)
-    return tuple(a[0] for a in cache.naive([bandwidths.h], bandwidths.b))
+    return DeconvEstimator(sample=sample, bandwidths=bandwidths, weights=weights)
 
 
 def linear_slope(sample: Sample) -> float:
@@ -264,15 +257,6 @@ def linear_slope(sample: Sample) -> float:
         raise DegenerateDesign("x has zero variance; slope is not identifiable")
     dy = sample.y - sample.y.mean()
     return float(dx @ dy) / sxx
-
-
-def partial_linear_grid(sample: Sample, b: float, quad: QuadratureGrid, slope: float,
-                        x_values, t_values):
-    """Separable-model estimator on the tensor grid: (values, flags, density).
-
-    Raises EnsembleInvalid when the ensemble degenerates at b.
-    """
-    return KernelCache(sample, x_values, t_values, quad).partial_linear(b, slope)
 
 
 def variance_bound_diagnostic(weights: DeconvWeights, h: float, c_sup: float) -> float:

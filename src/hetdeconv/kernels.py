@@ -9,7 +9,6 @@ direction uses the standard normal kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,11 +22,6 @@ TWO_PI = 2.0 * np.pi
 SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-class QuadratureRule(str, Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    TRAPEZOID = "trapezoid"
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and weights for integrating over the kernel support [-1, 1].
@@ -39,14 +33,12 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    rule: QuadratureRule
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rule", QuadratureRule(self.rule))
         if nodes.size < 16:
             raise ValueError(f"need at least 16 nodes, got {nodes.size}")
         if nodes.shape != weights.shape:
@@ -74,17 +66,7 @@ class QuadratureGrid:
         # Symmetrize so paired +/-v nodes cancel odd integrands exactly.
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
-        return cls(nodes, weights, QuadratureRule.GAUSS_LEGENDRE)
-
-    @classmethod
-    def trapezoid(cls, m: int = 129) -> "QuadratureGrid":
-        nodes = np.linspace(-1.0, 1.0, m)
-        # Symmetrize as above; a no-op whenever 2 / (m - 1) is exact.
-        nodes = 0.5 * (nodes - nodes[::-1])
-        h = 2.0 / (m - 1)
-        weights = np.full(m, h)
-        weights[0] = weights[-1] = h / 2.0
-        return cls(nodes, weights, QuadratureRule.TRAPEZOID)
+        return cls(nodes, weights)
 
 
 def gaussian_kernel(u):

@@ -90,9 +90,6 @@ class GeneratedData:
     latent: np.ndarray
     model: Model
 
-    def truth(self, x, t):
-        return true_regression(self.model, x, t)
-
 
 def generate(model: Model, n: int, ensemble: ErrorEnsemble, rng: np.random.Generator) -> GeneratedData:
     """Draw one dataset: x, t uniform on [-2, 2], normal response noise, w = t + u.

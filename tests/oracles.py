@@ -7,14 +7,14 @@ kernel over all M quadrature nodes, the form the program reduces to a real
 cosine sum over the nodes v >= 0.  ``stacked_kernel_grid`` is that cosine
 sum as a product of operands stacked by ``np.hstack``/``np.vstack``.
 ``ratio_grid`` evaluates one estimator at one (h, b) pair from its kernel
-matrices.
+matrices.  ``trapezoid_grid`` is the only grid with nodes at v = +-1.
 """
 
 from math import factorial
 
 import numpy as np
 
-from hetdeconv import DeconvWeights, bandlimited_kernel_ft
+from hetdeconv import DeconvWeights, QuadratureGrid, bandlimited_kernel_ft
 from hetdeconv.estimators import floored_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -58,6 +58,18 @@ def bandlimited_kernel_closed_form(u):
         )
         out[~small] = integral / TWO_PI
     return float(out[0]) if scalar else out
+
+
+def trapezoid_grid(m: int = 129) -> QuadratureGrid:
+    """The trapezoid rule on m equally spaced nodes of [-1, 1], endpoints included."""
+    nodes = np.linspace(-1.0, 1.0, m)
+    # Symmetrize as the program's Gauss-Legendre grid does; a no-op whenever
+    # 2 / (m - 1) is exact.
+    nodes = 0.5 * (nodes - nodes[::-1])
+    h = 2.0 / (m - 1)
+    weights = np.full(m, h)
+    weights[0] = weights[-1] = h / 2.0
+    return QuadratureGrid(nodes, weights)
 
 
 def full_weights(weights: DeconvWeights) -> np.ndarray:

@@ -704,6 +704,24 @@ class TestMalformedConfig:
         assert result.output.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("override", [(["--set", "n=5"], {}), ([], {"HETDECONV_SEED": "3"})],
+                             ids=["set", "seed-env"])
+    @pytest.mark.parametrize("raw", [[1, 2], "model1"], ids=["array", "string"])
+    def test_non_object_config_exits_2_before_overrides(self, runner, tmp_path, command,
+                                                        override, raw):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        extra, env = override
+        args = [command, "--config", str(cfg), *extra, *self.COMMANDS[command]]
+        if command != "validate":
+            args += ["--out", str(tmp_path / "out")]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)       # no traceback
+        assert result.output == f"error: config must be a JSON object, got {type(raw).__name__}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestValidate:
     def test_gaussian_grid_passes(self, runner, tmp_path):

@@ -11,6 +11,7 @@ from hetdeconv import (
     ErrorEnsemble,
     ErrorFamily,
     ErrorModel,
+    KernelCache,
     Model,
     Sample,
     build_deconv_weights,
@@ -19,8 +20,7 @@ from hetdeconv import (
     gaussian_kernel,
     generate,
     linear_slope,
-    naive_regression_grid,
-    partial_linear_grid,
+    true_regression,
     variance_bound_diagnostic,
 )
 from hetdeconv.estimators import floored_ratio
@@ -100,8 +100,7 @@ class TestSampleAndFit:
                         ensemble=_degenerate_ensemble(2))
         weights = build_deconv_weights(sample.ensemble, 0.3, quad64)
         with pytest.raises(DimensionMismatch):
-            DeconvEstimator(sample=sample, bandwidths=Bandwidths(0.3, 0.2),
-                            quad=quad64, weights=weights)
+            DeconvEstimator(sample=sample, bandwidths=Bandwidths(0.3, 0.2), weights=weights)
 
     def test_vanishing_cf_ensemble_raises_ensemble_invalid(self, quad64):
         sample = Sample(x=[0.0, 1.0], w=[0.2, -0.5], y=[1.0, 2.0],
@@ -277,7 +276,7 @@ class TestNaiveEstimator:
         data = generate(Model.MODEL1, n, ens, rng)
         c = 1.25
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
-        values, _, _ = naive_regression_grid(sample, Bandwidths(0.1, 0.1), [0.2], [-0.2])
+        values, _, _ = (a[0] for a in KernelCache(sample, [0.2], [-0.2]).naive([0.1], 0.1))
         assert values[0, 0] == pytest.approx(c, abs=1e-12)
 
     def test_error_free_large_n_comparable_to_deconv(self, quad128):
@@ -287,10 +286,10 @@ class TestNaiveEstimator:
         n = 500
         data = generate(Model.MODEL1, n, _degenerate_ensemble(n), rng)
         xg = tg = np.linspace(-2, 2, 15)
-        truth = data.truth(xg[:, None], tg[None, :])
+        truth = true_regression(data.model, xg[:, None], tg[None, :])
         bw = Bandwidths(0.15, 0.15)
         vals_d, flags_d, _ = fit(data.sample, bw, quad128).predict_grid(xg, tg)
-        vals_n, flags_n, _ = naive_regression_grid(data.sample, bw, xg, tg)
+        vals_n, flags_n, _ = (a[0] for a in KernelCache(data.sample, xg, tg).naive([bw.h], bw.b))
         ase_d = np.mean((vals_d[~flags_d] - truth[~flags_d]) ** 2)
         ase_n = np.mean((vals_n[~flags_n] - truth[~flags_n]) ** 2)
         assert ase_n < 2.0 * ase_d
@@ -335,8 +334,8 @@ class TestPartialLinearEstimator:
         theta = 3.0
         sample = Sample(x=data.sample.x, w=data.sample.w,
                         y=theta * data.sample.x, ensemble=ens)
-        vals, flags, _ = partial_linear_grid(sample, 0.15, quad64, theta,
-                                          np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
+        vals, flags, _ = KernelCache(sample, np.linspace(-2, 2, 9), np.linspace(-2, 2, 9),
+                                     quad64).partial_linear(0.15, theta)
         expected = np.linspace(-2, 2, 9)[:, None] * theta
         assert np.abs((vals - expected)[~flags]).max() < 1e-12
 
@@ -348,7 +347,7 @@ class TestPartialLinearEstimator:
         b = 0.3
         tg = np.linspace(-1.5, 1.5, 7)
         xg = np.array([0.0, 1.0])
-        vals, flags, _ = partial_linear_grid(data.sample, b, quad128, slope, xg, tg)
+        vals, flags, _ = KernelCache(data.sample, xg, tg, quad128).partial_linear(b, slope)
         resid = data.sample.y - data.sample.x * slope
         lt = bandlimited_kernel_closed_form((tg[None, :] - data.sample.w[:, None]) / b)
         oracle = resid @ lt / lt.sum(axis=0)
@@ -360,8 +359,8 @@ class TestPartialLinearEstimator:
         n = 30
         ens = build_ensemble(ErrorFamily.GAUSSIAN, n)
         data = generate(Model.MODEL2, n, ens, rng)
-        vals, flags, _ = partial_linear_grid(data.sample, 0.1, quad64, 3.0,
-                                          np.linspace(-2, 2, 5), np.linspace(-2, 2, 11))
+        vals, flags, _ = KernelCache(data.sample, np.linspace(-2, 2, 5), np.linspace(-2, 2, 11),
+                                     quad64).partial_linear(0.1, 3.0)
         assert np.all(flags == flags[0:1, :])
 
 

@@ -19,8 +19,6 @@ from hetdeconv import (
     fit,
     generate,
     linear_slope,
-    naive_regression_grid,
-    partial_linear_grid,
     replication_rng,
     run_replications,
     true_regression,
@@ -109,7 +107,7 @@ class TestGenerate:
         rng = np.random.default_rng(3)
         n = 50_000
         data = generate(Model.MODEL1, n, build_ensemble(ErrorFamily.LAPLACE, n), rng)
-        resid = data.sample.y - data.truth(data.sample.x, data.latent)
+        resid = data.sample.y - true_regression(data.model, data.sample.x, data.latent)
         assert resid.std() == pytest.approx(0.25, rel=0.03)
         assert abs(resid.mean()) < 0.005
 
@@ -243,8 +241,9 @@ class TestSharedKernelCache:
         slope = linear_slope(sample)
         direct = {
             "deconv": lambda h, b: fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg),
-            "naive": lambda h, b: naive_regression_grid(sample, Bandwidths(h, b), xg, tg),
-            "partial_linear": lambda h, b: partial_linear_grid(sample, b, quad64, slope, xg, tg),
+            "naive": lambda h, b: tuple(a[0] for a in KernelCache(sample, xg, tg).naive([h], b)),
+            "partial_linear": lambda h, b: KernelCache(sample, xg, tg,
+                                                       quad64).partial_linear(b, slope),
         }
         for name, evaluate in direct.items():
             res = bandwidth_search(data, self.PAIRS, cache, estimator=name)
