@@ -1,4 +1,4 @@
-"""Hash the 18 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
+"""Hash the 19 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -16,7 +16,9 @@ estimates differently and print other hashes.  A change that alters an
 output on purpose updates ``pinned_outputs.txt`` in the same commit.
 
 The runs: desk ``simulate`` (reps 4, seed 20250808, 2 workers) for model1/2
-x gaussian/laplace x n 100/500; full-scale ``simulate`` of model2 laplace
+x gaussian/laplace x n 100/500, and model1 gaussian n=100 on the b grid
+{0.018, 0.02, 0.065, 0.11} x h {0.02, 0.11, 0.2}, whose b = 0.018 is invalid
+and is scored beside the valid b of its group; full-scale ``simulate`` of model2 laplace
 n=500 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
 at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 ``bench/inputs.py`` estimate-mixed-n5000 inputs of seed 7 at h = b = 0.3 on
@@ -61,6 +63,11 @@ def runs(work: Path):
                               seed=SEED)
                 out.append((name, ["simulate", "--config", str(cfg), "--workers", "2"],
                             "ase_report.csv", 0))
+    cfg = _config(work, "desk_invalid_b", model="model1", error_family="gaussian", n=100,
+                  reps=4, seed=SEED, bandwidth_grid={"pairs": [
+                      [h, b] for h in (0.02, 0.11, 0.2) for b in (0.11, 0.018, 0.065, 0.02)]})
+    out.append(("desk_invalid_b", ["simulate", "--config", str(cfg), "--workers", "2"],
+                "ase_report.csv", 0))
     cfg = _config(work, "full", model="model2", error_family="laplace", n=500, reps=2,
                   seed=SEED)
     out.append(("full_m2_laplace_500",

@@ -104,7 +104,7 @@ class ErrorEnsemble:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"invalid error law at position {i}: "
-                             f"family {families[i]!r}, variance {variances[i]!r}")
+                             f"family {families[i]!r}, variance {float(variances[i])!r}")
         if codes.size < 1:
             raise ValueError("ensemble needs at least one error model")
         codes.setflags(write=False)

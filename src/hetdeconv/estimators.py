@@ -18,6 +18,7 @@ from .kernels import (
     TWO_PI,
     DeconvWeights,
     QuadratureGrid,
+    WeightGroup,
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
@@ -83,33 +84,41 @@ class Bandwidths:
 
 
 def floored_ratio(num, den, floor):
-    """num/den with |den| <= floor replaced by the signed floor; returns (ratio, flagged)."""
+    """num/den with |den| <= floor replaced by the signed floor; returns (ratio, flagged).
+
+    ``num`` has the shape of ``den`` (or broadcasts to it).  The guarded
+    denominator is one array of that shape, and the ratio is divided into it
+    in place, so the guard holds one temporary beside its inputs.
+    """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     flagged = np.abs(den) <= floor
-    signed_floor = np.where(den >= 0.0, floor, -floor)
-    safe = np.where(flagged, signed_floor, den)
+    safe = np.where(den >= 0.0, floor, -floor)
+    np.copyto(safe, den, where=~flagged)
     with np.errstate(over="ignore"):
-        ratio = num / safe
-    return ratio, flagged
+        return np.divide(num, safe, out=safe), flagged
 
 
 def stacked_ratio_grid(stack, y, kt, scale, floor):
-    """The ratio estimator on a tensor grid for every h of a kx stack: (values, flags, density).
+    """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
-    density = kx_h.T @ kt / scale and values = (kx_h * y).T @ kt / scale / density
-    per h, with |density| <= floor ridge-floored; ``stack`` (n, H, X) holds the
-    kx_h, ``scale`` and ``floor`` one value per h, and each result is (H, X, T).
-    Each batched product runs one (X, n) @ (n, T) product per h, as for H = 1;
-    one flat (H X, n) @ (n, T) product would not (BLAS may pick another kernel
-    for the larger shape, with another summation order).  kx * y is formed
-    here, after kt, and lives only for its product: a stack that kept it
-    would hold it beside kt's temporaries and raise a single fit's peak memory.
+    density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
+    per (b, h), with |density| <= floor ridge-floored; ``stack`` (n, H, X)
+    holds the kx_h, ``kt`` (B, n, T) the kt_b, ``scale`` and ``floor`` (B, H)
+    one value per pair, and each result is (B, H, X, T).  Each batched product
+    runs one (X, n) @ (n, T) product per pair, as for B = H = 1; one flat
+    (H X, n) @ (n, T) product would not (BLAS may pick another kernel for the
+    larger shape, with another summation order).  kx * y is formed here, after
+    kt, and lives only for its product: a stack that kept it would hold it
+    beside kt's temporaries and raise a single fit's peak memory.
     """
-    scale = np.asarray(scale, dtype=float)[:, None, None]
-    num = np.matmul((stack * y[:, None, None]).transpose(1, 2, 0), kt) / scale
-    den = np.matmul(stack.transpose(1, 2, 0), kt) / scale
-    values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, None, None])
+    scale = np.asarray(scale, dtype=float)[:, :, None, None]
+    kt = kt[:, None]
+    num = np.matmul((stack * y[:, None, None]).transpose(1, 2, 0), kt)
+    num /= scale
+    den = np.matmul(stack.transpose(1, 2, 0), kt)
+    den /= scale
+    values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den
 
 
@@ -130,12 +139,13 @@ class KernelCache:
     Lives for one sample (one replication).  It keeps the last ``kx_stack``
     with the row of each of its h, and the deconvolution weights of each b
     (an EnsembleInvalid raised at b is kept too and raised again on every
-    later request).  The kernels at b, the deconvolution lt (n, T) and the
-    naive normal kt (n, T), are rebuilt on every request and kept by nobody.
-    ``weights`` maps b to weights built beforehand for the sample's ensemble
-    (as by ``fit``, or entries of ``kernel_weights``).  ``deconv`` and
-    ``naive`` take a sequence of h and return (values, flags, density), each
-    (H, X, T); ``partial_linear`` returns them on the (X, T) grid.
+    later request).  The kernels of a group of b, the deconvolution lt and
+    the naive normal kt, each (B, n, T), are rebuilt on every request and
+    kept by nobody; a single b is the group of one.  ``weights`` maps b to
+    weights built beforehand for the sample's ensemble (as by ``fit``, or
+    entries of ``kernel_weights``).  ``deconv`` and ``naive`` take a sequence
+    of h and a group of b and return (values, flags, density), each
+    (B, H, X, T); ``partial_linear`` returns them on the (X, T) grid of one b.
     """
 
     def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,
@@ -168,40 +178,52 @@ class KernelCache:
         rows = [self._row[h] for h in hs]
         return self._stack if rows == list(range(self._stack.shape[1])) else self._stack[:, rows]
 
-    def kt(self, b):
-        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / b)
-
-    def lt(self, b):
+    def deconv_weights(self, b) -> DeconvWeights:
+        """The weights at b, built on first request; raises the EnsembleInvalid of b."""
         if b not in self._weights:
             self._weights.update(kernel_weights(self.sample.ensemble, [b], self.quad))
         weights = self._weights[b]
         if isinstance(weights, EnsembleInvalid):
             raise weights.with_traceback(None)
-        return deconv_kernel_grid(weights, self.sample.w / b, self.t_values / b)
+        return weights
 
-    def deconv(self, hs, b, lt=None):
-        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(b) if at hand."""
-        hs = np.asarray(hs, dtype=float)
+    def kt(self, bs):
+        """The normal kernels of the w's at each b of ``bs``, (B, n, T)."""
+        bs = np.asarray(bs, dtype=float)[:, None, None]
+        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
+
+    def lt(self, bs):
+        """The deconvolution kernels at each b of ``bs``, (B, n, T), in one group build."""
+        group = WeightGroup(tuple(self.deconv_weights(b) for b in bs))
+        bs = np.asarray(bs, dtype=float)[:, None]
+        return deconv_kernel_grid(group, self.sample.w / bs, self.t_values / bs)
+
+    def deconv(self, hs, bs, lt=None):
+        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand."""
+        hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
+        hb = hs * bs[:, None]
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
-                                  self.lt(b) if lt is None else lt, hs * b, RIDGE_SCALE / (hs * b))
+                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb)
 
-    def naive(self, hs, b):
+    def naive(self, hs, bs):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
 
         Ignores the measurement error entirely; the ridge policy matches the
         deconvolution estimator with the denominator on the same density scale.
         """
-        hs = np.asarray(hs, dtype=float)
-        return stacked_ratio_grid(self._stack_of(hs), self.sample.y, self.kt(b),
-                                  self.sample.n * hs * b, RIDGE_SCALE / (hs * b))
+        hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
+        return stacked_ratio_grid(self._stack_of(hs), self.sample.y, self.kt(bs),
+                                  self.sample.n * hs * bs[:, None],
+                                  RIDGE_SCALE / (hs * bs[:, None]))
 
     def partial_linear(self, b, slope, lt=None):
         """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope.
 
         Only the contaminated direction is smoothed, so flags and density
-        are constant across x.  ``lt`` is lt(b) if the caller has it.
+        are constant across x.  ``lt`` (n, T) is the lt of b if the caller
+        has it.
         """
-        lt = self.lt(b) if lt is None else lt
+        lt = self.lt([b])[0] if lt is None else lt
         resid = self.sample.y - self.sample.x * slope
         density = lt.sum(axis=0) / b
         ratio, flags = floored_ratio(resid @ lt / b, density, RIDGE_SCALE / b)
@@ -231,7 +253,7 @@ class DeconvEstimator:
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
         cache = KernelCache(self.sample, x_values, t_values, self.weights.quad,
                             {self.bandwidths.b: self.weights})
-        return tuple(a[0] for a in cache.deconv([self.bandwidths.h], self.bandwidths.b))
+        return tuple(a[0, 0] for a in cache.deconv([self.bandwidths.h], [self.bandwidths.b]))
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:

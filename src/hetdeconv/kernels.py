@@ -167,30 +167,61 @@ def build_deconv_weights(
                          values=values, denominator=denom, report=report)
 
 
-def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
-    """Kernel values L_j(eval_args[i] - obs_args[j]) for all j, i at once.
+@dataclass(frozen=True)
+class WeightGroup:
+    """The DeconvWeights of B bandwidths whose kernels are built together.
 
-    Each node v > 0 pairs with -v, so
-    L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
-    with c_jv the ``DeconvWeights`` coefficients.  That is one real product
-    of [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner size M
-    (M + 1 for odd M); cos and sin are written straight into the two
-    operands.
+    The members share one sample size and one quadrature grid ``quad``, so
+    their cosine coefficients stack over one set of nodes; a single b is the
+    group of one.
     """
-    obs_args = np.atleast_1d(np.asarray(obs_args, dtype=float))
-    eval_args = np.atleast_1d(np.asarray(eval_args, dtype=float))
-    coef, v = weights.values, weights.nodes
-    m = v.size
-    left = np.empty((obs_args.size, 2 * m))
-    phase = np.outer(obs_args, v)
-    np.cos(phase, out=left[:, :m])
-    np.sin(phase, out=left[:, m:])
-    del phase                    # not alive beside the (n, T) product
-    left[:, :m] *= coef
-    left[:, m:] *= coef
-    right = np.empty((2 * m, eval_args.size))
-    phase = np.outer(v, eval_args)
-    np.cos(phase, out=right[:m])
-    np.sin(phase, out=right[m:])
+
+    members: tuple
+
+    def __post_init__(self):
+        members = tuple(self.members)
+        if not members:
+            raise ValueError("a weight group needs at least one member")
+        first = members[0]
+        if any(w.n != first.n or not np.array_equal(w.quad.nodes, first.quad.nodes)
+               for w in members[1:]):
+            raise ValueError("group members must share one sample size and quadrature grid")
+        object.__setattr__(self, "members", members)
+
+    @property
+    def quad(self) -> QuadratureGrid:
+        return self.members[0].quad
+
+
+def deconv_kernel_grid(weights: WeightGroup, obs_args, eval_args) -> np.ndarray:
+    """Kernel values L_j(eval_args[k, i] - obs_args[k, j]) of every member k, shape (B, n, T).
+
+    ``obs_args`` (B, n) and ``eval_args`` (B, T) hold the arguments of each
+    member's bandwidth (1-D for a group of one).  Each node v > 0 pairs with
+    -v, so L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
+    with c_jv the member's ``DeconvWeights`` coefficients.  Per member that is
+    one real product of [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner
+    size M (M + 1 for odd M); cos and sin are written straight into the two
+    (B, ...) operands, and one batched product runs the B products.
+    """
+    obs_args = np.atleast_2d(np.asarray(obs_args, dtype=float))
+    eval_args = np.atleast_2d(np.asarray(eval_args, dtype=float))
+    members = weights.members
+    if not len(members) == len(obs_args) == len(eval_args):
+        raise ValueError(f"{len(members)} members for {len(obs_args)} observation and "
+                         f"{len(eval_args)} evaluation argument rows")
+    v = members[0].nodes
+    size, n, t, m = len(members), obs_args.shape[1], eval_args.shape[1], v.size
+    left = np.empty((size, n, 2, m))
+    phase = obs_args[:, :, None] * v
+    np.cos(phase, out=left[:, :, 0])
+    np.sin(phase, out=left[:, :, 1])
+    del phase                    # not alive beside the (B, n, T) product
+    for k, member in enumerate(members):
+        left[k] *= member.values[:, None, :]
+    right = np.empty((size, 2, m, t))
+    phase = v[:, None] * eval_args[:, None, :]
+    np.cos(phase, out=right[:, 0])
+    np.sin(phase, out=right[:, 1])
     del phase
-    return left @ right
+    return np.matmul(left.reshape(size, n, 2 * m), right.reshape(size, 2 * m, t))

@@ -8,6 +8,7 @@ error against the known truth, and replication-level aggregation.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,6 @@ import numpy as np
 from .error_models import ErrorEnsemble, ErrorFamily
 from .estimators import Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
 from .exceptions import (
-    AllPointsExcluded,
     ConfigError,
     DegenerateDesign,
     DimensionMismatch,
@@ -34,6 +34,15 @@ ERROR_VARIANCE_SCALE = 0.2 * (16.0 / 12.0)
 RESPONSE_NOISE_SD = 0.25
 COVARIATE_RANGE = (-2.0, 2.0)
 MODEL2_SLOPE = 3.0
+
+# A group of b in the sweep is scored with one kernel build and one
+# contraction per estimator.  Its largest batched array, the (B, H, X, T)
+# contraction, the (B, n, 2 ceil(M/2)) cos/sin operand of the kernel build or
+# the (B, n, T) kernels, holds at most this many float64 elements (512 KiB),
+# unless one b alone holds more.  The bound keeps large runs at the memory of
+# one b at a time: at full scale with n = 500 one b already fills it, and
+# batching all ten b there raised a run's peak RSS from 49.7 to 60.5 MB.
+GROUP_BUDGET = 1 << 16
 
 DECONV = "deconv"
 NAIVE = "naive"
@@ -109,22 +118,6 @@ def generate(model: Model, n: int, ensemble: ErrorEnsemble, rng: np.random.Gener
     return GeneratedData(sample=sample, latent=t, model=Model(model))
 
 
-def ase(values, flags, truth) -> tuple[float, int]:
-    """Average squared error of ``values`` against ``truth`` over unflagged points.
-
-    Returns (ase, excluded_count); raises AllPointsExcluded if every point
-    was ridge-floored.
-    """
-    ok = ~np.asarray(flags, dtype=bool)
-    excluded = int(ok.size - ok.sum())
-    if not ok.any():
-        raise AllPointsExcluded(f"all {ok.size} grid points were ridge-floored")
-    diff = values[ok] - truth[ok]
-    with np.errstate(over="ignore"):
-        value = float(np.mean(diff * diff))
-    return value, excluded
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Scores for every bandwidth candidate plus the oracle optimum."""
@@ -153,9 +146,8 @@ def _select_best(pairs, ase_values) -> int:
     """Argmin with deterministic tie-break: smallest h, then b, then input order."""
     best = None
     key_best = None
-    for i, (h, b) in enumerate(pairs):
-        a = ase_values[i]
-        if not np.isfinite(a):
+    for i, ((h, b), a) in enumerate(zip(pairs, np.asarray(ase_values, dtype=float).tolist())):
+        if not math.isfinite(a):
             continue
         key = (a, b, i) if h is None else (a, h, b, i)
         if key_best is None or key < key_best:
@@ -166,7 +158,7 @@ def _select_best(pairs, ase_values) -> int:
 
 
 class _Scores:
-    """One estimator's ASE per candidate, exclusion counts and statuses, filled b by b."""
+    """One estimator's ASE per candidate, exclusion counts and statuses, filled group by group."""
 
     def __init__(self, name: str, pairs: tuple):
         self.name, self.pairs = name, pairs
@@ -179,27 +171,35 @@ class _Scores:
             self.statuses[i] = str(exc)
 
     def score(self, targets, grid, truth):
-        """Score candidate i by the slice r (X, T) of ``grid`` for each (i, r) in ``targets``.
+        """Score candidate i by the slice (k, r) of ``grid`` for each (i, k, r) in ``targets``.
 
-        ``grid`` is (values, flags, density), each (H, X, T).
-
-        Bit for bit ``ase`` of each slice: a slice without flagged points is
-        one contiguous row of the (H, X * T) squared errors, whose mean is
-        the same pairwise sum; the others go through ``ase`` itself.
+        ``grid`` is (values, flags, density), each (B, H, X, T); a slice's
+        ASE is the mean squared error against ``truth`` (X, T) over its
+        unflagged points.  The squared errors are formed once.  A slice
+        without flagged points is one contiguous row of them, whose mean is
+        one pairwise sum; a flagged slice is the mean of its unflagged
+        squared errors in row-major order, taken as ``np.mean`` takes it
+        for float64 (one ``np.add.reduce``, divided by the count) without
+        its per-call overhead.  A slice with every point flagged gets a
+        status instead.
         """
         values, flags, _ = grid
-        diff = values - truth
+        sq = values - truth
+        ok = ~flags
+        clean = ok.all(axis=(2, 3))
         with np.errstate(over="ignore"):
-            means = np.mean((diff * diff).reshape(len(diff), -1), axis=1)
-        clean = ~flags.any(axis=(1, 2))
-        for i, r in targets:
-            if clean[r]:
-                self.ase_values[i], self.excluded[i] = means[r], 0
-                continue
-            try:
-                self.ase_values[i], self.excluded[i] = ase(values[r], flags[r], truth)
-            except AllPointsExcluded as exc:
-                self.statuses[i] = str(exc)
+            sq *= sq
+            means = np.mean(sq.reshape(*clean.shape, -1), axis=2)
+            for i, k, r in targets:
+                if clean[k, r]:
+                    self.ase_values[i], self.excluded[i] = means[k, r], 0
+                    continue
+                kept = sq[k, r][ok[k, r]]
+                if kept.size:
+                    self.ase_values[i] = np.add.reduce(kept) / kept.size
+                    self.excluded[i] = truth.size - kept.size
+                else:
+                    self.statuses[i] = f"all {truth.size} grid points were ridge-floored"
 
     def result(self) -> SearchResult:
         return SearchResult(self.name, self.pairs, self.ase_values, self.excluded,
@@ -213,15 +213,41 @@ def _candidates(name: str, pairs: tuple) -> tuple:
     return pairs
 
 
-def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
-    """Score every estimator on every (h, b) candidate in one b-major pass.
+def _b_groups(h_of: dict, cache: KernelCache) -> list:
+    """The b of ``h_of`` (b -> the h paired with b, in increasing b) cut into groups.
 
-    The normal kernels kx_h of all h are stacked once in the cache.  Per
-    distinct b, lt is built once and serves the deconvolution estimator over
-    the h paired with b (one stacked product) and the partial-linear one;
-    then kt is built once and serves the naive estimator over the same h.
-    Neither outlives its b.  Returns name -> SearchResult, or the exception
-    that left the estimator without one.
+    Each group is the longest run of consecutive b, from the first b not yet
+    grouped, whose largest batched array fits ``GROUP_BUDGET``, where H is
+    the number of distinct h paired with the group's b.  A b whose arrays
+    alone exceed the budget is a group of one.  Returns (bs, hs) per group,
+    with hs those h in increasing order.
+    """
+    m = cache.quad.size - cache.quad.size // 2 if cache.quad is not None else 0
+    x, t = cache.x_values.size, cache.t_values.size
+    per_b = cache.sample.n * max(2 * m, t)
+    groups, bs, hs = [], [], set()
+    for b, h_b in h_of.items():
+        merged = hs | set(h_b)
+        if bs and (len(bs) + 1) * max(len(merged) * x * t, per_b) > GROUP_BUDGET:
+            groups.append((bs, sorted(hs)))
+            bs, merged = [], set(h_b)
+        bs.append(b)
+        hs = merged
+    groups.append((bs, sorted(hs)))
+    return groups
+
+
+def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
+    """Score every estimator on every (h, b) candidate in one pass over groups of b.
+
+    The normal kernels kx_h of all h are stacked once in the cache.  The
+    sorted b are cut into groups (``_b_groups``).  Per group, lt is built
+    once for the b at which the ensemble is valid and serves the
+    deconvolution estimator over every (b, h) of the group (one batched
+    contraction) and the partial-linear one b by b; then kt is built once
+    for all the group's b and serves the naive estimator in the same way.
+    Neither outlives its group.  Returns name -> SearchResult, or the
+    exception that left the estimator without one.
     """
     pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
     if not pairs:
@@ -243,27 +269,39 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
     members = {b: [] for b in b_values}
     for i, (h, b) in enumerate(pairs):
         members[b].append((i, h))
+    plin_index = {b: j for j, b in enumerate(b_values)}
 
-    for j, b in enumerate(b_values):
-        h_b = sorted({h for _, h in members[b]})          # the h paired with this b
-        targets = [(i, h_b.index(h)) for i, h in members[b]]
+    h_of = {b: [h for _, h in found] for b, found in members.items()}
+    for group, h_g in _b_groups(h_of, cache):
+        row = {h: r for r, h in enumerate(h_g)}
+
+        def targets(bs):
+            return [(i, k, row[h]) for k, b in enumerate(bs) for i, h in members[b]]
+
         if deconv or plin:
-            try:
-                lt = cache.lt(b)
-            except EnsembleInvalid as exc:
+            valid = []
+            for b in group:
+                try:
+                    cache.deconv_weights(b)
+                except EnsembleInvalid as exc:
+                    if deconv:
+                        deconv.fail([i for i, _ in members[b]], exc)
+                    if plin:
+                        plin.fail([plin_index[b]], exc)
+                else:
+                    valid.append(b)
+            if valid:
+                lt = cache.lt(valid)
                 if deconv:
-                    deconv.fail([i for i, _ in targets], exc)
+                    deconv.score(targets(valid), cache.deconv(h_g, valid, lt), truth)
                 if plin:
-                    plin.fail([j], exc)
-            else:
-                if deconv:
-                    deconv.score(targets, cache.deconv(h_b, b, lt), truth)
-                if plin:
-                    plin.score([(j, 0)], [a[None] for a in cache.partial_linear(b, slope, lt)],
-                               truth)
+                    for k, b in enumerate(valid):
+                        plin.score([(plin_index[b], 0, 0)],
+                                   [a[None, None] for a in cache.partial_linear(b, slope, lt[k])],
+                                   truth)
                 del lt
         if naive:
-            naive.score(targets, cache.naive(h_b, b), truth)
+            naive.score(targets(group), cache.naive(h_g, group), truth)
 
     for name, found in scores.items():
         try:
@@ -685,7 +723,7 @@ def cross_section(
         values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
     elif estimator in (DECONV, NAIVE):
         evaluate = cache.deconv if estimator == DECONV else cache.naive
-        values, flags, _ = (a[0] for a in evaluate([bandwidths.h], bandwidths.b))
+        values, flags, _ = (a[0, 0] for a in evaluate([bandwidths.h], [bandwidths.b]))
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     if axis == "fix_x":

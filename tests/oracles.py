@@ -7,14 +7,16 @@ kernel over all M quadrature nodes, the form the program reduces to a real
 cosine sum over the nodes v >= 0.  ``stacked_kernel_grid`` is that cosine
 sum as a product of operands stacked by ``np.hstack``/``np.vstack``.
 ``ratio_grid`` evaluates one estimator at one (h, b) pair from its kernel
-matrices.  ``trapezoid_grid`` is the only grid with nodes at v = +-1.
+matrices, and ``ase`` scores one such (X, T) slice against the truth: the
+per-slice reference for the sweep's group scoring.  ``trapezoid_grid`` is the
+only grid with nodes at v = +-1.
 """
 
 from math import factorial
 
 import numpy as np
 
-from hetdeconv import DeconvWeights, QuadratureGrid, bandlimited_kernel_ft
+from hetdeconv import AllPointsExcluded, DeconvWeights, QuadratureGrid, bandlimited_kernel_ft
 from hetdeconv.estimators import floored_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -115,3 +117,19 @@ def ratio_grid(kx, kt, y, scale, floor):
         den = kx.T @ kt / scale
     values, flags = floored_ratio(num, den, floor)
     return values, flags, den
+
+
+def ase(values, flags, truth) -> tuple[float, int]:
+    """Average squared error of ``values`` against ``truth`` over unflagged points.
+
+    Returns (ase, excluded_count); raises AllPointsExcluded if every point
+    was ridge-floored.
+    """
+    ok = ~np.asarray(flags, dtype=bool)
+    excluded = int(ok.size - ok.sum())
+    if not ok.any():
+        raise AllPointsExcluded(f"all {ok.size} grid points were ridge-floored")
+    diff = values[ok] - truth[ok]
+    with np.errstate(over="ignore"):
+        value = float(np.mean(diff * diff))
+    return value, excluded

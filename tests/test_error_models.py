@@ -251,6 +251,16 @@ class TestArrayNativeEnsemble:
         with pytest.raises(ValueError, match="position 1"):
             ErrorEnsemble.from_arrays(["laplace", family], [0.5, variance])
 
+    @pytest.mark.parametrize("family,variance,text", [
+        ("laplace", -0.5, "family 'laplace', variance -0.5"),
+        ("cauchy", 1.0, "family 'cauchy', variance 1.0"),
+        ("degenerate", 0.25, "family 'degenerate', variance 0.25"),
+    ])
+    def test_from_arrays_error_names_the_law_in_plain_numbers(self, family, variance, text):
+        with pytest.raises(ValueError) as info:
+            ErrorEnsemble.from_arrays(["gaussian", family], [0.5, variance])
+        assert str(info.value) == f"invalid error law at position 1: {text}"
+
     def test_from_arrays_rejects_empty_and_ragged_input(self):
         with pytest.raises(ValueError):
             ErrorEnsemble.from_arrays([], [])

@@ -276,7 +276,7 @@ class TestNaiveEstimator:
         data = generate(Model.MODEL1, n, ens, rng)
         c = 1.25
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
-        values, _, _ = (a[0] for a in KernelCache(sample, [0.2], [-0.2]).naive([0.1], 0.1))
+        values, _, _ = (a[0, 0] for a in KernelCache(sample, [0.2], [-0.2]).naive([0.1], [0.1]))
         assert values[0, 0] == pytest.approx(c, abs=1e-12)
 
     def test_error_free_large_n_comparable_to_deconv(self, quad128):
@@ -289,7 +289,8 @@ class TestNaiveEstimator:
         truth = true_regression(data.model, xg[:, None], tg[None, :])
         bw = Bandwidths(0.15, 0.15)
         vals_d, flags_d, _ = fit(data.sample, bw, quad128).predict_grid(xg, tg)
-        vals_n, flags_n, _ = (a[0] for a in KernelCache(data.sample, xg, tg).naive([bw.h], bw.b))
+        naive = KernelCache(data.sample, xg, tg).naive([bw.h], [bw.b])
+        vals_n, flags_n, _ = (a[0, 0] for a in naive)
         ase_d = np.mean((vals_d[~flags_d] - truth[~flags_d]) ** 2)
         ase_n = np.mean((vals_n[~flags_n] - truth[~flags_n]) ** 2)
         assert ase_n < 2.0 * ase_d

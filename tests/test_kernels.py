@@ -18,6 +18,7 @@ from hetdeconv import (
     ErrorModel,
     QuadratureGrid,
     ValidationReport,
+    WeightGroup,
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
@@ -29,6 +30,11 @@ from hetdeconv.simulation import build_ensemble
 
 def _degenerate_ensemble(n):
     return ErrorEnsemble(tuple(ErrorModel(ErrorFamily.DEGENERATE) for _ in range(n)))
+
+
+def _kernel_grid(weights, obs_args, eval_args):
+    """``deconv_kernel_grid`` of one b: the group of one, (n, T)."""
+    return deconv_kernel_grid(WeightGroup((weights,)), obs_args, eval_args)[0]
 
 
 def _quadrature_factor(quad):
@@ -49,7 +55,7 @@ def _plain_kernel(u, quad):
     if np.ndim(u) == 0:
         return deconv_kernel(weights, 0, u)
     chunks = np.array_split(u, -(-u.size // 10_000))
-    return np.concatenate([deconv_kernel_grid(weights, [0.0], c)[0] for c in chunks])
+    return np.concatenate([_kernel_grid(weights, [0.0], c)[0] for c in chunks])
 
 
 class TestQuadratureGrid:
@@ -274,7 +280,7 @@ class TestDeconvKernelEvaluation:
                                   for k in range(5)))
         w = build_deconv_weights(ens, 0.2, quad128)
         grid = np.linspace(-100.0, 100.0, 20_001)
-        vals = deconv_kernel_grid(w, np.zeros(5), grid)
+        vals = _kernel_grid(w, np.zeros(5), grid)
         total = np.trapezoid(vals.sum(axis=0), grid)
         assert total == pytest.approx(1.0, abs=1e-3)
 
@@ -284,7 +290,7 @@ class TestDeconvKernelEvaluation:
         w = build_deconv_weights(ens, b, quad64)
         obs = np.linspace(-1.0, 1.0, 8)
         evals = np.array([-0.7, 0.0, 1.3])
-        grid_vals = deconv_kernel_grid(w, obs / b, evals / b)
+        grid_vals = _kernel_grid(w, obs / b, evals / b)
         for j in range(8):
             for i, t in enumerate(evals):
                 direct = deconv_kernel(w, j, (t - obs[j]) / b)
@@ -297,7 +303,7 @@ class TestDeconvKernelEvaluation:
         w = build_deconv_weights(ens, b, quad)
         rng = np.random.default_rng(5)
         obs, evals = rng.uniform(-2.5, 2.5, 9) / b, np.linspace(-2.0, 2.0, 13) / b
-        assert np.array_equal(deconv_kernel_grid(w, obs, evals), stacked_kernel_grid(w, obs, evals))
+        assert np.array_equal(_kernel_grid(w, obs, evals), stacked_kernel_grid(w, obs, evals))
 
     def test_index_out_of_range(self, quad64):
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad64)
@@ -353,7 +359,7 @@ def _quadratures(draw):
 def _assert_grid_matches_scalar(weights, obs, evals):
     """deconv_kernel_grid against the complex scalar sum, to 1e-11 of the sum of |terms|."""
     b = weights.bandwidth
-    grid = deconv_kernel_grid(weights, obs / b, evals / b)
+    grid = _kernel_grid(weights, obs / b, evals / b)
     quad = weights.quad
     full = full_weights(weights)
     for j in range(weights.n):
@@ -389,3 +395,41 @@ class TestRealHalfNodeKernel:
     def test_vanishing_cf_is_still_invalid(self, quad64):
         with pytest.raises(EnsembleInvalid):
             build_deconv_weights(underflowing_ensemble(2), 0.05, quad64)
+
+
+class TestWeightGroup:
+    """One kernel build for a group of b equals the builds of its members one by one."""
+
+    @pytest.mark.parametrize("m", [64, 65], ids=["gl64", "gl65-node-at-0"])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_group_build_equals_per_b_builds(self, m, family):
+        quad = QuadratureGrid.gauss_legendre(m)
+        ens, bs = build_ensemble(family, 37), [0.065, 0.11, 0.155, 0.2, 0.5]
+        members = tuple(build_deconv_weights(ens, b, quad) for b in bs)
+        rng = np.random.default_rng(9)
+        obs, evals = rng.uniform(-2.5, 2.5, 37), np.linspace(-2.0, 2.0, 13)
+        scale = np.asarray(bs)[:, None]
+        group = deconv_kernel_grid(WeightGroup(members), obs / scale, evals / scale)
+        assert group.shape == (len(bs), 37, 13)
+        for k, (w, b) in enumerate(zip(members, bs)):
+            one = _kernel_grid(w, obs / b, evals / b)
+            assert group[k].tobytes() == one.tobytes(), b
+            assert np.array_equal(one, stacked_kernel_grid(w, obs / b, evals / b))
+        # any run of members is a group of its own with the same kernels
+        part = deconv_kernel_grid(WeightGroup(members[1:3]), obs / scale[1:3], evals / scale[1:3])
+        assert part.tobytes() == group[1:3].tobytes()
+
+    def test_group_rejects_mixed_members_and_argument_rows(self, quad64):
+        ens = build_ensemble(ErrorFamily.LAPLACE, 6)
+        w = build_deconv_weights(ens, 0.2, quad64)
+        with pytest.raises(ValueError, match="at least one"):
+            WeightGroup(())
+        with pytest.raises(ValueError, match="quadrature grid"):
+            WeightGroup((w, build_deconv_weights(ens, 0.3, QuadratureGrid.gauss_legendre(65))))
+        with pytest.raises(ValueError, match="quadrature grid"):
+            WeightGroup((w, build_deconv_weights(build_ensemble(ErrorFamily.LAPLACE, 7), 0.3,
+                                                 quad64)))
+        group = WeightGroup((w, build_deconv_weights(ens, 0.3, quad64)))
+        assert group.quad is quad64
+        with pytest.raises(ValueError, match="2 members"):
+            deconv_kernel_grid(group, np.zeros(6), np.zeros(3))

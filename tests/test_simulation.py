@@ -12,7 +12,6 @@ from hetdeconv import (
     Model,
     Sample,
     SimulationConfig,
-    ase,
     bandwidth_search,
     build_ensemble,
     cross_section,
@@ -25,8 +24,15 @@ from hetdeconv import (
 )
 from hetdeconv.estimators import RIDGE_SCALE, Bandwidths
 from hetdeconv.kernels import gaussian_kernel
-from hetdeconv.simulation import ERROR_VARIANCE_SCALE, GeneratedData, SearchResult, _select_best
-from oracles import ratio_grid
+from hetdeconv.simulation import (
+    ERROR_VARIANCE_SCALE,
+    GeneratedData,
+    RunContext,
+    SearchResult,
+    _b_groups,
+    _select_best,
+)
+from oracles import ase, ratio_grid
 
 
 class TestTrueRegression:
@@ -241,7 +247,8 @@ class TestSharedKernelCache:
         slope = linear_slope(sample)
         direct = {
             "deconv": lambda h, b: fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg),
-            "naive": lambda h, b: tuple(a[0] for a in KernelCache(sample, xg, tg).naive([h], b)),
+            "naive": lambda h, b: tuple(a[0, 0]
+                                        for a in KernelCache(sample, xg, tg).naive([h], [b])),
             "partial_linear": lambda h, b: KernelCache(sample, xg, tg,
                                                        quad64).partial_linear(b, slope),
         }
@@ -270,17 +277,42 @@ class TestSharedKernelCache:
         assert np.isfinite(res.ase_values).all()
 
     def test_replication_builds_each_kernel_matrix_once(self, monkeypatch):
+        import hetdeconv.simulation as simulation
+
+        cfg = _tiny_config(model="model2", reps=1, bandwidth_grid={
+            "h": {"start": 0.1, "stop": 0.2, "count": 2},
+            "b": {"start": 0.1, "stop": 0.3, "count": 3}})
+        context = simulation.RunContext.build(cfg)
+        b_values = list(cfg.b_values)
+        # n = 40 and 32 nodes: the cos/sin operand of one b holds 40 * 32
+        # elements, so the smaller budget cuts the three b into groups of 2 and 1
+        for budget, groups in ((simulation.GROUP_BUDGET, [b_values]),
+                               (2 * 40 * 32, [b_values[:2], b_values[2:]])):
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "GROUP_BUDGET", budget)
+                self._check_builds(patch, context, groups)
+
+    @staticmethod
+    def _check_builds(monkeypatch, context, groups):
         import hetdeconv.estimators as estimators
         import hetdeconv.simulation as simulation
 
-        cfg = _tiny_config(model="model2", reps=1)
-        context = simulation.RunContext.build(cfg)
-        calls = {"deconv_kernel_grid": [], "gaussian_kernel": 0, "stacked": [], "floored_ratio": 0}
+        calls = {"lt": [], "kt": [], "deconv_kernel_grid": [], "gaussian_kernel": 0,
+                 "stacked": [], "floored_ratio": 0}
+        lt_fn, kt_fn = estimators.KernelCache.lt, estimators.KernelCache.kt
         grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
         stacked_fn, floored_fn = estimators.stacked_ratio_grid, estimators.floored_ratio
 
+        def counted_lt(cache, bs):
+            calls["lt"].append(list(bs))
+            return lt_fn(cache, bs)
+
+        def counted_kt(cache, bs):
+            calls["kt"].append(list(bs))
+            return kt_fn(cache, bs)
+
         def counted_grid(weights, obs_args, eval_args):
-            calls["deconv_kernel_grid"].append(weights.bandwidth)
+            calls["deconv_kernel_grid"].append([w.bandwidth for w in weights.members])
             return grid_fn(weights, obs_args, eval_args)
 
         def counted_gauss(u):
@@ -288,13 +320,15 @@ class TestSharedKernelCache:
             return gauss_fn(u)
 
         def counted_stacked(stack, y, kt, scale, floor):
-            calls["stacked"].append(stack.shape[1])
+            calls["stacked"].append((kt.shape[0], stack.shape[1]))
             return stacked_fn(stack, y, kt, scale, floor)
 
         def counted_floored(num, den, floor):
             calls["floored_ratio"] += 1
             return floored_fn(num, den, floor)
 
+        monkeypatch.setattr(estimators.KernelCache, "lt", counted_lt)
+        monkeypatch.setattr(estimators.KernelCache, "kt", counted_kt)
         monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
         monkeypatch.setattr(estimators, "stacked_ratio_grid", counted_stacked)
@@ -302,30 +336,34 @@ class TestSharedKernelCache:
         out = simulation._replicate(context, 1)
         assert all(isinstance(out[name], SearchResult)
                    for name in ("deconv", "naive", "partial_linear"))
-        h_values = {h for h, _ in cfg.bw_pairs}
-        # lt once per distinct b, shared by deconv and partial-linear
-        assert sorted(calls["deconv_kernel_grid"]) == list(cfg.b_values)
-        # kx once per distinct h (into the stack), the naive kt once per b
-        assert calls["gaussian_kernel"] == len(h_values) + len(cfg.b_values)
-        # one contraction per (b, estimator): deconv and naive over all h at
-        # once, partial-linear over the contaminated direction alone
-        assert calls["stacked"] == [len(h_values)] * (2 * len(cfg.b_values))
-        assert calls["floored_ratio"] == 3 * len(cfg.b_values)
+        h_values = {h for h, _ in context.config.bw_pairs}
+        # each b in exactly one lt build (one kernel build per group, shared
+        # by deconv and partial-linear) and in exactly one kt build
+        assert calls["lt"] == groups
+        assert calls["deconv_kernel_grid"] == groups
+        assert calls["kt"] == groups
+        # kx once per distinct h (into the stack), the naive kt once per group
+        assert calls["gaussian_kernel"] == len(h_values) + len(groups)
+        # one contraction per (group, estimator): deconv, then naive, over
+        # every (b, h) of the group at once; partial-linear b by b over the
+        # contaminated direction alone
+        assert calls["stacked"] == [(len(g), len(h_values)) for g in groups for _ in range(2)]
+        assert calls["floored_ratio"] == 2 * len(groups) + sum(len(g) for g in groups)
 
 
 def _per_pair(cache, estimator, h, b, slope=None):
     """One estimator at one (h, b) by oracles.ratio_grid on per-pair kx, kt and lt."""
     sample = cache.sample
     if estimator == "partial_linear":
-        ratio, flags, density = ratio_grid(None, cache.lt(b), sample.y - sample.x * slope, b,
+        ratio, flags, density = ratio_grid(None, cache.lt([b])[0], sample.y - sample.x * slope, b,
                                            RIDGE_SCALE / b)
         values = cache.x_values[:, None] * slope + ratio[None, :]
         return (values, np.broadcast_to(flags, values.shape),
                 np.broadcast_to(density, values.shape))
     kx = gaussian_kernel((cache.x_values[None, :] - sample.x[:, None]) / h)
     if estimator == "deconv":
-        return ratio_grid(kx, cache.lt(b), sample.y, h * b, RIDGE_SCALE / (h * b))
-    return ratio_grid(kx, cache.kt(b), sample.y, sample.n * h * b, RIDGE_SCALE / (h * b))
+        return ratio_grid(kx, cache.lt([b])[0], sample.y, h * b, RIDGE_SCALE / (h * b))
+    return ratio_grid(kx, cache.kt([b])[0], sample.y, sample.n * h * b, RIDGE_SCALE / (h * b))
 
 
 def _per_pair_search(data, pairs, cache, estimator):
@@ -365,8 +403,8 @@ class TestStackedSweep:
         xg = tg = np.linspace(-2, 2, 20)
         cache = KernelCache(data.sample, xg, tg, quad64)
         hs, b = sorted(grid), grid[2]
-        values, flags, density = cache.naive(hs, b)
-        deconv = cache.deconv(hs, b)
+        values, flags, density = (a[0] for a in cache.naive(hs, [b]))
+        deconv = tuple(a[0] for a in cache.deconv(hs, [b]))
         reference = KernelCache(data.sample, xg, tg, quad64)
         for r, h in enumerate(hs):
             ref = _per_pair(reference, "naive", h, b)
@@ -395,7 +433,8 @@ class TestStackedSweep:
         hs, b = [0.02, 0.065, 0.11, 0.155, 0.2], 0.11
         subsets = ([0.155, 0.065], [0.11], hs)
         fresh = [KernelCache(data.sample, xg, tg, quad64) for _ in subsets]
-        expected = [(c.deconv(subset, b), c.naive(subset, b)) for c, subset in zip(fresh, subsets)]
+        expected = [(c.deconv(subset, [b]), c.naive(subset, [b]))
+                    for c, subset in zip(fresh, subsets)]
         cache = KernelCache(data.sample, xg, tg, quad64)
         cache.kx_stack(hs)
         gauss_fn, calls = estimators.gaussian_kernel, []
@@ -406,12 +445,12 @@ class TestStackedSweep:
 
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
         for subset, refs in zip(subsets, expected):
-            for got, ref in zip((cache.deconv(subset, b), cache.naive(subset, b)), refs):
+            for got, ref in zip((cache.deconv(subset, [b]), cache.naive(subset, [b])), refs):
                 for a, r in zip(got, ref):
-                    assert a.shape == (len(subset), xg.size, tg.size)
+                    assert a.shape == (1, len(subset), xg.size, tg.size)
                     assert a.tobytes() == r.tobytes()
         # one kt per naive call; every kx came from the stack
-        assert calls == [(n, tg.size)] * len(subsets)
+        assert calls == [(1, n, tg.size)] * len(subsets)
 
     def test_statuses_match_per_pair(self, quad64):
         # x far from the x grid: at h = 0.05 every kx underflows to 0 and the
@@ -435,6 +474,92 @@ class TestStackedSweep:
             assert np.array_equal(res.excluded, excluded), name
             seen.update(s.split(" ")[0] for s in statuses if s)
         assert seen == {"all", "ensemble"}   # both kinds of status occur
+
+
+def _far_sample(n=40, seed=8):
+    """Gaussian-error sample with x in [-2, -1.6]: far from an x grid on [1.6, 2], every kx
+    underflows to 0 at h = 0.05, so that h is ridge-floored on the whole grid."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, -1.6, n)
+    t = rng.uniform(-2.0, 2.0, n)
+    y = true_regression(Model.MODEL2, x, t) + rng.normal(0, 0.25, n)
+    sample = Sample(x=x, w=t, y=y, ensemble=build_ensemble(ErrorFamily.GAUSSIAN, n))
+    return GeneratedData(sample=sample, latent=t, model=Model.MODEL2)
+
+
+def _partition(cfg):
+    """The sweep's groups of b for one replication of ``cfg``, as lists of b."""
+    context = RunContext.build(cfg)
+    data = generate(cfg.model, cfg.n, context.ensemble, replication_rng(cfg.seed, 1))
+    cache = KernelCache(data.sample, context.x_values, context.t_values, context.quad)
+    h_of = {b: {h for h, pb in cfg.bw_pairs if pb == b} for b in cfg.b_values}
+    return [bs for bs, _ in _b_groups(h_of, cache)]
+
+
+class TestGroupedSweep:
+    """The sweep over groups of b scores exactly as one b, and one pair, at a time."""
+
+    def test_group_contraction_equals_per_b_slices(self, quad64):
+        from hetdeconv.estimators import stacked_ratio_grid
+
+        data = _far_sample()
+        xg, tg = np.linspace(1.6, 2.0, 6), np.linspace(-2, 2, 7)
+        cache = KernelCache(data.sample, xg, tg, quad64)
+        hs, bs = [0.05, 0.5, 1.0], np.array([0.1, 0.2, 0.3])
+        stack = cache.kx_stack(hs)
+        hb = np.asarray(hs) * bs[:, None]
+        for kernels, scale in ((cache.lt(bs), hb), (cache.kt(bs), data.sample.n * hb)):
+            group = stacked_ratio_grid(stack, data.sample.y, kernels, scale, RIDGE_SCALE / hb)
+            assert group[1].any() and not group[1].all()     # flagged and clean slices
+            for k in range(len(bs)):
+                one = stacked_ratio_grid(stack, data.sample.y, kernels[k:k + 1], scale[k:k + 1],
+                                         RIDGE_SCALE / hb[k:k + 1])
+                for a, r in zip(group, one):
+                    assert a.shape == (len(bs), len(hs), xg.size, tg.size)
+                    assert a[k].tobytes() == r[0].tobytes()
+        for evaluate in (cache.deconv, cache.naive):
+            group = evaluate(hs, bs)
+            for k, b in enumerate(bs):
+                for a, r in zip(group, evaluate(hs, [b])):
+                    assert a[k].tobytes() == r[0].tobytes()
+
+    def test_group_with_invalid_b_and_flagged_h_equals_per_pair(self, quad64):
+        # b = 0.018 is invalid for the Gaussian laws, h = 0.05 is ridge-floored
+        # everywhere; both sit in one group with the valid b
+        data = _far_sample()
+        xg, tg = np.linspace(1.6, 2.0, 6), np.linspace(-2, 2, 7)
+        pairs = [(h, b) for b in (0.3, 0.018, 0.1) for h in (1.0, 0.05, 0.5)]
+        cache = KernelCache(data.sample, xg, tg, quad64)
+        h_of = {b: {h for h, pb in pairs if pb == b} for b in (0.018, 0.1, 0.3)}
+        assert _b_groups(h_of, cache) == [([0.018, 0.1, 0.3], [0.05, 0.5, 1.0])]
+        seen = set()
+        for name in ("deconv", "naive", "partial_linear"):
+            res = bandwidth_search(data, pairs, cache, name)
+            ase_values, excluded, statuses = _per_pair_search(
+                data, pairs, KernelCache(data.sample, xg, tg, quad64), name)
+            assert res.statuses == statuses, name
+            assert np.array_equal(res.ase_values, ase_values), name
+            assert np.array_equal(res.excluded, excluded), name
+            seen.update(s.split(" ")[0] for s in statuses if s)
+        assert seen == {"all", "ensemble"}   # both kinds of status occur
+
+    @pytest.mark.parametrize("raw,full_scale,sizes", [
+        ({"model": "model2", "error_family": "laplace", "n": 500}, True, [1] * 10),
+        ({"model": "model1", "error_family": "gaussian", "n": 500}, True, [1] * 10),
+        ({"model": "model1", "error_family": "gaussian", "n": 100}, False, [5]),
+        ({"model": "model2", "error_family": "laplace", "n": 100}, False, [5]),
+        ({"model": "model1", "error_family": "gaussian", "n": 500}, False, [2, 2, 1]),
+        ({"model": "model1", "error_family": "laplace", "n": 100}, True, [2] * 5),
+    ], ids=["full-500", "full-500-gauss", "desk-100", "desk-100-m2", "desk-500", "full-100"])
+    def test_group_partition_of_the_protocols(self, raw, full_scale, sizes):
+        # full scale, n = 500: the (1, n, 128) cos/sin operand of one b
+        # already holds 64 000 of the 65 536 elements, so every b is alone
+        # and the sweep runs the shapes of one b at a time; desk, n = 100:
+        # all five b fit in one group
+        cfg = SimulationConfig.from_dict({**raw, "seed": 20250808}, full_scale=full_scale)
+        groups = _partition(cfg)
+        assert [len(g) for g in groups] == sizes
+        assert [b for g in groups for b in g] == list(cfg.b_values)
 
 
 class TestSubnormalFlush:
