@@ -17,7 +17,6 @@ from .estimators import (
     variance_bound_diagnostic,
 )
 from .exceptions import (
-    AllPointsExcluded,
     ConfigError,
     DegenerateDesign,
     DimensionMismatch,
@@ -51,7 +50,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllPointsExcluded",
     "AseReport",
     "Bandwidths",
     "ConfigError",

@@ -191,6 +191,13 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,8 +215,8 @@ def main():
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
               help="Override a config field (dotted paths allowed); repeatable.")
 @click.option("--out", "out", default=".", type=click.Path(file_okay=False), show_default=True)
-@click.option("--workers", default=lambda: os.cpu_count() or 1, type=int,
-              help="Replication worker processes [default: machine cores].")
+@click.option("--workers", default=_usable_cpus, type=int,
+              help="Replication worker processes [default: the CPUs this process may run on].")
 @click.option("--full-scale", is_flag=True, help="Fill omitted config fields with the full-scale protocol.")
 def simulate(config_path, overrides, out, workers, full_scale):
     """Run the replication study and write ase_report.csv."""

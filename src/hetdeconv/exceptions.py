@@ -24,9 +24,5 @@ class DegenerateDesign(HetdeconvError, ValueError):
     """The error-free covariate has zero variance; no slope is identifiable."""
 
 
-class AllPointsExcluded(HetdeconvError, RuntimeError):
-    """Every evaluation-grid point was ridge-floored; no ASE can be formed."""
-
-
 class ConfigError(HetdeconvError, ValueError):
     """A configuration file or override could not be parsed or validated."""

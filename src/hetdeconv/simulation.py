@@ -9,7 +9,6 @@ error against the known truth, and replication-level aggregation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -622,40 +621,59 @@ def _replicate(context: RunContext, rep_index: int) -> dict:
     return {name: str(res) if isinstance(res, Exception) else res for name, res in found.items()}
 
 
-_worker_context = None      # the RunContext of a pool worker, set by _init_worker
-
-
-def _init_worker(context: RunContext):
-    global _worker_context
-    _worker_context = context
-
-
-def _replicate_in_worker(rep_index: int) -> dict:
-    return _replicate(_worker_context, rep_index)
+def _run_chunk(context: RunContext, reps: range, sender):
+    """Body of a child process: run the replications ``reps`` and send back {rep: result}."""
+    sender.send({i: _replicate(context, i) for i in reps})
+    sender.close()
 
 
 def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     """Run the full replication batch and aggregate an ASE report.
 
-    The run context is built once and handed to every replication (to pool
-    workers through their initializer); at most ``reps`` workers run, each
-    given one contiguous chunk of replications.  Replications use independent
-    substreams of the base seed, so the report is identical for any worker
-    count or completion order.
+    The run context is built once and handed to every replication.  At most
+    ``reps`` processes run, each given one contiguous chunk of replications,
+    the chunk sizes differing by at most one: this process runs the first
+    chunk itself, and one child process runs each other chunk and sends its
+    results back over a pipe.  Every child is ended before the call returns
+    or raises; one that exits without sending raises a RuntimeError naming
+    its replications.  Replications use independent substreams of the base
+    seed, so the report is identical for any worker count.
     """
     if int(workers) < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(int(workers), config.reps)
     context = RunContext.build(config)
-    reps = range(1, config.reps + 1)
-    if workers == 1:
-        results = {i: _replicate(context, i) for i in reps}
-    else:
-        import numpy.random  # noqa: F401  the lazy submodule, loaded before the fork, not per worker
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(context,)) as pool:
-            chunks = pool.map(_replicate_in_worker, reps, chunksize=-(-config.reps // workers))
-            results = dict(zip(reps, chunks))
+    size, extra = divmod(config.reps, workers)
+    bounds = [1 + k * size + min(k, extra) for k in range(workers + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        if workers > 1:
+            import multiprocessing
+
+            import numpy.random  # noqa: F401  the lazy submodule, loaded before the fork, not per child
+            for chunk in chunks[1:]:
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_run_chunk, args=(context, chunk, sender))
+                child.start()
+                children.append((chunk, child, receiver))
+                sender.close()
+        results = {i: _replicate(context, i) for i in chunks[0]}
+        for chunk, child, receiver in children:
+            try:
+                results.update(receiver.recv())
+            except EOFError:
+                child.join()
+                lost = f"{chunk[0]}-{chunk[-1]}" if len(chunk) > 1 else str(chunk[0])
+                raise RuntimeError(f"replications {lost} lost: their worker process exited "
+                                   f"with code {child.exitcode} before sending results") from None
+            child.join()
+    finally:
+        for _, child, receiver in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receiver.close()
 
     summaries = {}
     for name in estimators_for(config.model):

@@ -1,10 +1,11 @@
+import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
 import hetdeconv
-from hetdeconv import ErrorEnsemble, QuadratureGrid
+from hetdeconv import ErrorEnsemble, QuadratureGrid, simulation
 
 # Child processes (``python -m hetdeconv.cli``) import the package under test,
 # also when it runs from a checkout through pytest's ``pythonpath`` setting.
@@ -20,6 +21,23 @@ def underflowing_ensemble(n):
     underflow to 0.  No built-in law has a true CF zero.
     """
     return ErrorEnsemble.from_arrays(["gaussian"] * n, [2.0] * n)
+
+
+# A child process runs a patched function of this process only when forked.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="child processes inherit the patch only when forked")
+
+
+def exit_in_child(rep):
+    """``simulation._replicate``, except that a child process exits with code 7 at ``rep``."""
+    parent, replicate = os.getpid(), simulation._replicate
+
+    def replicate_or_exit(context, rep_index):
+        if rep_index == rep and os.getpid() != parent:
+            os._exit(7)
+        return replicate(context, rep_index)
+
+    return replicate_or_exit
 
 
 @pytest.fixture(scope="session")

@@ -8,15 +8,16 @@ cosine sum over the nodes v >= 0.  ``stacked_kernel_grid`` is that cosine
 sum as a product of operands stacked by ``np.hstack``/``np.vstack``.
 ``ratio_grid`` evaluates one estimator at one (h, b) pair from its kernel
 matrices, and ``ase`` scores one such (X, T) slice against the truth: the
-per-slice reference for the sweep's group scoring.  ``trapezoid_grid`` is the
-only grid with nodes at v = +-1.
+per-slice reference for the sweep's group scoring, raising
+``AllPointsExcluded`` where the sweep records a status instead.
+``trapezoid_grid`` is the only grid with nodes at v = +-1.
 """
 
 from math import factorial
 
 import numpy as np
 
-from hetdeconv import AllPointsExcluded, DeconvWeights, QuadratureGrid, bandlimited_kernel_ft
+from hetdeconv import DeconvWeights, HetdeconvError, QuadratureGrid, bandlimited_kernel_ft
 from hetdeconv.estimators import floored_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -117,6 +118,10 @@ def ratio_grid(kx, kt, y, scale, floor):
         den = kx.T @ kt / scale
     values, flags = floored_ratio(num, den, floor)
     return values, flags, den
+
+
+class AllPointsExcluded(HetdeconvError, RuntimeError):
+    """Every evaluation-grid point was ridge-floored; no ASE can be formed."""
 
 
 def ase(values, flags, truth) -> tuple[float, int]:

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import exit_in_child, needs_fork
 
-from hetdeconv import gaussian_kernel
+from hetdeconv import gaussian_kernel, simulation
 from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _write_csv, main
 
 
@@ -184,6 +188,28 @@ class TestSimulate:
                                       "--workers", "2"])
         assert result.exit_code == 0, result.output
         assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+
+    def test_default_workers_count_the_cpus_this_process_may_run_on(self, runner, tmp_path,
+                                                                     monkeypatch):
+        # one CPU in the affinity mask of a four-core machine: one worker, although reps=2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = _write_config(tmp_path, reps=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+
+    @needs_fork
+    def test_a_lost_worker_process_exits_3_without_a_report(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulation, "_replicate", exit_in_child(4))
+        cfg = _write_config(tmp_path, reps=4)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--workers", "2"])
+        assert result.exit_code == 3, result.output
+        assert "replications 3-4 lost" in result.output
+        assert not (out / "ase_report.csv").exists()
 
     def test_every_replication_failing_exits_3_without_a_report(self, runner, tmp_path):
         # the Gaussian laws are invalid at b = 0.01: deconv and partial-linear fail
@@ -786,3 +812,12 @@ class TestValidate:
                 h = float(head.split()[0].split("=")[1])
                 bounds[h] = float(tail.rsplit("variance_bound=", 1)[1])
         assert bounds[0.1] == pytest.approx(2.0 * bounds[0.2], rel=1e-12)
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # multiprocessing is imported only by a run that starts child processes
+    probe = ("import sys, hetdeconv.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -28,11 +28,11 @@ MODULES = (hetdeconv, error_models, estimators, exceptions, kernels, simulation)
 # (the trapezoid grid is a test oracle now), and the two one-line grid
 # wrappers gave way to the KernelCache methods they called.  The sweep scores
 # a group of b from squared errors it forms once, so the per-slice ase is an
-# oracle too.
+# oracle too, with the exception it alone raised.
 DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
            "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form",
            "ratio_grid", "DegenerateDenominator", "QuadratureRule",
-           "naive_regression_grid", "partial_linear_grid", "ase")
+           "naive_regression_grid", "partial_linear_grid", "ase", "AllPointsExcluded")
 
 
 def test_every_exported_name_resolves():

@@ -1,9 +1,10 @@
+import os
+
 import numpy as np
 import pytest
-from conftest import underflowing_ensemble
+from conftest import exit_in_child, needs_fork, underflowing_ensemble
 
 from hetdeconv import (
-    AllPointsExcluded,
     ConfigError,
     EnsembleInvalid,
     ErrorFamily,
@@ -32,7 +33,7 @@ from hetdeconv.simulation import (
     _b_groups,
     _select_best,
 )
-from oracles import ase, ratio_grid
+from oracles import AllPointsExcluded, ase, ratio_grid
 
 
 class TestTrueRegression:
@@ -706,18 +707,104 @@ class TestRunReplications:
             assert r1.estimators[name].rep_optima == r2.estimators[name].rep_optima
 
     def test_worker_count_does_not_change_results(self):
-        # reps=5 is not divisible by 2 or 3 workers: uneven chunks, and each
-        # worker's run context comes from its initializer
-        for reps, workers in ((2, 2), (5, 2), (5, 3)):
+        # reps=5 is not divisible by 2, 3 or 4 workers: uneven chunks, each
+        # child process's results merged by replication index
+        import multiprocessing
+
+        for reps, workers in ((2, 2), (5, 2), (5, 3), (5, 4)):
             cfg = _tiny_config(reps=reps)
             serial = run_replications(cfg, workers=1)
             parallel = run_replications(cfg, workers=workers)
-            assert parallel.workers == workers
+            assert parallel.workers == min(workers, reps)
+            assert not multiprocessing.active_children()
             for name in serial.estimators:
                 assert np.array_equal(serial.estimators[name].mean_ase_by_pair,
                                       parallel.estimators[name].mean_ase_by_pair)
                 assert serial.estimators[name].rep_optima == parallel.estimators[name].rep_optima
                 assert not parallel.estimators[name].failures
+
+    @needs_fork
+    @pytest.mark.parametrize("reps,workers", [(5, 3), (7, 2), (3, 3), (10, 4)])
+    def test_this_process_runs_one_chunk_and_a_child_each_other(self, monkeypatch, tmp_path,
+                                                                 reps, workers):
+        import hetdeconv.simulation as simulation
+
+        log = tmp_path / "pids"
+        replicate = simulation._replicate
+
+        def logged(context, rep_index):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {rep_index}\n")
+            return replicate(context, rep_index)
+
+        monkeypatch.setattr(simulation, "_replicate", logged)
+        report = run_replications(_tiny_config(reps=reps), workers=workers)
+        assert report.workers == workers
+        ran = {}
+        for pid, rep in (line.split() for line in log.read_text().splitlines()):
+            ran.setdefault(int(pid), []).append(int(rep))
+        chunks = sorted(ran.values())
+        assert len(chunks) == workers
+        assert ran[os.getpid()] == chunks[0] == list(range(1, len(chunks[0]) + 1))
+        assert sorted(rep for chunk in chunks for rep in chunk) == list(range(1, reps + 1))
+        for chunk in chunks:
+            assert chunk == list(range(chunk[0], chunk[-1] + 1))
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started for workers=1")
+
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        report = run_replications(_tiny_config(reps=3), workers=1)
+        assert report.workers == 1
+        assert all(summary.rep_count == 3 for summary in report.estimators.values())
+
+    @needs_fork
+    def test_a_lost_child_fails_the_run_and_leaves_no_process(self, monkeypatch):
+        import multiprocessing
+        import signal
+
+        import hetdeconv.simulation as simulation
+
+        monkeypatch.setattr(simulation, "_replicate", exit_in_child(4))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("run_replications did not return after losing a child")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match=r"replications 3-4 lost: .* code 7 "):
+                run_replications(_tiny_config(reps=4), workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not multiprocessing.active_children()
+
+    @needs_fork
+    def test_an_interrupt_in_this_process_ends_every_child(self, monkeypatch):
+        import multiprocessing
+        import time
+
+        import hetdeconv.simulation as simulation
+
+        parent = os.getpid()
+
+        def interrupt_here_stall_there(context, rep_index):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(simulation, "_replicate", interrupt_here_stall_there)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_replications(_tiny_config(reps=6), workers=3)
+        assert time.monotonic() - started < 30, "the stalled children were waited for"
+        assert not multiprocessing.active_children()
 
     def test_model2_runs_three_estimators(self):
         cfg = _tiny_config(model="model2")
