@@ -26,6 +26,11 @@ a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, and the latter again
 on 65 quadrature nodes, whose odd grid has a node at v = 0; ``validate`` of
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
+
+The gate pins both sides of the budget that bounds the contraction's
+numerator operand (``estimators.GROUP_BUDGET`` = 2^16 elements):
+``full_m2_laplace_500`` runs it in runs of h (n H X = 250 000), while the
+desk n = 500 runs (n H X = 50 000) and every other run form it in one product.
 """
 
 from __future__ import annotations

@@ -11,10 +11,13 @@ error, 3 runtime failure.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import signal
 import sys
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,6 +201,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread so that the code it interrupts unwinds."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Run the block with SIGTERM raised as an exception, then end the process by SIGTERM.
+
+    Under its default disposition SIGTERM ends the process at once and no
+    ``finally`` runs, so the child processes of ``run_replications`` would
+    outlive it.  In the block the signal unwinds instead, through the
+    ``finally`` that ends and joins them; then the default is restored and
+    the process sends itself SIGTERM, so it ends as it would have.  Any other
+    disposition, and a call outside the main thread, is left as it is.
+    """
+    if (threading.current_thread() is not threading.main_thread()
+            or signal.getsignal(signal.SIGTERM) != signal.SIG_DFL):
+        yield
+        return
+    signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +263,8 @@ def simulate(config_path, overrides, out, workers, full_scale):
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:
-        report = run_replications(config, workers=workers)
+        with _sigterm_unwinds():
+            report = run_replications(config, workers=workers)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     except Exception as exc:

@@ -9,13 +9,14 @@ error against the known truth, and replication-level aggregation.
 from __future__ import annotations
 
 import math
+import signal
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
-from .estimators import Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
+from .estimators import GROUP_BUDGET, Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
 from .exceptions import (
     ConfigError,
     DegenerateDesign,
@@ -33,15 +34,6 @@ ERROR_VARIANCE_SCALE = 0.2 * (16.0 / 12.0)
 RESPONSE_NOISE_SD = 0.25
 COVARIATE_RANGE = (-2.0, 2.0)
 MODEL2_SLOPE = 3.0
-
-# A group of b in the sweep is scored with one kernel build and one
-# contraction per estimator.  Its largest batched array, the (B, H, X, T)
-# contraction, the (B, n, 2 ceil(M/2)) cos/sin operand of the kernel build or
-# the (B, n, T) kernels, holds at most this many float64 elements (512 KiB),
-# unless one b alone holds more.  The bound keeps large runs at the memory of
-# one b at a time: at full scale with n = 500 one b already fills it, and
-# batching all ten b there raised a run's peak RSS from 49.7 to 60.5 MB.
-GROUP_BUDGET = 1 << 16
 
 DECONV = "deconv"
 NAIVE = "naive"
@@ -622,7 +614,12 @@ def _replicate(context: RunContext, rep_index: int) -> dict:
 
 
 def _run_chunk(context: RunContext, reps: range, sender):
-    """Body of a child process: run the replications ``reps`` and send back {rep: result}."""
+    """Body of a child process: run the replications ``reps`` and send back {rep: result}.
+
+    SIGTERM first gets back its default disposition: a forked child inherits
+    the caller's handler, and ``terminate`` must end the child at once.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     sender.send({i: _replicate(context, i) for i in reps})
     sender.close()
 

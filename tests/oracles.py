@@ -10,6 +10,9 @@ sum as a product of operands stacked by ``np.hstack``/``np.vstack``.
 matrices, and ``ase`` scores one such (X, T) slice against the truth: the
 per-slice reference for the sweep's group scoring, raising
 ``AllPointsExcluded`` where the sweep records a status instead.
+``whole_stack_ratio_grid`` is the stacked contraction with its numerator
+operand formed for all h at once, the reference for the program's
+budget-bounded runs of h.
 ``trapezoid_grid`` is the only grid with nodes at v = +-1.
 """
 
@@ -117,6 +120,18 @@ def ratio_grid(kx, kt, y, scale, floor):
         num = (kx * y[:, None]).T @ kt / scale
         den = kx.T @ kt / scale
     values, flags = floored_ratio(num, den, floor)
+    return values, flags, den
+
+
+def whole_stack_ratio_grid(stack, y, kt, scale, floor):
+    """``estimators.stacked_ratio_grid`` with kx * y formed as one (n, H, X) copy of the stack."""
+    scale = np.asarray(scale, dtype=float)[:, :, None, None]
+    kt = kt[:, None]
+    num = np.matmul((stack * y[:, None, None]).transpose(1, 2, 0), kt)
+    num /= scale
+    den = np.matmul(stack.transpose(1, 2, 0), kt)
+    den /= scale
+    values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den
 
 

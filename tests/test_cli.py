@@ -2,15 +2,17 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import exit_in_child, needs_fork
 
-from hetdeconv import gaussian_kernel, simulation
+from hetdeconv import cli, gaussian_kernel, simulation
 from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _write_csv, main
 
 
@@ -63,6 +65,15 @@ def _reference_csv(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows([field(v) for v in row] for row in rows)
     return buf.getvalue().encode()
+
+
+def _running(pid) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestCsvWriter:
@@ -210,6 +221,61 @@ class TestSimulate:
         assert result.exit_code == 3, result.output
         assert "replications 3-4 lost" in result.output
         assert not (out / "ase_report.csv").exists()
+
+    @needs_fork
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_sigterm_ends_the_child_processes_and_then_the_run(self, tmp_path):
+        # each worker's chunk of 100 full-scale replications takes far longer
+        # than the assertion window
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": "model2", "error_family": "laplace", "n": 500,
+                                   "reps": 200, "seed": 1}))
+        out = tmp_path / "out"
+        proc = subprocess.Popen([sys.executable, "-m", "hetdeconv.cli", "simulate", "--config",
+                                 str(cfg), "--out", str(out), "--workers", "2", "--full-scale"],
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        children = []
+        try:
+            deadline = time.monotonic() + 60
+            while not children and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                    children = [int(pid) for pid in fh.read().split()]
+            assert children, "simulate started no child process"
+            time.sleep(0.5)     # well into the replications
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            assert not (out / "ase_report.csv").exists()
+            deadline = time.monotonic() + 3
+            while any(map(_running, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, children))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in filter(_running, children):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_sigterm_handler_is_restored_after_the_run(self, runner, tmp_path, monkeypatch):
+        seen, replicate = [], cli.run_replications
+
+        def recording(config, workers):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return replicate(config, workers=workers)
+
+        monkeypatch.setattr(cli, "run_replications", recording)
+        before = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            result = runner.invoke(main, ["simulate", "--config", str(_write_config(tmp_path)),
+                                          "--out", str(tmp_path / "out"), "--workers", "1"])
+            after = signal.getsignal(signal.SIGTERM)
+        finally:
+            signal.signal(signal.SIGTERM, before)
+        assert result.exit_code == 0, result.output
+        assert callable(seen[0])      # SIGTERM unwinds through run_replications
+        assert after == signal.SIG_DFL
 
     def test_every_replication_failing_exits_3_without_a_report(self, runner, tmp_path):
         # the Gaussian laws are invalid at b = 0.01: deconv and partial-linear fail

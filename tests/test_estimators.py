@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import underflowing_ensemble
-from oracles import bandlimited_kernel_closed_form
+from oracles import bandlimited_kernel_closed_form, whole_stack_ratio_grid
 
 from hetdeconv import (
     Bandwidths,
@@ -16,6 +18,7 @@ from hetdeconv import (
     Sample,
     build_deconv_weights,
     build_ensemble,
+    estimators,
     fit,
     gaussian_kernel,
     generate,
@@ -23,7 +26,7 @@ from hetdeconv import (
     true_regression,
     variance_bound_diagnostic,
 )
-from hetdeconv.estimators import floored_ratio
+from hetdeconv.estimators import RIDGE_SCALE, floored_ratio, stacked_ratio_grid
 
 
 def _degenerate_ensemble(n):
@@ -174,6 +177,51 @@ class TestNumeratorAndDensity:
         f = est.predict_grid(xg, tg)[2]
         mass = np.trapezoid(np.trapezoid(f, tg, axis=1), xg)
         assert mass == pytest.approx(1.0, abs=0.05)
+
+
+def _group_operands(n, n_h, n_x, n_t, n_b):
+    """(stack, y, kt, scale, floor) of the naive estimator at n_h h and n_b b, as the sweep forms them."""
+    rng = np.random.default_rng(n + n_h + n_x + n_t + n_b)
+    x, w, y = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), rng.normal(size=n)
+    hs, bs = np.linspace(0.02, 0.5, n_h), np.linspace(0.1, 0.3, n_b)
+    stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None, None]) / hs[:, None])
+    kt = gaussian_kernel((np.linspace(-2, 2, n_t) - w[:, None]) / bs[:, None, None])
+    hb = hs * bs[:, None]
+    return stack, y, kt, n * hb, RIDGE_SCALE / hb
+
+
+class TestStackedRatioGrid:
+    """The numerator operand is formed for runs of h bounded by GROUP_BUDGET, bit for bit."""
+
+    # (n, H, X, T, B): one product (desk-like, and one just under the
+    # budget), five runs of two h (full scale at n = 500), one h alone over
+    # the budget (estimate-like), and an empty x grid
+    SHAPES = [(100, 5, 20, 20, 5), (500, 5, 20, 20, 2), (500, 10, 50, 50, 1),
+              (2000, 1, 60, 60, 1), (100, 3, 0, 4, 2)]
+
+    @pytest.mark.parametrize("one_h_per_run", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equals_the_whole_stack_contraction(self, shape, one_h_per_run, monkeypatch):
+        n, n_h, n_x, n_t, n_b = shape
+        if one_h_per_run:
+            monkeypatch.setattr(estimators, "GROUP_BUDGET", n * n_x)
+        operands = _group_operands(*shape)
+        got, want = stacked_ratio_grid(*operands), whole_stack_ratio_grid(*operands)
+        for a, r in zip(got, want):
+            assert a.shape == r.shape == (n_b, n_h, n_x, n_t)
+            assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
+        if n_x:
+            assert got[1].any() and not got[1].all()     # flagged and clean points
+
+    def test_holds_no_copy_of_the_whole_stack(self):
+        operands = _group_operands(500, 10, 50, 50, 1)
+        tracemalloc.start()
+        try:
+            stacked_ratio_grid(*operands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < operands[0].nbytes
 
 
 class TestRegressionEstimator:
