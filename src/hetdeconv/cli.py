@@ -277,8 +277,8 @@ def simulate(config_path, overrides, out, workers, full_scale):
     ]
     for name, (rep, message) in failed:
         click.echo(f"warning: {name} replication {rep} failed: {message}", err=True)
-    if any(not report.estimators[name].rep_optima for name in report.estimators):
-        bad = [n for n in report.estimators if not report.estimators[n].rep_optima]
+    bad = [name for name, summary in report.estimators.items() if not summary.results]
+    if bad:
         first_rep = min(r for n in bad for (r, _) in report.estimators[n].failures)
         _fail(EXIT_RUNTIME, f"no successful replication for {bad} (first failure at replication {first_rep})")
 
@@ -289,7 +289,7 @@ def simulate(config_path, overrides, out, workers, full_scale):
     _write_manifest(
         out_dir, "simulate", config.to_dict(), config.seed,
         {"ase_report.csv": report_path}, started,
-        extra={"workers": report.workers},
+        extra={"workers": report.workers, "start_method": report.start_method},
     )
     for row in rows:
         click.echo(

@@ -119,7 +119,9 @@ class ErrorEnsemble:
         """cf_j(v) for every model j, shape (n, len(v))."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
         # ErrorModel.cf's operation order, so every value is bit-identical to it.
-        p = (0.5 * self.variances)[:, None] * v * v
+        # A p beyond the double range is inf, where both CFs are exactly 0.
+        with np.errstate(over="ignore"):
+            p = (0.5 * self.variances)[:, None] * v * v
         cf = np.ones_like(p)
         gaussian, laplace = self.codes == _GAUSSIAN, self.codes == _LAPLACE
         cf[gaussian] = np.exp(-p[gaussian])

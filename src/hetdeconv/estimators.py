@@ -122,13 +122,16 @@ def stacked_ratio_grid(stack, y, kt, scale, floor):
     kx_h * y is formed after kt, for a run of consecutive h whose (n, h, X)
     slice fits ``GROUP_BUDGET`` (at least one h), and lives only for the
     product of its run, which is written into the numerator in place: no
-    (n, H, X) copy of the stack is held beside kt's temporaries.
+    (n, H, X) copy of the stack is held beside kt's temporaries.  Where X or
+    T is 1 a run is one h: the product is then a BLAS dot or matrix-vector
+    product, whose sum order follows the operand's strides, and one h's
+    operand is laid out as kx_h * y of one pair is.
     """
     n, n_h, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    run = max(1, GROUP_BUDGET // max(n * n_x, 1))
+    run = max(1, GROUP_BUDGET // (n * n_x)) if min(n_x, kt.shape[-1]) > 1 else 1
     for lo in range(0, n_h, run):
         np.matmul((stack[:, lo:lo + run] * y[:, None, None]).transpose(1, 2, 0), kt,
                   out=num[:, lo:lo + run])

@@ -75,11 +75,14 @@ def gaussian_kernel(u):
     Values below the smallest normal double (|u| > 37.5 or so) are exactly 0.
     Subnormal operands put BLAS matrix products on a slow path, and a term of
     at most 2.2e-308 cannot move a kernel sum that clears the ridge floor.
-    Computed in place in one buffer (0-d for scalar ``u``).
+    An exponent u^2 / 2 beyond the double range is -inf, whose kernel is
+    exactly 0, so that overflow is no warning.  Computed in place in one
+    buffer (0-d for scalar ``u``).
     """
     u = np.asarray(u, dtype=float)
     k = np.multiply(-0.5, u, out=np.empty_like(u))
-    k *= u
+    with np.errstate(over="ignore"):
+        k *= u
     np.exp(k, out=k)
     k /= np.sqrt(TWO_PI)
     k[k < SMALLEST_NORMAL] = 0.0

@@ -324,9 +324,9 @@ def bandwidth_search(data: GeneratedData, bw_pairs, cache: KernelCache,
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a non-integral number or a non-number raises ConfigError."""
+    """``value`` as an int; a bool, a string or any non-integral value raises ConfigError."""
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -506,37 +506,37 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class RepOutcome:
-    """Oracle-optimal result of one replication for one estimator."""
-
-    rep: int
-    h: float | None
-    b: float
-    ase: float
-    excluded: int
-
-
-@dataclass(frozen=True)
 class EstimatorSummary:
+    """One estimator over a run, in replication order: ``results`` holds the
+    ``(rep, SearchResult)`` of each successful replication, ``failures`` the
+    ``(rep, message)`` of each other one."""
+
     name: str
     pairs: tuple
-    mean_ase_by_pair: np.ndarray
-    rep_optima: tuple
+    results: tuple
     failures: tuple
 
     @property
     def rep_count(self) -> int:
-        return len(self.rep_optima)
+        return len(self.results)
 
     @property
     def grand_mean(self) -> float:
-        if not self.rep_optima:
+        if not self.results:
             return float("nan")
-        return float(np.mean([r.ase for r in self.rep_optima]))
+        return float(np.mean([res.best_ase for _, res in self.results]))
 
     @property
     def excluded_total(self) -> int:
-        return int(sum(r.excluded for r in self.rep_optima))
+        return int(sum(res.best_excluded for _, res in self.results))
+
+    @property
+    def mean_ase_by_pair(self) -> np.ndarray:
+        """Each pair's ASE averaged over the replications; all inf when none succeeded."""
+        if not self.results:
+            return np.full(len(self.pairs), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.mean(np.vstack([res.ase_values for _, res in self.results]), axis=0)
 
     @property
     def best_pair(self):
@@ -549,6 +549,7 @@ class AseReport:
     config: SimulationConfig
     estimators: dict
     workers: int = 1            # worker processes the run used
+    start_method: str | None = None     # how its child processes started; None if none did
 
     def summary_rows(self) -> list:
         """One row per estimator for the report CSV."""
@@ -633,7 +634,9 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     chunk itself, and one child process runs each other chunk and sends its
     results back over a pipe.  Every child is ended before the call returns
     or raises; one that exits without sending raises a RuntimeError naming
-    its replications.  Replications use independent substreams of the base
+    its replications.  Children are forked wherever the platform can fork,
+    whatever the interpreter's default start method, and started by that
+    default elsewhere.  Replications use independent substreams of the base
     seed, so the report is identical for any worker count.
     """
     if int(workers) < 1:
@@ -643,15 +646,18 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     size, extra = divmod(config.reps, workers)
     bounds = [1 + k * size + min(k, extra) for k in range(workers + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    children = []
+    children, start_method = [], None
     try:
         if workers > 1:
             import multiprocessing
 
             import numpy.random  # noqa: F401  the lazy submodule, loaded before the fork, not per child
+            processes = multiprocessing.get_context(
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+            start_method = processes.get_start_method()
             for chunk in chunks[1:]:
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_run_chunk, args=(context, chunk, sender))
+                receiver, sender = processes.Pipe(duplex=False)
+                child = processes.Process(target=_run_chunk, args=(context, chunk, sender))
                 child.start()
                 children.append((chunk, child, receiver))
                 sender.close()
@@ -675,22 +681,14 @@ def run_replications(config: SimulationConfig, workers: int = 1) -> AseReport:
     summaries = {}
     for name in estimators_for(config.model):
         found = [(i, results[i][name]) for i in sorted(results)]
-        done = [(i, res) for i, res in found if isinstance(res, SearchResult)]
-        pairs = _candidates(name, config.bw_pairs)
-        if done:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean_matrix = np.mean(np.vstack([res.ase_values for _, res in done]), axis=0)
-        else:
-            mean_matrix = np.full(len(pairs), np.inf)
         summaries[name] = EstimatorSummary(
             name=name,
-            pairs=pairs,
-            mean_ase_by_pair=mean_matrix,
-            rep_optima=tuple(RepOutcome(i, *res.best_pair, res.best_ase, res.best_excluded)
-                             for i, res in done),
+            pairs=_candidates(name, config.bw_pairs),
+            results=tuple((i, res) for i, res in found if isinstance(res, SearchResult)),
             failures=tuple((i, res) for i, res in found if isinstance(res, str)),
         )
-    return AseReport(config=config, estimators=summaries, workers=workers)
+    return AseReport(config=config, estimators=summaries, workers=workers,
+                     start_method=start_method)
 
 
 @dataclass(frozen=True)

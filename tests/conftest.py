@@ -23,8 +23,9 @@ def underflowing_ensemble(n):
     return ErrorEnsemble.from_arrays(["gaussian"] * n, [2.0] * n)
 
 
-# A child process runs a patched function of this process only when forked.
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+# A child process runs a patched function of this process only when forked;
+# run_replications forks wherever the platform can.
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="child processes inherit the patch only when forked")
 
 

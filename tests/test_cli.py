@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -198,7 +199,35 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
                                       "--workers", "2"])
         assert result.exit_code == 0, result.output
-        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["start_method"]) == (1, None)
+
+    @pytest.mark.skipif(not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+                        reason="needs the fork and forkserver start methods")
+    def test_children_are_forked_whatever_the_default_start_method(self, tmp_path):
+        cfg = _write_config(tmp_path, reps=3)
+        script = ("import multiprocessing, sys\n"
+                  "from hetdeconv.cli import main\n"
+                  "multiprocessing.set_start_method('forkserver', force=True)\n"
+                  "main(sys.argv[1:])\n")
+        for workers in ("1", "2"):
+            done = subprocess.run([sys.executable, "-c", script, "simulate", "--config", str(cfg),
+                                   "--out", str(tmp_path / workers), "--workers", workers],
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["start_method"]) == (2, "fork")
+        assert ((tmp_path / "2" / "ase_report.csv").read_bytes()
+                == (tmp_path / "1" / "ase_report.csv").read_bytes())
+
+    def test_a_boolean_integer_exits_2_without_artifacts(self, runner, tmp_path):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--set", "reps=true"])
+        assert result.exit_code == 2, result.output
+        assert "error: reps must be an integer, got True" in result.output
+        assert not out.exists()
 
     def test_default_workers_count_the_cpus_this_process_may_run_on(self, runner, tmp_path,
                                                                      monkeypatch):
@@ -362,7 +391,46 @@ def _write_estimation_inputs(tmp_path, n=24, constant_y=None, seed=5):
     return data, errors, x, w, y
 
 
+def _write_contaminated_errors(errors, n):
+    """Alternating Gaussian and Laplace laws of variance 0.1 for the n rows."""
+    with open(errors, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["family", "variance"])
+        for i in range(n):
+            writer.writerow([("gaussian", "laplace")[i % 2], "0.1"])
+
+
 class TestEstimate:
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_h_flags_every_point_without_a_warning(self, runner, tmp_path):
+        # every kx underflows to an exact 0 (its exponent overflows to -inf)
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        _write_contaminated_errors(errors, 24)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "1e-300", "--b", "0.3", "--x-grid", "-1:1:4", "--t-grid", "-1:1:4",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Warning" not in result.output
+        assert {r["flagged"] for r in _read_rows(out / "predictions.csv")} == {"1"}
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_tiny_b_is_an_invalid_ensemble_without_a_warning(self, runner, tmp_path):
+        # the scaled nodes reach 1e300, where every CF is an exact 0
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        _write_contaminated_errors(errors, 24)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.3", "--b", "1e-300", "--x-grid", "-1:1:4", "--t-grid", "-1:1:4",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("error: ensemble invalid at b=1e-300: [FAIL]")
+        assert "Warning" not in result.output
+
     def test_constant_response_gives_constant_predictions(self, runner, tmp_path):
         data, errors, *_ = _write_estimation_inputs(tmp_path, constant_y=3.25)
         out = tmp_path / "out"

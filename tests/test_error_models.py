@@ -70,6 +70,13 @@ class TestCharacteristicFunctions:
         # built-in families are symmetric: cf is real and even
         assert np.allclose(vals, m.cf(-v), rtol=0, atol=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_frequency_beyond_the_double_range_is_a_zero_cf_and_no_warning(self):
+        # v / b at b = 1e-300: variance * v^2 / 2 overflows to inf, where both CFs are 0
+        ens = ErrorEnsemble.from_arrays(["gaussian", "laplace", "degenerate"], [0.1, 0.1, 0.0])
+        cf = ens.cf_matrix([-1e300, 1e160, 0.0])
+        assert np.array_equal(cf, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
     def test_degenerate_rejects_positive_variance(self):
         with pytest.raises(ValueError):
             ErrorModel(ErrorFamily.DEGENERATE, 0.5)

@@ -1,9 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import underflowing_ensemble
-from oracles import bandlimited_kernel_closed_form, whole_stack_ratio_grid
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import bandlimited_kernel_closed_form, ratio_grid, whole_stack_ratio_grid
 
 from hetdeconv import (
     Bandwidths,
@@ -212,6 +215,36 @@ class TestStackedRatioGrid:
             assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
         if n_x:
             assert got[1].any() and not got[1].all()     # flagged and clean points
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), n_h=st.integers(1, 4), n_x=st.integers(0, 6),
+           n_t=st.integers(1, 6), n_b=st.integers(1, 4), budget=st.integers(1, 300),
+           floor_exp=st.sampled_from([-300, -1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+    # X = 1 or T = 1 makes each product a BLAS dot or matrix-vector product,
+    # whose sum order follows the operand's strides: a run of two h once
+    # summed in another order
+    @example(n=4, n_h=2, n_x=1, n_t=1, n_b=1, budget=8, floor_exp=-300, seed=2)
+    @example(n=4, n_h=2, n_x=2, n_t=1, n_b=1, budget=16, floor_exp=-300, seed=0)
+    def test_equals_the_per_pair_oracle_bit_for_bit(self, n, n_h, n_x, n_t, n_b, budget,
+                                                    floor_exp, seed):
+        # budgets from 1 to past n H X run the numerator operand one h at a
+        # time, in runs of several h and in one product; the floors range
+        # from none flagged to all flagged
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(-2, 2, n), rng.normal(size=n)
+        hs = rng.uniform(0.02, 1.0, n_h)
+        stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None, None]) / hs[:, None])
+        kt = rng.normal(size=(n_b, n, n_t))      # signed, as deconvolution kernels are
+        scale = rng.uniform(0.1, 10.0, (n_b, n_h))
+        floor = 10.0 ** floor_exp * rng.uniform(0.5, 2.0, (n_b, n_h))
+        with mock.patch.object(estimators, "GROUP_BUDGET", budget):
+            got = stacked_ratio_grid(stack, y, kt, scale, floor)
+        for k in range(n_b):
+            for r in range(n_h):
+                want = ratio_grid(stack[:, r], kt[k], y, scale[k, r], floor[k, r])
+                for a, w in zip(got, want):
+                    assert a.shape == (n_b, n_h, n_x, n_t)
+                    assert a[k, r].dtype == w.dtype and a[k, r].tobytes() == w.tobytes()
 
     def test_holds_no_copy_of_the_whole_stack(self):
         operands = _group_operands(500, 10, 50, 50, 1)

@@ -28,11 +28,13 @@ MODULES = (hetdeconv, error_models, estimators, exceptions, kernels, simulation)
 # (the trapezoid grid is a test oracle now), and the two one-line grid
 # wrappers gave way to the KernelCache methods they called.  The sweep scores
 # a group of b from squared errors it forms once, so the per-slice ase is an
-# oracle too, with the exception it alone raised.
+# oracle too, with the exception it alone raised.  A run's summary keeps each
+# replication's whole SearchResult, not an optimum repackaged from it.
 DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
            "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form",
            "ratio_grid", "DegenerateDenominator", "QuadratureRule",
-           "naive_regression_grid", "partial_linear_grid", "ase", "AllPointsExcluded")
+           "naive_regression_grid", "partial_linear_grid", "ase", "AllPointsExcluded",
+           "RepOutcome")
 
 
 def test_every_exported_name_resolves():
@@ -53,6 +55,7 @@ def test_deleted_names_do_not_resolve(name):
     (DeconvWeights, "of"), (KernelCache, "kx"), (ErrorEnsemble, "denominator"),
     (ErrorEnsemble, "models"), (QuadratureGrid, "trapezoid"), (QuadratureGrid, "rule"),
     (GeneratedData, "truth"), (DeconvEstimator, "quad"),
+    (simulation.EstimatorSummary, "rep_optima"),
 ])
 def test_deleted_attributes_do_not_resolve(owner, attr):
     assert not hasattr(owner, attr)

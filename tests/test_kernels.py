@@ -125,6 +125,12 @@ class TestScalarKernels:
         assert np.array_equal(k[normal], exact[normal])
         assert np.all(k[~normal] == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_exponent_beyond_the_double_range_is_a_zero_kernel_and_no_warning(self):
+        # (w - t) / h at h = 1e-300: -u^2/2 overflows to -inf, whose kernel is exactly 0
+        u = np.array([4e300, -1e300, 1e155, np.inf, 0.0])
+        assert np.array_equal(gaussian_kernel(u), [0.0, 0.0, 0.0, 0.0, gaussian_kernel(0.0)])
+
     def test_transform_values(self):
         assert bandlimited_kernel_ft(0.0) == 1.0
         assert bandlimited_kernel_ft(1.0) == 0.0

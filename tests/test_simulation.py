@@ -1,16 +1,21 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import exit_in_child, needs_fork, underflowing_ensemble
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetdeconv import (
     ConfigError,
     EnsembleInvalid,
+    ErrorEnsemble,
     ErrorFamily,
     GridAxis,
     KernelCache,
     Model,
+    QuadratureGrid,
     Sample,
     SimulationConfig,
     bandwidth_search,
@@ -21,6 +26,7 @@ from hetdeconv import (
     linear_slope,
     replication_rng,
     run_replications,
+    simulation,
     true_regression,
 )
 from hetdeconv.estimators import RIDGE_SCALE, Bandwidths
@@ -544,6 +550,35 @@ class TestGroupedSweep:
             seen.update(s.split(" ")[0] for s in statuses if s)
         assert seen == {"all", "ensemble"}   # both kinds of status occur
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 60), m=st.one_of(st.none(), st.integers(16, 40)),
+           n_x=st.integers(1, 12), n_t=st.integers(1, 12), budget=st.integers(1, 6000),
+           h_sets=st.lists(st.sets(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.5]), min_size=1),
+                           min_size=1, max_size=8))
+    def test_groups_partition_the_sorted_b_within_the_budget(self, n, m, n_x, n_t, budget,
+                                                              h_sets):
+        h_of = {0.1 * (k + 1): sorted(hs) for k, hs in enumerate(h_sets)}
+        sample = Sample(x=np.zeros(n), w=np.zeros(n), y=np.zeros(n),
+                        ensemble=ErrorEnsemble.from_arrays(["degenerate"] * n, [0.0] * n))
+        quad = None if m is None else QuadratureGrid.gauss_legendre(m)
+        cache = KernelCache(sample, np.zeros(n_x), np.zeros(n_t), quad)
+        half = 0 if m is None else m - m // 2
+
+        def largest(bs, hs):
+            # the (B, H, X, T) contraction, the (B, n, 2 ceil(M/2)) cos/sin
+            # operand and the (B, n, T) kernels
+            return len(bs) * max(len(hs) * n_x * n_t, n * 2 * half, n * n_t)
+
+        with mock.patch.object(simulation, "GROUP_BUDGET", budget):
+            groups = _b_groups(h_of, cache)
+        assert [b for bs, _ in groups for b in bs] == list(h_of)
+        for bs, hs in groups:
+            assert hs == sorted(set().union(*(h_of[b] for b in bs)))
+            assert len(bs) == 1 or largest(bs, hs) <= budget
+        for (bs, hs), (after, _) in zip(groups, groups[1:]):
+            # each group is the longest run that fits: its next b would not
+            assert largest(bs + after[:1], set(hs) | set(h_of[after[0]])) > budget
+
     @pytest.mark.parametrize("raw,full_scale,sizes", [
         ({"model": "model2", "error_family": "laplace", "n": 500}, True, [1] * 10),
         ({"model": "model1", "error_family": "gaussian", "n": 500}, True, [1] * 10),
@@ -669,11 +704,30 @@ class TestConfig:
             SimulationConfig.from_dict(self._raw(**extra))
 
     def test_integral_numbers_are_accepted_as_integers(self):
-        cfg = SimulationConfig.from_dict(self._raw(n=100.0, reps="3", quad_nodes=32.0,
+        cfg = SimulationConfig.from_dict(self._raw(n=100.0, reps=3.0, quad_nodes=32.0,
                                                    schema_version=1.0))
         assert (cfg.n, cfg.reps, cfg.quad_nodes) == (100, 3, 32)
         assert all(type(v) is int for v in (cfg.n, cfg.reps, cfg.quad_nodes, cfg.seed))
         assert GridAxis(-2, 2, 5.0).count == 5
+
+    @pytest.mark.parametrize("value,shown", [(True, "True"), (False, "False"), ("20", "'20'")])
+    @pytest.mark.parametrize("field", ["n", "reps", "quad_nodes", "seed", "schema_version",
+                                       "eval_grid.x.count", "bandwidth_grid.h.count"])
+    def test_booleans_and_strings_are_no_integers(self, field, value, shown):
+        # JSON true once ran one replication, and "n": true failed as "n must be >= 2, got 1"
+        raw = self._raw(
+            eval_grid={"x": {"start": -2, "stop": 2, "count": 5},
+                       "t": {"start": -2, "stop": 2, "count": 5}},
+            bandwidth_grid={"h": {"start": 0.1, "stop": 0.2, "count": 2},
+                            "b": {"start": 0.1, "stop": 0.2, "count": 2}})
+        *path, name = field.split(".")
+        node = raw
+        for part in path:
+            node = node[part]
+        node[name] = value
+        prefix = f"{'.'.join(path)}: " if path else ""
+        with pytest.raises(ConfigError, match=f"^{prefix}{name} must be an integer, got {shown}$"):
+            SimulationConfig.from_dict(raw)
 
     def test_grid_axis_values_inclusive(self):
         axis = GridAxis(-2.0, 2.0, 5)
@@ -697,6 +751,17 @@ def _tiny_config(**overrides):
     return SimulationConfig.from_dict(raw)
 
 
+def assert_same_results(got, want):
+    """Two summaries keep the same replications, with equal scores, exclusions, statuses and optima."""
+    assert [rep for rep, _ in got.results] == [rep for rep, _ in want.results]
+    for (_, a), (_, b) in zip(got.results, want.results):
+        assert a.pairs == b.pairs
+        assert a.ase_values.tobytes() == b.ase_values.tobytes()
+        assert np.array_equal(a.excluded, b.excluded)
+        assert a.statuses == b.statuses
+        assert a.best_index == b.best_index
+
+
 class TestRunReplications:
     def test_single_replication_deterministic(self):
         cfg = _tiny_config(reps=1)
@@ -704,7 +769,7 @@ class TestRunReplications:
         r2 = run_replications(cfg)
         for name in r1.estimators:
             assert r1.estimators[name].grand_mean == r2.estimators[name].grand_mean
-            assert r1.estimators[name].rep_optima == r2.estimators[name].rep_optima
+            assert_same_results(r1.estimators[name], r2.estimators[name])
 
     def test_worker_count_does_not_change_results(self):
         # reps=5 is not divisible by 2, 3 or 4 workers: uneven chunks, each
@@ -720,7 +785,7 @@ class TestRunReplications:
             for name in serial.estimators:
                 assert np.array_equal(serial.estimators[name].mean_ase_by_pair,
                                       parallel.estimators[name].mean_ase_by_pair)
-                assert serial.estimators[name].rep_optima == parallel.estimators[name].rep_optima
+                assert_same_results(parallel.estimators[name], serial.estimators[name])
                 assert not parallel.estimators[name].failures
 
     @needs_fork
@@ -753,15 +818,37 @@ class TestRunReplications:
         assert max(sizes) - min(sizes) <= 1
 
     def test_one_worker_starts_no_process(self, monkeypatch):
-        import multiprocessing
+        from multiprocessing.process import BaseProcess
 
         def refuse(*args, **kwargs):
             raise AssertionError("a process was started for workers=1")
 
-        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        # every start method's processes start through BaseProcess.start
+        monkeypatch.setattr(BaseProcess, "start", refuse)
         report = run_replications(_tiny_config(reps=3), workers=1)
         assert report.workers == 1
+        assert report.start_method is None
         assert all(summary.rep_count == 3 for summary in report.estimators.values())
+
+    def test_every_replication_keeps_the_status_of_an_invalid_b(self):
+        # the Gaussian laws are invalid at b = 0.018: each replication's kept
+        # SearchResult says so for every candidate at that b, and only there
+        cfg = _tiny_config(model="model2", error_family="normal", reps=3,
+                           bandwidth_grid={"pairs": [[0.1, 0.1], [0.2, 0.1], [0.1, 0.018]]})
+        report = run_replications(cfg, workers=2)
+        for name in ("deconv", "partial_linear"):
+            summary = report.estimators[name]
+            assert [rep for rep, _ in summary.results] == [1, 2, 3]
+            for _, res in summary.results:
+                for status, (_, b), ase_value in zip(res.statuses, res.pairs, res.ase_values):
+                    if b == 0.018:
+                        assert status.startswith("ensemble invalid at b=0.018: ")
+                        assert ase_value == np.inf
+                    else:
+                        assert status is None
+                assert res.best_pair[1] == 0.1
+        assert all(s is None for _, res in report.estimators["naive"].results
+                   for s in res.statuses)
 
     @needs_fork
     def test_a_lost_child_fails_the_run_and_leaves_no_process(self, monkeypatch):
@@ -826,7 +913,7 @@ class TestRunReplications:
             assert [rep for rep, _ in summary.failures] == [1, 2, 3]
             assert all(message == "no bandwidth candidate produced a finite ASE"
                        for _, message in summary.failures)
-            assert summary.rep_optima == ()
+            assert summary.results == ()
             assert summary.pairs == pairs
             assert summary.mean_ase_by_pair.shape == (len(pairs),)
             assert np.all(summary.mean_ase_by_pair == np.inf)
@@ -923,13 +1010,10 @@ class TestRunContext:
         # b = 0.018 is invalid for these laws: remembered, not rebuilt per replication
         assert report.estimators["deconv"].rep_count == reps
 
+    @needs_fork
     def test_workers_rebuild_nothing(self, monkeypatch):
-        import multiprocessing
-
         from hetdeconv.simulation import RunContext
 
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers inherit the patched functions only when forked")
         cfg = _tiny_config(model="model2", reps=5)
         serial = run_replications(cfg)
         built = []
@@ -947,4 +1031,4 @@ class TestRunContext:
         assert sorted(calls["build_deconv_weights"]) == list(cfg.b_values)
         for name, summary in parallel.estimators.items():
             assert not summary.failures, summary.failures
-            assert summary.rep_optima == serial.estimators[name].rep_optima
+            assert_same_results(summary, serial.estimators[name])
