@@ -1,4 +1,4 @@
-"""Hash the 19 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
+"""Hash the 20 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -22,8 +22,10 @@ and is scored beside the valid b of its group; full-scale ``simulate`` of model2
 n=500 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
 at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 ``bench/inputs.py`` estimate-mixed-n5000 inputs of seed 7 at h = b = 0.3 on
-a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, and the latter again
-on 65 quadrature nodes, whose odd grid has a node at v = 0; ``validate`` of
+a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, the latter again
+on 65 quadrature nodes, whose odd grid has a node at v = 0, and at h = 0.05,
+b = 0.02 on a 40 x 40 grid over [-2.5, 2.5] with 64 nodes, whose CSV holds
+exponent-form, negative and ``0.0...`` fields and flagged rows; ``validate`` of
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 
@@ -86,12 +88,12 @@ def runs(work: Path):
                          "--value", "0.5", "--estimator", estimator],
                         "cross_section.csv", 0))
     inputs = ["--data", str(work / "data.csv"), "--errors", str(work / "errors.csv")]
-    for name, h, b, count, nodes in (("est_a", "0.3", "0.3", 60, 128),
-                                     ("est_b", "0.1", "0.05", 30, 128),
-                                     ("est_c", "0.1", "0.05", 30, 65)):
+    for name, h, b, grid, nodes in (("est_a", "0.3", "0.3", "-2:2:60", 128),
+                                    ("est_b", "0.1", "0.05", "-2:2:30", 128),
+                                    ("est_c", "0.1", "0.05", "-2:2:30", 65),
+                                    ("est_d", "0.05", "0.02", "-2.5:2.5:40", 64)):
         out.append((name, ["estimate", *inputs, "--h", h, "--b", b,
-                           f"--x-grid=-2:2:{count}", f"--t-grid=-2:2:{count}",
-                           "--quad-nodes", str(nodes)],
+                           f"--x-grid={grid}", f"--t-grid={grid}", "--quad-nodes", str(nodes)],
                     "predictions.csv", 0))
     failing = _config(work, "validate_fail", model="model1", error_family="gaussian", n=100,
                       seed=SEED, bandwidth_grid={"pairs": [[0.1, 0.003], [0.1, 0.2]]})

@@ -66,44 +66,176 @@ _ESTIMATOR_CHOICES = {
 
 
 def _fields(column) -> list[str]:
-    """CSV text of a float array or a str/int/float/None sequence: %.17g floats, None empty.
-
-    A sequence that is all str already is returned as it is.
-    """
+    """CSV text of an array or a str/int/float/None sequence: %.17g floats, None empty."""
     values = column.ravel().tolist() if isinstance(column, np.ndarray) else column
-    if set(map(type, values)) == {str}:
-        return values
     return ["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v) for v in values]
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi is 10**k rounded to float64, lo the rest rounded."""
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _per_key(keys: np.ndarray, row, width: int, dtype) -> np.ndarray:
+    """``row(k)``, padded to ``width`` items, for every key; computed once per distinct key."""
+    base = int(keys.min())
+    index = keys - base
+    table = np.zeros((int(index.max()) + 1, width), dtype)
+    for i in np.flatnonzero(np.bincount(index)).tolist():
+        item = row(i + base)
+        table[i, :len(item)] = item
+    return np.take(table, index, axis=0)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part (int64) and fraction of a * 10**(16 - e), the fraction good to about 1e-14.
+
+    10**(16 - e) is the double-double hi + lo of ``_power_of_ten``, and a * hi
+    is Dekker's (1971) exact two-product p + err.  The integer fits int64
+    where e is within one of a's decimal exponent.
+    """
+    hilo = _per_key(16 - e, _power_of_ten, 2, np.float64)
+    hi = hilo[:, 0]
+    p = a * hi
+    t = 134217729.0 * a          # 2**27 + 1 splits a float64 into two 26-bit halves
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = 134217729.0 * hi
+    h_hi = t - (t - hi)
+    h_lo = hi - h_hi
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    low = err + a * hilo[:, 1]
+    floor = np.floor(low)
+    return p.astype(np.int64) + floor.astype(np.int64), low - floor
+
+
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The ``'%.17g' % v`` text of each float, as rows of a NUL-padded (n, W) uint8 matrix.
+
+    The 17 digits are the integer nearest |v| * 10**(16 - E), with E the
+    decimal exponent, from ``_scaled``; E moves by one where the integer
+    falls outside [1e16, 1e17), and a round-up to 1e17 carries into E.  The
+    text follows ``%g``: exponent form where E < -4 or E >= 17, no trailing
+    fraction zeros and no bare point.  A value whose last digit is not
+    certain (fraction within 1e-9 of 0.5), and 0, inf, nan and |v| outside
+    [1e-250, 1e250], is formatted by ``%`` itself.  A row's text is its
+    bytes with the NULs dropped.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    n = x.size
+    if n == 0:
+        return np.zeros((0, 1), np.uint8)
+    a = np.abs(x)
+    slow = ~((a >= 1e-250) & (a <= 1e250))
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, e)
+    off = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
+    moved = np.flatnonzero(off)
+    if moved.size:
+        e[moved] += off[moved]
+        whole[moved], frac[moved] = _scaled(a[moved], e[moved])
+    digits = whole + (frac > 0.5)
+    slow |= (np.abs(frac - 0.5) < 1e-9) | (digits < 10 ** 16) | (digits > 10 ** 17)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    e += carry
+
+    # The 17 digits' chars: the leading digit in the high byte of a uint16,
+    # then 8 pairs from two 8-digit halves, each pair's two chars one uint16;
+    # the trailing zero digits are counted on the way.
+    pair_text = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
+    pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.uint8)
+    high = digits // 10 ** 8
+    chars = np.empty((n, 9), np.uint16)
+    chars[:, 0] = (high // 10 ** 8 + ord("0")) << 8
+    zeros = np.zeros(n, np.uint8)
+    below = np.ones(n, bool)                 # every lower pair is 00
+    for h, half in enumerate((digits - high * 10 ** 8, high % 10 ** 8)):
+        half = half.astype(np.uint32)
+        for k in range(4):
+            rest = half // 100
+            pair = half - rest * 100
+            half = rest
+            chars[:, 8 - 4 * h - k] = np.take(pair_text, pair)
+            zeros += below * np.take(pair_zeros, pair)
+            below &= pair == 0
+    chars = chars.view(np.uint8)[:, 1:]
+
+    # Columns: sign, "0." and zeros where -4 <= E < 0, the digits before the
+    # point, the point, the fraction digits less trailing zeros, "e+dd".
+    expo = (e < -4) | (e >= 17)
+    small = ~expo & (e < 0)
+    point_at = np.where(expo, 1, np.where(small, 0, e + 1))
+    end = 17 - zeros.astype(np.int64)
+    lead = np.where(small, -e, 0)
+    prefix = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"]).view(np.uint8).reshape(5, 5)
+    col = np.arange(17)
+    whole_end, frac_start = int(point_at.max()), int(point_at.min())
+    frac_col = col[frac_start:]
+    parts = [np.signbit(x)[:, None] * np.uint8(ord("-")),
+             np.take(prefix, lead, axis=0)[:, :int(lead.max()) + 1],
+             chars[:, :whole_end] * (col[:whole_end] < point_at[:, None]),
+             np.where(small | (end <= point_at), 0, ord(".")).astype(np.uint8)[:, None],
+             chars[:, frac_start:] * ((frac_col >= point_at[:, None]) & (frac_col < end[:, None]))]
+    rows = np.flatnonzero(expo)
+    if rows.size:
+        exponents = np.zeros((n, 5), np.uint8)
+        exponents[rows] = _per_key(e[rows], lambda k: list(b"e%+03d" % k), 5, np.uint8)
+        parts.append(exponents)
+    out = np.concatenate(parts, axis=1)
+    for i in np.flatnonzero(slow).tolist():
+        text = np.frombuffer(b"%.17g" % x[i], np.uint8)
+        if text.size > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, text.size - out.shape[1])))
+        out[i] = 0
+        out[i, :text.size] = text
+    return out
+
+
+def _text(column) -> np.ndarray:
+    """One CSV column as a NUL-padded (rows, W) uint8 matrix of its fields.
+
+    A 2-D uint8 array is such a matrix already; a float array is formatted by
+    ``_float_text``, a bool array as 1/0, and any other column by ``_fields``.
+    Arrays are read in C order.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.uint8 and column.ndim == 2:
+            return column
+        if column.dtype == bool:
+            return column.reshape(-1, 1).view(np.uint8) + ord("0")
+        if column.dtype.kind == "f":
+            return _float_text(column)
+    fields = np.array([field.encode() for field in _fields(column)], dtype=bytes)
+    return fields.view(np.uint8).reshape(len(fields), fields.itemsize)
 
 
 def _write_csv(path: Path, header, columns) -> None:
     """Write one sequence per column; no field needs quoting (numbers, flags, enum names).
 
-    The body is one ``%`` operation over a row template: %.17g for float
-    arrays, %d for bool arrays (1/0 flags) and %s for any other column,
-    formatted by ``_fields`` (a column of str, such as the grid coordinates
-    ``estimate`` formats once, is taken as it is).  Arrays are read in C
-    order.  Raises ValueError naming the lengths when the columns differ in
-    length.
+    Each column becomes a text matrix (``_text``); the matrices are joined
+    with ``,`` and ``\\n``, the NUL padding is dropped, and the body is
+    written at once.  Raises ValueError naming the lengths, and writes no
+    file, when the columns differ in length.
     """
-    specs, texts = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray) and column.dtype.kind in "bf":
-            specs.append("%d" if column.dtype == bool else "%.17g")
-            texts.append(column.ravel().tolist())
-        else:
-            specs.append("%s")
-            texts.append(_fields(column))
+    texts = [_text(column) for column in columns]
     lengths = [len(t) for t in texts]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
-    rows, k = lengths[0] if lengths else 0, len(texts)
-    flat = [None] * (rows * k)
-    for i, text in enumerate(texts):
-        flat[i::k] = text
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((",".join(specs) + "\n") * rows % tuple(flat))
+    table = np.empty((lengths[0] if lengths else 0, sum(t.shape[1] + 1 for t in texts)), np.uint8)
+    end = 0
+    for text in texts:
+        end += text.shape[1] + 1
+        table[:, end - 1 - text.shape[1]:end - 1] = text
+        table[:, end - 1] = ord(",")
+    table[:, -1:] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.write(table[table != 0].tobytes())
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo, seed, outputs, started, extra=None) -> Path:
@@ -302,7 +434,7 @@ def simulate(config_path, overrides, out, workers, full_scale):
 def _read_table(path: str, required: tuple[str, ...]) -> dict[str, list[str]]:
     """The ``required`` columns, each named once, of a CSV whose every nonblank row matches its header."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:    # a BOM is skipped
             reader = csv.reader(fh)
             header = next(reader, [])
             missing = [c for c in required if c not in header]
@@ -397,11 +529,11 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
         _fail(EXIT_RUNTIME, str(exc))
 
     # Rows run x-major: every t for the first x, then the next x.
-    xs, ts = _fields(x_values), _fields(t_values)
+    xs, ts = _float_text(x_values), _float_text(t_values)
     out_dir = _out_dir(out)
     pred_path = out_dir / "predictions.csv"
     _write_csv(pred_path, PREDICTIONS_COLUMNS,
-               ([s for s in xs for _ in ts], ts * len(xs), values, density, flags))
+               (np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1)), values, density, flags))
     _write_manifest(
         out_dir, "estimate",
         {"data": str(data_path), "errors": str(errors_path), "h": h, "b": b,

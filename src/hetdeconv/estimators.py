@@ -123,20 +123,24 @@ def stacked_ratio_grid(stack, y, kt, scale, floor):
     slice fits ``GROUP_BUDGET`` (at least one h), and lives only for the
     product of its run, which is written into the numerator in place: no
     (n, H, X) copy of the stack is held beside kt's temporaries.  Where X or
-    T is 1 a run is one h: the product is then a BLAS dot or matrix-vector
-    product, whose sum order follows the operand's strides, and one h's
-    operand is laid out as kx_h * y of one pair is.
+    T is 1 a run is one h: the products are then BLAS dot or matrix-vector
+    products, whose sum order follows the operands' strides, so one h's
+    numerator operand, and a contiguous (n, 1, X) copy of its kx_h for the
+    density, are laid out as those of one pair are.
     """
     n, n_h, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    run = max(1, GROUP_BUDGET // (n * n_x)) if min(n_x, kt.shape[-1]) > 1 else 1
+    narrow = min(n_x, kt.shape[-1]) <= 1
+    den = np.empty_like(num) if narrow else np.matmul(stack.transpose(1, 2, 0), kt)
+    run = 1 if narrow else max(1, GROUP_BUDGET // (n * n_x))
     for lo in range(0, n_h, run):
-        np.matmul((stack[:, lo:lo + run] * y[:, None, None]).transpose(1, 2, 0), kt,
-                  out=num[:, lo:lo + run])
+        kx = stack[:, lo:lo + run]
+        np.matmul((kx * y[:, None, None]).transpose(1, 2, 0), kt, out=num[:, lo:lo + run])
+        if narrow:
+            np.matmul(np.ascontiguousarray(kx).transpose(1, 2, 0), kt, out=den[:, lo:lo + run])
     num /= scale
-    den = np.matmul(stack.transpose(1, 2, 0), kt)
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den

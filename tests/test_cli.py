@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import exit_in_child, needs_fork
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hetdeconv import cli, gaussian_kernel, simulation
-from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _write_csv, main
+from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _float_text, _write_csv, main
 
 
 @pytest.fixture
@@ -111,6 +113,44 @@ class TestCsvWriter:
             _write_csv(path, ("a", "b", "c"),
                        (np.zeros(3), ["x", "y", "z"], np.array([True, False])))
         assert not path.exists()
+
+
+# powers of ten with both neighbours, the ends of the 17-digit range and the
+# values just below them, and values around the kernel's fallback bounds
+_POWERS = [10.0 ** k for k in range(-310, 309)]
+_EDGES = [1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 99999999999999992.0,
+          0.5, 2.5, 1e-250, 1e250, np.nextafter(1e-250, 0), np.nextafter(1e250, np.inf),
+          1e-4, 1e-5, 9.9999999999999991e-05, 123456789012345678.0, 0.1 + 0.2, 2.0 ** -1074]
+
+
+class TestFloatText:
+    """The kernel's text of each float64 is ``'%.17g' % v``, bit pattern by bit pattern."""
+
+    @staticmethod
+    def _check(values):
+        x = np.array(values, dtype=np.float64)
+        text = _float_text(x)
+        assert text.dtype == np.uint8 and text.shape[0] == x.size
+        assert [bytes(row).replace(b"\0", b"").decode() for row in text] == \
+            ["%.17g" % v for v in x.tolist()]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                    | st.integers(-10 ** 18, 10 ** 18).map(float)
+                    | st.integers(-10 ** 6, 10 ** 6).map(lambda i: i + 0.5),
+                    max_size=40))
+    @example(_POWERS + [np.nextafter(p, 0) for p in _POWERS] + [np.nextafter(p, np.inf)
+                                                               for p in _POWERS])
+    @example([-v for v in _EDGES] + _EDGES + [np.nextafter(v, 0) for v in _EDGES])
+    @example([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308])
+    @example([])
+    def test_equals_percent_formatting(self, values):
+        self._check(values)
+
+    def test_a_float32_array_reads_as_its_float64_values(self):
+        x = np.array([0.1, -3.4e38, 1e-45], dtype=np.float32)
+        assert [bytes(r).replace(b"\0", b"") for r in _float_text(x)] == \
+            [b"%.17g" % v for v in x.astype(np.float64).tolist()]
 
 
 class TestSimulate:
@@ -543,6 +583,25 @@ class TestEstimate:
             "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 0, result.output
+
+    def test_a_byte_order_mark_is_skipped(self, runner, tmp_path):
+        # as a spreadsheet saves "CSV UTF-8"
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        _write_contaminated_errors(errors, 24)
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            for path in (data, errors):
+                path.write_bytes(bom + path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+            out = tmp_path / f"out{len(bom)}"
+            result = runner.invoke(main, [
+                "estimate", "--data", str(data), "--errors", str(errors),
+                "--h", "0.4", "--b", "0.4", "--x-grid", "-1:1:4", "--t-grid", "-1:1:3",
+                "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert data.read_bytes().startswith(b"\xef\xbb\xbfx,w,y")
+        assert outputs[1] == outputs[0]
 
     def test_row_count_mismatch_exits_2(self, runner, tmp_path):
         data, errors, *_ = _write_estimation_inputs(tmp_path)

@@ -222,14 +222,18 @@ class TestStackedRatioGrid:
            floor_exp=st.sampled_from([-300, -1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
     # X = 1 or T = 1 makes each product a BLAS dot or matrix-vector product,
     # whose sum order follows the operand's strides: a run of two h once
-    # summed in another order
+    # summed the numerator in another order, and the density of each h
+    # depended on H
     @example(n=4, n_h=2, n_x=1, n_t=1, n_b=1, budget=8, floor_exp=-300, seed=2)
     @example(n=4, n_h=2, n_x=2, n_t=1, n_b=1, budget=16, floor_exp=-300, seed=0)
+    @example(n=4, n_h=2, n_x=1, n_t=2, n_b=1, budget=16, floor_exp=-300, seed=0)
     def test_equals_the_per_pair_oracle_bit_for_bit(self, n, n_h, n_x, n_t, n_b, budget,
                                                     floor_exp, seed):
         # budgets from 1 to past n H X run the numerator operand one h at a
         # time, in runs of several h and in one product; the floors range
-        # from none flagged to all flagged
+        # from none flagged to all flagged.  Every pair equals the call made
+        # for it alone, and on grids at least 2 wide the per-pair oracle,
+        # which reads kx_h from the stack with the stack's strides.
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(-2, 2, n), rng.normal(size=n)
         hs = rng.uniform(0.02, 1.0, n_h)
@@ -239,12 +243,30 @@ class TestStackedRatioGrid:
         floor = 10.0 ** floor_exp * rng.uniform(0.5, 2.0, (n_b, n_h))
         with mock.patch.object(estimators, "GROUP_BUDGET", budget):
             got = stacked_ratio_grid(stack, y, kt, scale, floor)
-        for k in range(n_b):
-            for r in range(n_h):
-                want = ratio_grid(stack[:, r], kt[k], y, scale[k, r], floor[k, r])
-                for a, w in zip(got, want):
-                    assert a.shape == (n_b, n_h, n_x, n_t)
-                    assert a[k, r].dtype == w.dtype and a[k, r].tobytes() == w.tobytes()
+            for k in range(n_b):
+                for r in range(n_h):
+                    alone = stacked_ratio_grid(stack[:, r:r + 1].copy(), y, kt[k:k + 1],
+                                               scale[k:k + 1, r:r + 1], floor[k:k + 1, r:r + 1])
+                    wants = [[w[0, 0] for w in alone]]
+                    if min(n_x, n_t) > 1:
+                        wants.append(ratio_grid(stack[:, r], kt[k], y, scale[k, r], floor[k, r]))
+                    for want in wants:
+                        for a, w in zip(got, want):
+                            assert a.shape == (n_b, n_h, n_x, n_t)
+                            assert a[k, r].dtype == w.dtype and a[k, r].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("method", ["naive", "deconv"])
+    @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2)])
+    def test_a_pair_on_a_one_wide_grid_does_not_depend_on_the_other_h(self, n_x, n_t, method,
+                                                                      quad64):
+        ens = build_ensemble(ErrorFamily.LAPLACE, 50)
+        data = generate(Model.MODEL1, 50, ens, np.random.default_rng(3))
+        grid = np.linspace(-1, 1, n_x), np.linspace(-1, 1, n_t)
+        both = getattr(KernelCache(data.sample, *grid, quad64), method)([0.2, 0.3], [0.25])
+        for i, h in enumerate([0.2, 0.3]):
+            alone = getattr(KernelCache(data.sample, *grid, quad64), method)([h], [0.25])
+            for a, w in zip(both, alone):
+                assert a[:, i].tobytes() == w[:, 0].tobytes()
 
     def test_holds_no_copy_of_the_whole_stack(self):
         operands = _group_operands(500, 10, 50, 50, 1)

@@ -1,4 +1,9 @@
+import json
+import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -849,6 +854,43 @@ class TestRunReplications:
                 assert res.best_pair[1] == 0.1
         assert all(s is None for _, res in report.estimators["naive"].results
                    for s in res.statuses)
+
+    @pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the spawn start method")
+    def test_children_start_by_the_default_where_the_platform_cannot_fork(self, tmp_path):
+        # a platform without fork, its default forced to spawn: the child
+        # unpickles a RunContext that holds the EnsembleInvalid of b = 0.018
+        cfg = _tiny_config(model="model2", error_family="normal", reps=3,
+                           bandwidth_grid={"pairs": [[0.1, 0.1], [0.2, 0.1], [0.1, 0.018]]})
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        script = ("import multiprocessing, pickle, sys\n"
+                  "multiprocessing.get_all_start_methods = lambda: ['spawn', 'forkserver']\n"
+                  "multiprocessing.set_start_method('spawn', force=True)\n"
+                  "from hetdeconv import cli, simulation\n"
+                  "reports = []\n"
+                  "def kept(config, workers):\n"
+                  "    reports.append(simulation.run_replications(config, workers))\n"
+                  "    return reports[-1]\n"
+                  "cli.run_replications = kept\n"
+                  "try:\n"
+                  "    cli.main(sys.argv[2:])\n"
+                  "finally:\n"
+                  "    with open(sys.argv[1], 'wb') as fh:\n"
+                  "        pickle.dump(reports, fh)\n")
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "reports.pickle"),
+                               "simulate", "--config", str(tmp_path / "config.json"),
+                               "--out", str(out), "--workers", "2"],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["start_method"]) == (2, "spawn")
+        (parallel,) = pickle.loads((tmp_path / "reports.pickle").read_bytes())
+        serial = run_replications(cfg)
+        for name in serial.estimators:
+            assert_same_results(parallel.estimators[name], serial.estimators[name])
+        assert any(status for _, res in parallel.estimators["deconv"].results
+                   for status in res.statuses)
 
     @needs_fork
     def test_a_lost_child_fails_the_run_and_leaves_no_process(self, monkeypatch):
