@@ -133,13 +133,15 @@ def stacked_ratio_grid(stack, y, kt, scale, floor):
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
     narrow = min(n_x, kt.shape[-1]) <= 1
-    den = np.empty_like(num) if narrow else np.matmul(stack.transpose(1, 2, 0), kt)
+    den = np.empty_like(num) if narrow else None
     run = 1 if narrow else max(1, GROUP_BUDGET // (n * n_x))
     for lo in range(0, n_h, run):
         kx = stack[:, lo:lo + run]
         np.matmul((kx * y[:, None, None]).transpose(1, 2, 0), kt, out=num[:, lo:lo + run])
         if narrow:
             np.matmul(np.ascontiguousarray(kx).transpose(1, 2, 0), kt, out=den[:, lo:lo + run])
+    if not narrow:
+        den = np.matmul(stack.transpose(1, 2, 0), kt)
     num /= scale
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
