@@ -144,14 +144,15 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     digits[carry] = 10 ** 16
     e += carry
 
-    # The 17 digits' chars: the leading digit in the high byte of a uint16,
-    # then 8 pairs from two 8-digit halves, each pair's two chars one uint16;
+    # The 17 digits' chars: the leading digit as the pair "0d", then 8 pairs
+    # from two 8-digit halves, each pair's two chars one uint16 (byte views,
+    # so the order of the bytes does not depend on the machine);
     # the trailing zero digits are counted on the way.
     pair_text = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
     pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.uint8)
     high = digits // 10 ** 8
     chars = np.empty((n, 9), np.uint16)
-    chars[:, 0] = (high // 10 ** 8 + ord("0")) << 8
+    chars[:, 0] = np.take(pair_text, high // 10 ** 8)
     zeros = np.zeros(n, np.uint8)
     below = np.ones(n, bool)                 # every lower pair is 00
     for h, half in enumerate((digits - high * 10 ** 8, high % 10 ** 8)):

@@ -232,8 +232,8 @@ class TestStackedRatioGrid:
         # budgets from 1 to past n H X run the numerator operand one h at a
         # time, in runs of several h and in one product; the floors range
         # from none flagged to all flagged.  Every pair equals the call made
-        # for it alone, and on grids at least 2 wide the per-pair oracle,
-        # which reads kx_h from the stack with the stack's strides.
+        # for it alone and the per-pair oracle, both of which read a
+        # contiguous copy of kx_h, as a single pair has it.
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(-2, 2, n), rng.normal(size=n)
         hs = rng.uniform(0.02, 1.0, n_h)
@@ -247,10 +247,9 @@ class TestStackedRatioGrid:
                 for r in range(n_h):
                     alone = stacked_ratio_grid(stack[:, r:r + 1].copy(), y, kt[k:k + 1],
                                                scale[k:k + 1, r:r + 1], floor[k:k + 1, r:r + 1])
-                    wants = [[w[0, 0] for w in alone]]
-                    if min(n_x, n_t) > 1:
-                        wants.append(ratio_grid(stack[:, r], kt[k], y, scale[k, r], floor[k, r]))
-                    for want in wants:
+                    oracle = ratio_grid(np.ascontiguousarray(stack[:, r]), kt[k], y,
+                                        scale[k, r], floor[k, r])
+                    for want in ([w[0, 0] for w in alone], oracle):
                         for a, w in zip(got, want):
                             assert a.shape == (n_b, n_h, n_x, n_t)
                             assert a[k, r].dtype == w.dtype and a[k, r].tobytes() == w.tobytes()
