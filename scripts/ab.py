@@ -1,0 +1,117 @@
+"""A/B-compare two source trees on one benchmark workload, in alternating pairs of runs.
+
+    python3 scripts/ab.py PARENT_TREE CHANGE_TREE --workload W --pairs K --seconds S [--seed N]
+
+Each tree is a full checkout (``bench/run.py`` and ``src/``).  Pair i runs
+``bench/run.py --workload W --seed N --seconds S --trace 0`` once in each
+tree, from the tree's root, the parent first on even i and the change first
+on odd i, so a drift of the machine's speed over the runs falls on both
+sides alike.  For every end-to-end metric of ``BENCHMARK.json`` it prints
+q1/median/q3 of each side, the change of the median relative to the parent's
+and against its bound, and the number of pairs each side won (ties count
+for neither).  The last line is the same summary as one JSON object.
+
+The trees must sit at paths of equal length: the runner's peak RSS depends
+on the checkout directory's path, so trees at paths of different lengths
+would compare their directories as well as their code.  Exits 2 on such
+trees, 1 if a run fails or reports a problem, 0 otherwise; the exit status
+says nothing about which side won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """metric -> value of one timed ``bench/run.py`` run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if not result.get("correct"):
+        sys.exit(f"{tree}: bench/run.py exit {proc.returncode}, result {result or 'none'}\n"
+                 f"{proc.stderr.strip()}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _quartiles(values) -> list:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(metrics, parent_runs, change_runs) -> dict:
+    """Per metric of ``metrics`` (BENCHMARK.json's end_to_end): quartiles, wins and the bound.
+
+    ``parent_runs`` and ``change_runs`` hold one metric -> value mapping per
+    pair, in pair order.
+    """
+    out = {}
+    for spec in metrics:
+        name, lower = spec["name"], spec["better"] == "lower"
+        parent = [run[name] for run in parent_runs]
+        change = [run[name] for run in change_runs]
+        p_q, c_q = _quartiles(parent), _quartiles(change)
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        lost = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
+        worse = (c_q[1] - p_q[1]) / p_q[1] * (1 if lower else -1)
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent_q": p_q, "change_q": c_q, "change_won": won, "parent_won": lost,
+            "relative_worse": worse, "within_bound": worse <= spec["bound"],
+            "within_parent_iqr": p_q[0] <= c_q[1] <= p_q[2],
+            "parent_spread": (p_q[2] - p_q[0]) / p_q[1],
+        }
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=4.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(str(parent)) != len(str(change)):
+        print(f"error: trees at paths of different length ({len(str(parent))} and "
+              f"{len(str(change))} characters); the runner's peak RSS depends on it",
+              file=sys.stderr)
+        sys.exit(2)
+    for tree in (parent, change):
+        if not (tree / "bench" / "run.py").is_file():
+            print(f"error: no bench/run.py under {tree}", file=sys.stderr)
+            sys.exit(2)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    runs = {parent: [], change: []}
+    for i in range(args.pairs):
+        for tree in (parent, change) if i % 2 == 0 else (change, parent):
+            runs[tree].append(_run(tree, args.workload, args.seed, args.seconds))
+        print(f"pair {i + 1}/{args.pairs}: wall_s parent {runs[parent][-1]['wall_s']:.4g}, "
+              f"change {runs[change][-1]['wall_s']:.4g}", flush=True)
+
+    metrics = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
+    summary = summarize(metrics, runs[parent], runs[change])
+    print(f"{'metric':16s} {'parent q1/med/q3':>30s} {'change q1/med/q3':>30s} "
+          f"{'worse':>8s} {'bound':>6s} {'won c/p':>8s}")
+    for name, s in summary.items():
+        quartiles = ["/".join(f"{v:.4g}" for v in s[side]) for side in ("parent_q", "change_q")]
+        print(f"{name:16s} {quartiles[0]:>30s} {quartiles[1]:>30s} "
+              f"{s['relative_worse']:+8.2%} {s['bound']:6.2f} "
+              f"{s['change_won']:>4d}/{s['parent_won']:<3d}")
+    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+                      "seed": args.seed, "metrics": summary}))
+
+
+if __name__ == "__main__":
+    main()

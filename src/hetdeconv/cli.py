@@ -403,13 +403,9 @@ def simulate(config_path, overrides, out, workers, full_scale):
     except Exception as exc:
         _fail(EXIT_RUNTIME, f"simulation failed: {exc}")
 
-    failed = [
-        (name, failure)
-        for name, summary in report.estimators.items()
-        for failure in summary.failures
-    ]
-    for name, (rep, message) in failed:
-        click.echo(f"warning: {name} replication {rep} failed: {message}", err=True)
+    for name, summary in report.estimators.items():
+        for rep, message in summary.failures:
+            click.echo(f"warning: {name} replication {rep} failed: {message}", err=True)
     bad = [name for name, summary in report.estimators.items() if not summary.results]
     if bad:
         first_rep = min(r for n in bad for (r, _) in report.estimators[n].failures)

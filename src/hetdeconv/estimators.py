@@ -113,35 +113,27 @@ def stacked_ratio_grid(stack, y, kt, scale, floor):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
     density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
-    per (b, h), with |density| <= floor ridge-floored; ``stack`` (n, H, X)
+    per (b, h), with |density| <= floor ridge-floored; ``stack`` (H, n, X)
     holds the kx_h, ``kt`` (B, n, T) the kt_b, ``scale`` and ``floor`` (B, H)
     one value per pair, and each result is (B, H, X, T).  Each batched product
-    runs one (X, n) @ (n, T) product per pair, as for B = H = 1; one flat
-    (H X, n) @ (n, T) product would not (BLAS may pick another kernel for the
-    larger shape, with another summation order).  The numerator operand
-    kx_h * y is formed after kt, for a run of consecutive h whose (n, h, X)
-    slice fits ``GROUP_BUDGET`` (at least one h), and lives only for the
-    product of its run, which is written into the numerator in place: no
-    (n, H, X) copy of the stack is held beside kt's temporaries.  Where X or
-    T is 1 a run is one h: the products are then BLAS dot or matrix-vector
-    products, whose sum order follows the operands' strides, so one h's
-    numerator operand, and a contiguous (n, 1, X) copy of its kx_h for the
-    density, are laid out as those of one pair are.
+    runs one (X, n) @ (n, T) product per pair on operands laid out as those of
+    a lone pair, as for B = H = 1; one flat (H X, n) @ (n, T) product would
+    not (BLAS may pick another kernel for the larger shape, with another
+    summation order).  The numerator operand kx_h * y is formed after kt, for
+    a run of consecutive h whose (h, n, X) slice fits ``GROUP_BUDGET`` (at
+    least one h), and lives only for the product of its run, which is written
+    into the numerator in place: no (H, n, X) copy of the stack is held beside
+    kt's temporaries.
     """
-    n, n_h, n_x = stack.shape
+    n_h, n, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    narrow = min(n_x, kt.shape[-1]) <= 1
-    den = np.empty_like(num) if narrow else None
-    run = 1 if narrow else max(1, GROUP_BUDGET // (n * n_x))
+    run = max(1, GROUP_BUDGET // max(1, n * n_x))
     for lo in range(0, n_h, run):
-        kx = stack[:, lo:lo + run]
-        np.matmul((kx * y[:, None, None]).transpose(1, 2, 0), kt, out=num[:, lo:lo + run])
-        if narrow:
-            np.matmul(np.ascontiguousarray(kx).transpose(1, 2, 0), kt, out=den[:, lo:lo + run])
-    if not narrow:
-        den = np.matmul(stack.transpose(1, 2, 0), kt)
+        np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
+                  out=num[:, lo:lo + run])
+    den = np.matmul(stack.transpose(0, 2, 1), kt)
     num /= scale
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
@@ -174,8 +166,7 @@ class KernelCache:
     (B, H, X, T); ``partial_linear`` returns them on the (X, T) grid of one b.
     """
 
-    def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid | None = None,
-                 weights=None):
+    def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid, weights=None):
         self.sample = sample
         self.x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
         self.t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
@@ -184,16 +175,17 @@ class KernelCache:
         self._weights = dict(weights or {})
 
     def kx_stack(self, hs):
-        """kx_h for every h in ``hs``, shape (n, H, X); kept for later calls.
+        """kx_h for every h in ``hs``, shape (H, n, X); kept for later calls.
 
-        (x_values - x_j) / h is formed in the row of kx_h, so the normal
-        kernel's one temporary is the only memory beyond the stack.
+        Each kx_h is a C-contiguous (n, X) block, laid out as the stack of a
+        lone h.  (x_values - x_j) / h is formed in the block of kx_h, so the
+        normal kernel's one temporary is the only memory beyond the stack.
         """
-        stack = np.empty((self.sample.n, len(hs), self.x_values.size))
+        stack = np.empty((len(hs), self.sample.n, self.x_values.size))
         for i, h in enumerate(hs):
-            u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[:, i])
+            u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
             u /= h
-            stack[:, i] = gaussian_kernel(u)
+            stack[i] = gaussian_kernel(u)
         self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
         return stack
 
@@ -202,7 +194,7 @@ class KernelCache:
         if not all(h in self._row for h in hs):
             return self.kx_stack(hs)
         rows = [self._row[h] for h in hs]
-        return self._stack if rows == list(range(self._stack.shape[1])) else self._stack[:, rows]
+        return self._stack if rows == list(range(self._stack.shape[0])) else self._stack[rows]
 
     def deconv_weights(self, b) -> DeconvWeights:
         """The weights at b, built on first request; raises the EnsembleInvalid of b."""

@@ -9,6 +9,7 @@ error against the known truth, and replication-level aggregation.
 from __future__ import annotations
 
 import math
+import numbers
 import signal
 from dataclasses import dataclass
 from enum import Enum
@@ -17,12 +18,7 @@ import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
 from .estimators import GROUP_BUDGET, Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
-from .exceptions import (
-    ConfigError,
-    DegenerateDesign,
-    DimensionMismatch,
-    EnsembleInvalid,
-)
+from .exceptions import ConfigError, DegenerateDesign, DimensionMismatch, EnsembleInvalid
 from .kernels import QuadratureGrid
 
 _MASK64 = (1 << 64) - 1
@@ -213,7 +209,7 @@ def _b_groups(h_of: dict, cache: KernelCache) -> list:
     alone exceed the budget is a group of one.  Returns (bs, hs) per group,
     with hs those h in increasing order.
     """
-    m = cache.quad.size - cache.quad.size // 2 if cache.quad is not None else 0
+    m = cache.quad.size - cache.quad.size // 2
     x, t = cache.x_values.size, cache.t_values.size
     per_b = cache.sample.n * max(2 * m, t)
     groups, bs, hs = [], [], set()
@@ -333,6 +329,23 @@ def _integer(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or any other non-number raises ConfigError."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError
+        return float(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _known(raw: dict, fields, name: str):
+    """Raise ConfigError naming every key of ``raw`` outside ``fields``."""
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """Evenly spaced axis with inclusive endpoints."""
@@ -342,8 +355,8 @@ class GridAxis:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "start", _number(self.start, "start"))
+        object.__setattr__(self, "stop", _number(self.stop, "stop"))
         object.__setattr__(self, "count", _integer(self.count, "count"))
         if self.count < 2:
             raise ConfigError(f"axis needs at least 2 points, got {self.count}")
@@ -358,12 +371,13 @@ class GridAxis:
 
 
 def _axis_from_dict(d, name) -> GridAxis:
+    if not isinstance(d, dict) or not {"start", "stop", "count"} <= d.keys():
+        raise ConfigError(f"{name}: expected {{start, stop, count}}, got {d!r}")
+    _known(d, ("start", "stop", "count"), name)
     try:
-        return GridAxis(d["start"], d["stop"], d["count"])
+        return GridAxis(**d)
     except ConfigError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected {{start, stop, count}}, got {d!r}") from exc
 
 
 _DESK = {"reps": 20, "bw_count": 5, "eval_count": 20, "quad_nodes": 64}
@@ -397,7 +411,8 @@ class SimulationConfig:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        pairs = tuple((float(h), float(b)) for h, b in self.bw_pairs)
+        pairs = tuple((_number(h, "bandwidth_grid.pairs entry"),
+                       _number(b, "bandwidth_grid.pairs entry")) for h, b in self.bw_pairs)
         if not pairs:
             raise ConfigError("bandwidth grid must be nonempty")
         if not all(0 < v < np.inf for pair in pairs for v in pair):
@@ -433,12 +448,8 @@ class SimulationConfig:
         version = _integer(raw.get("schema_version", SCHEMA_VERSION), "schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
-        unknown = set(raw) - {
-            "schema_version", "model", "error_family", "n", "reps",
-            "bandwidth_grid", "eval_grid", "quad_nodes", "seed",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        _known(raw, ("schema_version", "model", "error_family", "n", "reps",
+                     "bandwidth_grid", "eval_grid", "quad_nodes", "seed"), "config")
         for required in ("model", "error_family", "n"):
             if required not in raw:
                 raise ConfigError(f"missing required config field {required!r}")
@@ -460,45 +471,41 @@ class SimulationConfig:
             raise ConfigError(f"model must be model1 or model2, got {raw['model']!r}") from exc
 
         bw = raw.get("bandwidth_grid")
+        if bw is not None and set(bw) not in ({"pairs"}, {"h", "b"}):
+            raise ConfigError(f"bandwidth_grid takes either 'pairs' or the 'h' and 'b' axes, "
+                              f"got {sorted(bw)}")
         if bw is None:
-            count = defaults["bw_count"]
-            hs = np.linspace(0.02, 0.2, count)
+            hs = np.linspace(0.02, 0.2, defaults["bw_count"])
             pairs = [(h, b) for h in hs for b in hs]
         elif "pairs" in bw:
             try:
-                pairs = [(float(h), float(b)) for h, b in bw["pairs"]]
+                pairs = [(h, b) for h, b in bw["pairs"]]
             except (TypeError, ValueError) as exc:
                 raise ConfigError("bandwidth_grid.pairs must be [[h, b], ...]") from exc
-        elif "h" in bw and "b" in bw:
+        else:
             h_axis = _axis_from_dict(bw["h"], "bandwidth_grid.h")
             b_axis = _axis_from_dict(bw["b"], "bandwidth_grid.b")
             pairs = [(h, b) for h in h_axis.values() for b in b_axis.values()]
-        else:
-            raise ConfigError("bandwidth_grid needs either 'pairs' or 'h' and 'b' axes")
 
         grid = raw.get("eval_grid")
         if grid is None:
-            count = defaults["eval_count"]
-            eval_x = GridAxis(-2.0, 2.0, count)
-            eval_t = GridAxis(-2.0, 2.0, count)
+            eval_x = eval_t = GridAxis(-2.0, 2.0, defaults["eval_count"])
         else:
+            _known(grid, ("x", "t"), "eval_grid")
             eval_x = _axis_from_dict(grid.get("x"), "eval_grid.x")
             eval_t = _axis_from_dict(grid.get("t"), "eval_grid.t")
 
-        try:
-            return cls(
-                model=model,
-                error_family=family,
-                n=raw["n"],
-                reps=raw.get("reps", defaults["reps"]),
-                bw_pairs=tuple(pairs),
-                eval_x=eval_x,
-                eval_t=eval_t,
-                quad_nodes=raw.get("quad_nodes", defaults["quad_nodes"]),
-                seed=raw.get("seed", 0),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(
+            model=model,
+            error_family=family,
+            n=raw["n"],
+            reps=raw.get("reps", defaults["reps"]),
+            bw_pairs=tuple(pairs),
+            eval_x=eval_x,
+            eval_t=eval_t,
+            quad_nodes=raw.get("quad_nodes", defaults["quad_nodes"]),
+            seed=raw.get("seed", 0),
+        )
 
     @property
     def b_values(self) -> tuple:

@@ -124,12 +124,12 @@ def ratio_grid(kx, kt, y, scale, floor):
 
 
 def whole_stack_ratio_grid(stack, y, kt, scale, floor):
-    """``estimators.stacked_ratio_grid`` with kx * y formed as one (n, H, X) copy of the stack."""
+    """``estimators.stacked_ratio_grid`` with kx * y formed as one (H, n, X) copy of the stack."""
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
-    num = np.matmul((stack * y[:, None, None]).transpose(1, 2, 0), kt)
+    num = np.matmul((stack * y[:, None]).transpose(0, 2, 1), kt)
     num /= scale
-    den = np.matmul(stack.transpose(1, 2, 0), kt)
+    den = np.matmul(stack.transpose(0, 2, 1), kt)
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den

@@ -1,0 +1,73 @@
+"""``scripts/ab.py``: the summary of alternating runs, and its refusal of unequal tree paths."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", SCRIPT)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "points_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def test_summary_counts_the_pairs_each_side_won_in_the_metric_direction():
+    parent = [{"wall_s": w, "points_per_s": 1 / w} for w in (1.0, 1.2, 1.1, 1.3, 1.0)]
+    change = [{"wall_s": w, "points_per_s": 1 / w} for w in (0.9, 1.2, 0.9, 1.4, 0.8)]
+    summary = ab.summarize(METRICS, parent, change)
+    for name in ("wall_s", "points_per_s"):
+        s = summary[name]
+        assert (s["change_won"], s["parent_won"]) == (3, 1)        # one tie
+        assert s["parent_q"][1] == pytest.approx(1.1 if name == "wall_s" else 1 / 1.1)
+        assert s["relative_worse"] < 0 and s["within_bound"]
+    assert summary["wall_s"]["change_q"] == [0.9, 0.9, 1.2]
+    assert summary["wall_s"]["within_parent_iqr"] is False
+
+
+def test_a_metric_past_its_bound_is_reported():
+    parent = [{"wall_s": 1.0, "points_per_s": 1.0}] * 3
+    change = [{"wall_s": 1.3, "points_per_s": 0.7}] * 3
+    summary = ab.summarize(METRICS, parent, change)
+    assert summary["wall_s"]["relative_worse"] == pytest.approx(0.3)
+    assert summary["points_per_s"]["relative_worse"] == pytest.approx(0.3)
+    assert not summary["wall_s"]["within_bound"] and not summary["points_per_s"]["within_bound"]
+
+
+def test_trees_at_paths_of_different_length_are_refused(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "bb").mkdir()
+    done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "a"), str(tmp_path / "bb"),
+                           "--workload", "sim-desk-m1-gauss-n100"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "paths of different length" in done.stderr
+
+
+FAKE_RUN = """import json, sys
+wall = {wall}
+print("human-readable lines first")
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
+    "wall_s": {{"value": wall, "unit": "s"}},
+    "points_per_s": {{"value": 1 / wall, "unit": "1/s"}}}}}}))
+"""
+
+
+def test_alternating_runs_are_read_from_each_trees_runner(tmp_path):
+    for tree, wall in (("p", 2.0), ("c", 1.0)):
+        (tmp_path / tree / "bench").mkdir(parents=True)
+        (tmp_path / tree / "bench" / "run.py").write_text(FAKE_RUN.format(wall=wall))
+    (tmp_path / "c" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    done = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "p"), str(tmp_path / "c"),
+                           "--workload", "w", "--pairs", "3", "--seconds", "0"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    assert summary["wall_s"]["parent_q"] == [2.0, 2.0, 2.0]
+    assert summary["wall_s"]["relative_worse"] == -0.5
+    assert (summary["points_per_s"]["change_won"], summary["points_per_s"]["parent_won"]) == (3, 0)

@@ -264,6 +264,24 @@ class TestSimulate:
         assert "error: reps must be an integer, got True" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ("bandwidth_grid={\"pairs\": [[true, 0.2]]}",
+         "bandwidth_grid.pairs entry must be a number, got True"),
+        ("eval_grid.x.start=\"-1\"", "eval_grid.x: start must be a number, got '-1'"),
+        ("eval_grid.x.cnt=50", "unknown eval_grid.x fields: ['cnt']"),
+        ("bandwidth_grid.pairs=[[0.1, 0.2]]",
+         "bandwidth_grid takes either 'pairs' or the 'h' and 'b' axes, got ['b', 'h', 'pairs']"),
+    ], ids=["boolean_pair", "string_start", "axis_typo", "two_forms"])
+    def test_a_malformed_float_or_nested_key_exits_2_without_artifacts(self, runner, tmp_path,
+                                                                      override, message):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out),
+                                      "--set", override])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.output
+        assert not out.exists()
+
     def test_default_workers_count_the_cpus_this_process_may_run_on(self, runner, tmp_path,
                                                                      monkeypatch):
         # one CPU in the affinity mask of a four-core machine: one worker, although reps=2

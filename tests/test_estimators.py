@@ -187,7 +187,7 @@ def _group_operands(n, n_h, n_x, n_t, n_b):
     rng = np.random.default_rng(n + n_h + n_x + n_t + n_b)
     x, w, y = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), rng.normal(size=n)
     hs, bs = np.linspace(0.02, 0.5, n_h), np.linspace(0.1, 0.3, n_b)
-    stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None, None]) / hs[:, None])
+    stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None]) / hs[:, None, None])
     kt = gaussian_kernel((np.linspace(-2, 2, n_t) - w[:, None]) / bs[:, None, None])
     hb = hs * bs[:, None]
     return stack, y, kt, n * hb, RIDGE_SCALE / hb
@@ -221,9 +221,9 @@ class TestStackedRatioGrid:
            n_t=st.integers(1, 6), n_b=st.integers(1, 4), budget=st.integers(1, 300),
            floor_exp=st.sampled_from([-300, -1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
     # X = 1 or T = 1 makes each product a BLAS dot or matrix-vector product,
-    # whose sum order follows the operand's strides: a run of two h once
-    # summed the numerator in another order, and the density of each h
-    # depended on H
+    # whose sum order follows the operand's strides: with an (n, H, X)
+    # stack a run of two h once summed the numerator in another order, and
+    # the density of each h depended on H
     @example(n=4, n_h=2, n_x=1, n_t=1, n_b=1, budget=8, floor_exp=-300, seed=2)
     @example(n=4, n_h=2, n_x=2, n_t=1, n_b=1, budget=16, floor_exp=-300, seed=0)
     @example(n=4, n_h=2, n_x=1, n_t=2, n_b=1, budget=16, floor_exp=-300, seed=0)
@@ -232,12 +232,13 @@ class TestStackedRatioGrid:
         # budgets from 1 to past n H X run the numerator operand one h at a
         # time, in runs of several h and in one product; the floors range
         # from none flagged to all flagged.  Every pair equals the call made
-        # for it alone and the per-pair oracle, both of which read a
-        # contiguous copy of kx_h, as a single pair has it.
+        # for it alone and the per-pair oracle, both of which read stack[r]
+        # itself: the h-major stack holds each kx_h as a single pair has it.
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(-2, 2, n), rng.normal(size=n)
         hs = rng.uniform(0.02, 1.0, n_h)
-        stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None, None]) / hs[:, None])
+        stack = gaussian_kernel((np.linspace(-2, 2, n_x) - x[:, None]) / hs[:, None, None])
+        assert all(stack[r].flags.c_contiguous for r in range(n_h))
         kt = rng.normal(size=(n_b, n, n_t))      # signed, as deconvolution kernels are
         scale = rng.uniform(0.1, 10.0, (n_b, n_h))
         floor = 10.0 ** floor_exp * rng.uniform(0.5, 2.0, (n_b, n_h))
@@ -245,10 +246,9 @@ class TestStackedRatioGrid:
             got = stacked_ratio_grid(stack, y, kt, scale, floor)
             for k in range(n_b):
                 for r in range(n_h):
-                    alone = stacked_ratio_grid(stack[:, r:r + 1].copy(), y, kt[k:k + 1],
+                    alone = stacked_ratio_grid(stack[r:r + 1], y, kt[k:k + 1],
                                                scale[k:k + 1, r:r + 1], floor[k:k + 1, r:r + 1])
-                    oracle = ratio_grid(np.ascontiguousarray(stack[:, r]), kt[k], y,
-                                        scale[k, r], floor[k, r])
+                    oracle = ratio_grid(stack[r], kt[k], y, scale[k, r], floor[k, r])
                     for want in ([w[0, 0] for w in alone], oracle):
                         for a, w in zip(got, want):
                             assert a.shape == (n_b, n_h, n_x, n_t)
@@ -266,6 +266,19 @@ class TestStackedRatioGrid:
             alone = getattr(KernelCache(data.sample, *grid, quad64), method)([h], [0.25])
             for a, w in zip(both, alone):
                 assert a[:, i].tobytes() == w[:, 0].tobytes()
+
+    @pytest.mark.parametrize("n_x", [0, 1, 7])
+    def test_kx_stack_is_h_major_with_each_kx_as_a_lone_h_has_it(self, n_x, quad64):
+        ens = build_ensemble(ErrorFamily.LAPLACE, 30)
+        data = generate(Model.MODEL1, 30, ens, np.random.default_rng(8))
+        hs = [0.05, 0.2, 0.7]
+        xg = np.linspace(-1, 1, n_x)
+        stack = KernelCache(data.sample, xg, [0.0], quad64).kx_stack(hs)
+        assert stack.shape == (len(hs), 30, n_x)
+        for r, h in enumerate(hs):
+            lone = KernelCache(data.sample, xg, [0.0], quad64).kx_stack([h])
+            assert stack[r].flags.c_contiguous
+            assert stack[r].tobytes() == lone[0].tobytes()
 
     def test_holds_no_copy_of_the_whole_stack(self):
         operands = _group_operands(500, 10, 50, 50, 1)
@@ -371,17 +384,18 @@ class TestRegressionEstimator:
 
 
 class TestNaiveEstimator:
-    def test_constant_response_exact(self):
+    def test_constant_response_exact(self, quad64):
         rng = np.random.default_rng(10)
         n = 40
         ens = build_ensemble(ErrorFamily.GAUSSIAN, n)
         data = generate(Model.MODEL1, n, ens, rng)
         c = 1.25
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
-        values, _, _ = (a[0, 0] for a in KernelCache(sample, [0.2], [-0.2]).naive([0.1], [0.1]))
+        cache = KernelCache(sample, [0.2], [-0.2], quad64)
+        values, _, _ = (a[0, 0] for a in cache.naive([0.1], [0.1]))
         assert values[0, 0] == pytest.approx(c, abs=1e-12)
 
-    def test_error_free_large_n_comparable_to_deconv(self, quad128):
+    def test_error_free_large_n_comparable_to_deconv(self, quad64, quad128):
         # with no measurement error both estimators are consistent; their
         # grid ASEs should be within a factor of two of each other
         rng = np.random.default_rng(11)
@@ -391,7 +405,7 @@ class TestNaiveEstimator:
         truth = true_regression(data.model, xg[:, None], tg[None, :])
         bw = Bandwidths(0.15, 0.15)
         vals_d, flags_d, _ = fit(data.sample, bw, quad128).predict_grid(xg, tg)
-        naive = KernelCache(data.sample, xg, tg).naive([bw.h], [bw.b])
+        naive = KernelCache(data.sample, xg, tg, quad64).naive([bw.h], [bw.b])
         vals_n, flags_n, _ = (a[0, 0] for a in naive)
         ase_d = np.mean((vals_d[~flags_d] - truth[~flags_d]) ** 2)
         ase_n = np.mean((vals_n[~flags_n] - truth[~flags_n]) ** 2)

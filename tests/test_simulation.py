@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -259,8 +260,8 @@ class TestSharedKernelCache:
         slope = linear_slope(sample)
         direct = {
             "deconv": lambda h, b: fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg),
-            "naive": lambda h, b: tuple(a[0, 0]
-                                        for a in KernelCache(sample, xg, tg).naive([h], [b])),
+            "naive": lambda h, b: tuple(a[0, 0] for a in KernelCache(sample, xg, tg,
+                                                                     quad64).naive([h], [b])),
             "partial_linear": lambda h, b: KernelCache(sample, xg, tg,
                                                        quad64).partial_linear(b, slope),
         }
@@ -332,7 +333,7 @@ class TestSharedKernelCache:
             return gauss_fn(u)
 
         def counted_stacked(stack, y, kt, scale, floor):
-            calls["stacked"].append((kt.shape[0], stack.shape[1]))
+            calls["stacked"].append((kt.shape[0], stack.shape[0]))
             return stacked_fn(stack, y, kt, scale, floor)
 
         def counted_floored(num, den, floor):
@@ -556,8 +557,10 @@ class TestGroupedSweep:
         assert seen == {"all", "ensemble"}   # both kinds of status occur
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(n=st.integers(2, 60), m=st.one_of(st.none(), st.integers(16, 40)),
-           n_x=st.integers(1, 12), n_t=st.integers(1, 12), budget=st.integers(1, 6000),
+    # n_t reaches past M so the (B, n, T) kernels, not only the cos/sin
+    # operand, can be the largest array of one b
+    @given(n=st.integers(2, 60), m=st.integers(16, 40),
+           n_x=st.integers(1, 12), n_t=st.integers(1, 24), budget=st.integers(1, 6000),
            h_sets=st.lists(st.sets(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.5]), min_size=1),
                            min_size=1, max_size=8))
     def test_groups_partition_the_sorted_b_within_the_budget(self, n, m, n_x, n_t, budget,
@@ -565,9 +568,8 @@ class TestGroupedSweep:
         h_of = {0.1 * (k + 1): sorted(hs) for k, hs in enumerate(h_sets)}
         sample = Sample(x=np.zeros(n), w=np.zeros(n), y=np.zeros(n),
                         ensemble=ErrorEnsemble.from_arrays(["degenerate"] * n, [0.0] * n))
-        quad = None if m is None else QuadratureGrid.gauss_legendre(m)
-        cache = KernelCache(sample, np.zeros(n_x), np.zeros(n_t), quad)
-        half = 0 if m is None else m - m // 2
+        cache = KernelCache(sample, np.zeros(n_x), np.zeros(n_t), QuadratureGrid.gauss_legendre(m))
+        half = m - m // 2
 
         def largest(bs, hs):
             # the (B, H, X, T) contraction, the (B, n, 2 ceil(M/2)) cos/sin
@@ -604,7 +606,7 @@ class TestGroupedSweep:
 
 
 class TestSubnormalFlush:
-    def test_full_scale_naive_search_equals_the_unflushed_kernel(self, monkeypatch):
+    def test_full_scale_naive_search_equals_the_unflushed_kernel(self, quad64, monkeypatch):
         import hetdeconv.estimators as estimators
 
         cfg = SimulationConfig.from_dict(
@@ -613,7 +615,8 @@ class TestSubnormalFlush:
         data = generate(cfg.model, cfg.n, build_ensemble(cfg.error_family, cfg.n),
                         replication_rng(cfg.seed, 1))
         xg, tg = cfg.eval_x.values(), cfg.eval_t.values()
-        flushed = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg), "naive")
+        flushed = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg, quad64),
+                                   "naive")
 
         def unflushed(u):
             return np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
@@ -622,7 +625,8 @@ class TestSubnormalFlush:
         kx = unflushed((xg[None, :] - data.sample.x[:, None]) / 0.02)
         assert np.any((kx > 0) & (kx < tiny))              # subnormals do occur here
         monkeypatch.setattr(estimators, "gaussian_kernel", unflushed)
-        reference = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg), "naive")
+        reference = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg, quad64),
+                                     "naive")
         assert np.array_equal(flushed.ase_values, reference.ase_values)
         assert np.array_equal(flushed.excluded, reference.excluded)
 
@@ -733,6 +737,68 @@ class TestConfig:
         prefix = f"{'.'.join(path)}: " if path else ""
         with pytest.raises(ConfigError, match=f"^{prefix}{name} must be an integer, got {shown}$"):
             SimulationConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("value,shown", [(True, "True"), (False, "False"), ("0.1", "'0.1'"),
+                                             (None, "None"), (10 ** 400, str(10 ** 400))],
+                             ids=["true", "false", "string", "null", "huge_int"])
+    @pytest.mark.parametrize("field", ["pairs.h", "pairs.b", "eval_grid.x.start",
+                                       "eval_grid.t.stop", "bandwidth_grid.h.start",
+                                       "bandwidth_grid.b.stop"])
+    def test_booleans_and_strings_are_no_numbers(self, field, value, shown):
+        # [[true, 0.2]] once ran h = 1.0, an axis "start": true failed as
+        # "axis start 1.0 must be < stop 0.2", and an integer beyond the
+        # float range raised OverflowError
+        axis = {"start": 0.1, "stop": 0.2, "count": 2}
+        if field.startswith("pairs."):
+            pair = [0.1, 0.2]
+            pair[field == "pairs.b"] = value
+            raw = self._raw(bandwidth_grid={"pairs": [[0.1, 0.1], pair]})
+            pattern = f"^bandwidth_grid.pairs entry must be a number, got {shown}$"
+        else:
+            grid, key, name = field.split(".")
+            raw = self._raw(**{grid: {k: dict(axis) for k in ("xt" if grid == "eval_grid"
+                                                                 else "hb")}})
+            raw[grid][key][name] = value
+            pattern = f"^{grid}.{key}: {name} must be a number, got {shown}$"
+        with pytest.raises(ConfigError, match=pattern):
+            SimulationConfig.from_dict(raw)
+
+    def test_numbers_of_any_real_type_are_accepted(self):
+        cfg = SimulationConfig.from_dict(self._raw(
+            bandwidth_grid={"pairs": [[1, np.float32(0.5)], [np.int64(2), 0.25]]},
+            eval_grid={"x": {"start": -2, "stop": 2, "count": 3},
+                       "t": {"start": np.float64(-1), "stop": 1.5, "count": 3}}))
+        assert cfg.bw_pairs == ((1.0, 0.5), (2.0, 0.25))
+        assert all(type(v) is float for pair in cfg.bw_pairs for v in pair)
+        assert (cfg.eval_t.start, cfg.eval_x.start) == (-1.0, -2.0)
+
+    @pytest.mark.parametrize("grid,message", [
+        ({"eval_grid": {"x": {"start": -1, "stop": 1, "count": 5, "cnt": 50},
+                        "t": {"start": -1, "stop": 1, "count": 5}}},
+         "unknown eval_grid.x fields: ['cnt']"),
+        ({"eval_grid": {"x": {"start": -1, "stop": 1, "count": 5},
+                        "t": {"start": -1, "stop": 1, "count": 5},
+                        "y": {"start": -1, "stop": 1, "count": 5}}},
+         "unknown eval_grid fields: ['y']"),
+        ({"bandwidth_grid": {"h": {"start": 0.1, "stop": 0.2, "count": 2},
+                             "b": {"start": 0.1, "stop": 0.2, "count": 2, "Count": 9}}},
+         "unknown bandwidth_grid.b fields: ['Count']"),
+        ({"bandwidth_grid": {"pairs": [[0.1, 0.2]], "pair": [[0.3, 0.4]]}},
+         "bandwidth_grid takes either 'pairs' or the 'h' and 'b' axes, got ['pair', 'pairs']"),
+        ({"bandwidth_grid": {"h": {"start": 0.1, "stop": 0.2, "count": 2},
+                             "b": {"start": 0.1, "stop": 0.2, "count": 2}, "x": 1}},
+         "bandwidth_grid takes either 'pairs' or the 'h' and 'b' axes, got ['b', 'h', 'x']"),
+        ({"bandwidth_grid": {"pairs": [[0.1, 0.2]],
+                             "h": {"start": 0.1, "stop": 0.2, "count": 2},
+                             "b": {"start": 0.1, "stop": 0.2, "count": 2}}},
+         "bandwidth_grid takes either 'pairs' or the 'h' and 'b' axes, got ['b', 'h', 'pairs']"),
+    ], ids=["axis", "eval_grid", "bandwidth_axis", "bandwidth_pairs", "bandwidth_axes",
+            "two_forms"])
+    def test_nested_unknown_keys_are_rejected(self, grid, message):
+        # the misspelt count once ran with count 5, and the axes beside
+        # pairs were dropped
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SimulationConfig.from_dict(self._raw(**grid))
 
     def test_grid_axis_values_inclusive(self):
         axis = GridAxis(-2.0, 2.0, 5)
