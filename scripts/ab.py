@@ -9,13 +9,18 @@ on odd i, so a drift of the machine's speed over the runs falls on both
 sides alike.  For every end-to-end metric of ``BENCHMARK.json`` it prints
 q1/median/q3 of each side, the change of the median relative to the parent's
 and against its bound, and the number of pairs each side won (ties count
-for neither).  The last line is the same summary as one JSON object.
+for neither).  It then runs ``scripts/pinned_outputs.py --src TREE/src`` (the
+script beside this one) on both trees and prints every output whose hash
+differs between them or that only one tree printed; trees without a
+``src/hetdeconv`` package skip this step.  The last line is the same summary
+as one JSON object, with the differing outputs under ``pinned_differ`` (null
+when skipped).
 
 The trees must sit at paths of equal length: the runner's peak RSS depends
 on the checkout directory's path, so trees at paths of different lengths
 would compare their directories as well as their code.  Exits 2 on such
 trees, 1 if a run fails or reports a problem, 0 otherwise; the exit status
-says nothing about which side won.
+says nothing about which side won or whether the outputs differ.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PINNED_SCRIPT = Path(__file__).resolve().with_name("pinned_outputs.py")
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,6 +47,25 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"{tree}: bench/run.py exit {proc.returncode}, result {result or 'none'}\n"
                  f"{proc.stderr.strip()}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _pinned(tree: Path) -> dict:
+    """name -> hash of every output that ``pinned_outputs.py`` prints for ``tree``'s package."""
+    proc = subprocess.run([sys.executable, str(PINNED_SCRIPT), "--src", str(tree / "src")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    return listing(proc.stdout)
+
+
+def listing(text: str) -> dict:
+    """name -> hash of the ``name hash`` lines of ``text``."""
+    return dict(line.split() for line in text.splitlines() if line.strip())
+
+
+def differing_outputs(parent: dict, change: dict) -> list:
+    """(name, parent hash, change hash) of every output whose hash differs between two
+    listings, None for a side that does not list it; in listing order."""
+    return [(name, parent.get(name), change.get(name)) for name in {**parent, **change}
+            if parent.get(name) != change.get(name)]
 
 
 def _quartiles(values) -> list:
@@ -109,8 +135,18 @@ def main() -> None:
         print(f"{name:16s} {quartiles[0]:>30s} {quartiles[1]:>30s} "
               f"{s['relative_worse']:+8.2%} {s['bound']:6.2f} "
               f"{s['change_won']:>4d}/{s['parent_won']:<3d}")
+
+    differ = None
+    if all((tree / "src" / "hetdeconv").is_dir() for tree in (parent, change)):
+        hashes = [_pinned(tree) for tree in (parent, change)]
+        differ = differing_outputs(*hashes)
+        print(f"pinned outputs: {len(differ)} of {len({**hashes[0], **hashes[1]})} differ")
+        for name, was, now in differ:
+            print(f"  {name}: parent {was}, change {now}")
+    else:
+        print("pinned outputs: skipped (a tree has no src/hetdeconv)")
     print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-                      "seed": args.seed, "metrics": summary}))
+                      "seed": args.seed, "metrics": summary, "pinned_differ": differ}))
 
 
 if __name__ == "__main__":

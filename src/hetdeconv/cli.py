@@ -506,7 +506,7 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
             raise ConfigError(
                 f"row count mismatch: {data_path} has {n_data} rows, {errors_path} has {n_err}")
         try:
-            x, w, y = (np.array([float(v) for v in data_cols[c]]) for c in "xwy")
+            x, w, y = (np.array(data_cols[c], dtype=float) for c in "xwy")
         except ValueError as exc:
             raise ConfigError(f"{data_path}: non-numeric entry ({exc})") from exc
         ensemble = _error_ensemble(errors_path, error_cols["family"], error_cols["variance"])

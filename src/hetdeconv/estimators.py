@@ -8,6 +8,8 @@ shortcut for separable models, and the variance-bound diagnostic.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,10 @@ class Sample:
     ensemble: ErrorEnsemble
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        # Copies: the caller's arrays stay writeable, the sample's are frozen.
+        x = np.array(self.x, dtype=float)
+        w = np.array(self.w, dtype=float)
+        y = np.array(self.y, dtype=float)
         for name, arr in (("x", x), ("w", w), ("y", y)):
             if arr.ndim != 1:
                 raise DimensionMismatch(f"{name} must be one-dimensional")
@@ -109,7 +112,47 @@ def floored_ratio(num, den, floor):
         return np.divide(num, safe, out=safe), flagged
 
 
-def stacked_ratio_grid(stack, y, kt, scale, floor):
+class _Helper:
+    """One helper thread that runs one call at a time beside the calling thread.
+
+    ``helper(fn, *args)`` hands fn(*args) to the thread and returns a join
+    callable, which waits for the call and returns its value or raises its
+    exception; the caller joins each call before it hands over the next.
+    ``close`` lets the thread finish the call in hand, ends it and waits for it.
+    """
+
+    def __init__(self):
+        self._calls, self._handed, self._done = [], threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while self._handed.acquire() and (call := self._calls.pop(0)) is not None:
+            try:
+                self._result = call(), None
+            except BaseException as exc:    # raised again by the caller's join
+                self._result = None, exc
+            self._done.release()
+
+    def __call__(self, fn, *args):
+        self._calls.append(functools.partial(fn, *args))
+        self._handed.release()
+        return self._join
+
+    def _join(self):
+        self._done.acquire()
+        value, exc = self._result
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self):
+        self._calls.append(None)
+        self._handed.release()
+        self._thread.join()
+
+
+def stacked_ratio_grid(stack, y, kt, scale, floor, aside=None):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
     density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
@@ -123,17 +166,20 @@ def stacked_ratio_grid(stack, y, kt, scale, floor):
     a run of consecutive h whose (h, n, X) slice fits ``GROUP_BUDGET`` (at
     least one h), and lives only for the product of its run, which is written
     into the numerator in place: no (H, n, X) copy of the stack is held beside
-    kt's temporaries.
+    kt's temporaries.  With a ``_Helper`` as ``aside`` the density product
+    runs on its thread while the numerator runs here; the products and their
+    operands are the same either way.
     """
     n_h, n, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
+    den = None if aside is None else aside(np.matmul, stack.transpose(0, 2, 1), kt)
     run = max(1, GROUP_BUDGET // max(1, n * n_x))
     for lo in range(0, n_h, run):
         np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
                   out=num[:, lo:lo + run])
-    den = np.matmul(stack.transpose(0, 2, 1), kt)
+    den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den()
     num /= scale
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
@@ -178,14 +224,14 @@ class KernelCache:
         """kx_h for every h in ``hs``, shape (H, n, X); kept for later calls.
 
         Each kx_h is a C-contiguous (n, X) block, laid out as the stack of a
-        lone h.  (x_values - x_j) / h is formed in the block of kx_h, so the
-        normal kernel's one temporary is the only memory beyond the stack.
+        lone h.  (x_values - x_j) / h and its normal kernel are formed in the
+        block of kx_h, so no memory is used beyond the stack.
         """
         stack = np.empty((len(hs), self.sample.n, self.x_values.size))
         for i, h in enumerate(hs):
             u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
             u /= h
-            stack[i] = gaussian_kernel(u)
+            gaussian_kernel(u, out=u)
         self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
         return stack
 
@@ -216,12 +262,16 @@ class KernelCache:
         bs = np.asarray(bs, dtype=float)[:, None]
         return deconv_kernel_grid(group, self.sample.w / bs, self.t_values / bs)
 
-    def deconv(self, hs, bs, lt=None):
-        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand."""
+    def deconv(self, hs, bs, lt=None, aside=None):
+        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand.
+
+        ``aside`` (a ``_Helper``) runs the density product beside the numerator.
+        """
         hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
         hb = hs * bs[:, None]
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
-                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb)
+                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb,
+                                  aside)
 
     def naive(self, hs, bs):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
@@ -268,10 +318,22 @@ class DeconvEstimator:
             raise DimensionMismatch("weights were built for a different bandwidth")
 
     def predict_grid(self, x_values, t_values):
-        """Regression estimate on the tensor grid: (values, flags, density), each (X, T)."""
+        """Regression estimate on the tensor grid: (values, flags, density), each (X, T).
+
+        One helper thread builds lt while this thread builds kx, and then
+        forms the density while this thread forms the numerator; the result
+        is that of ``KernelCache.deconv`` without a helper, bit for bit.
+        """
+        h, b = self.bandwidths.h, self.bandwidths.b
         cache = KernelCache(self.sample, x_values, t_values, self.weights.quad,
-                            {self.bandwidths.b: self.weights})
-        return tuple(a[0, 0] for a in cache.deconv([self.bandwidths.h], [self.bandwidths.b]))
+                            {b: self.weights})
+        helper = _Helper()
+        try:
+            lt = helper(cache.lt, [b])
+            cache.kx_stack([h])
+            return tuple(a[0, 0] for a in cache.deconv([h], [b], lt(), helper))
+        finally:
+            helper.close()
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:

@@ -69,20 +69,20 @@ class QuadratureGrid:
         return cls(nodes, weights)
 
 
-def gaussian_kernel(u):
+def gaussian_kernel(u, out=None):
     """Standard normal density, the kernel for the error-free direction.
 
     Values below the smallest normal double (|u| > 37.5 or so) are exactly 0.
     Subnormal operands put BLAS matrix products on a slow path, and a term of
     at most 2.2e-308 cannot move a kernel sum that clears the ridge floor.
-    An exponent u^2 / 2 beyond the double range is -inf, whose kernel is
-    exactly 0, so that overflow is no warning.  Computed in place in one
-    buffer (0-d for scalar ``u``).
+    A square u^2 beyond the double range is inf, whose kernel is exactly 0,
+    so that overflow is no warning.  Computed in place in one buffer: ``out``
+    (which may be ``u`` itself) or a new one (0-d for scalar ``u``).
     """
     u = np.asarray(u, dtype=float)
-    k = np.multiply(-0.5, u, out=np.empty_like(u))
     with np.errstate(over="ignore"):
-        k *= u
+        k = np.square(u, out=np.empty_like(u) if out is None else out)
+    k *= -0.5
     np.exp(k, out=k)
     k /= np.sqrt(TWO_PI)
     k[k < SMALLEST_NORMAL] = 0.0
@@ -204,8 +204,9 @@ def deconv_kernel_grid(weights: WeightGroup, obs_args, eval_args) -> np.ndarray:
     -v, so L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
     with c_jv the member's ``DeconvWeights`` coefficients.  Per member that is
     one real product of [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner
-    size M (M + 1 for odd M); cos and sin are written straight into the two
-    (B, ...) operands, and one batched product runs the B products.
+    size M (M + 1 for odd M).  Each phase is formed in its operand's sin slot,
+    its cos is taken from there and then its sin in place, and one batched
+    product runs the B products.
     """
     obs_args = np.atleast_2d(np.asarray(obs_args, dtype=float))
     eval_args = np.atleast_2d(np.asarray(eval_args, dtype=float))
@@ -216,15 +217,13 @@ def deconv_kernel_grid(weights: WeightGroup, obs_args, eval_args) -> np.ndarray:
     v = members[0].nodes
     size, n, t, m = len(members), obs_args.shape[1], eval_args.shape[1], v.size
     left = np.empty((size, n, 2, m))
-    phase = obs_args[:, :, None] * v
+    phase = np.multiply(obs_args[:, :, None], v, out=left[:, :, 1])
     np.cos(phase, out=left[:, :, 0])
-    np.sin(phase, out=left[:, :, 1])
-    del phase                    # not alive beside the (B, n, T) product
+    np.sin(phase, out=phase)
     for k, member in enumerate(members):
         left[k] *= member.values[:, None, :]
     right = np.empty((size, 2, m, t))
-    phase = v[:, None] * eval_args[:, None, :]
+    phase = np.multiply(v[:, None], eval_args[:, None, :], out=right[:, 1])
     np.cos(phase, out=right[:, 0])
-    np.sin(phase, out=right[:, 1])
-    del phase
+    np.sin(phase, out=phase)
     return np.matmul(left.reshape(size, n, 2 * m), right.reshape(size, 2 * m, t))

@@ -71,3 +71,15 @@ def test_alternating_runs_are_read_from_each_trees_runner(tmp_path):
     assert summary["wall_s"]["parent_q"] == [2.0, 2.0, 2.0]
     assert summary["wall_s"]["relative_worse"] == -0.5
     assert (summary["points_per_s"]["change_won"], summary["points_per_s"]["parent_won"]) == (3, 0)
+
+
+def test_pinned_outputs_that_differ_are_listed_with_both_hashes():
+    parent = "desk_a 0123456789ab\nest_a aaaaaaaaaaaa\nest_b bbbbbbbbbbbb\nonly_parent 111111111111\n"
+    change = "desk_a 0123456789ab\nest_a cccccccccccc\n\nest_b bbbbbbbbbbbb\nonly_change 222222222222\n"
+    assert ab.differing_outputs(ab.listing(parent), ab.listing(change)) == [
+        ("est_a", "aaaaaaaaaaaa", "cccccccccccc"),
+        ("only_parent", "111111111111", None),
+        ("only_change", None, "222222222222"),
+    ]
+    assert ab.differing_outputs(ab.listing(parent), ab.listing(parent)) == []
+    assert ab.differing_outputs({}, {}) == []

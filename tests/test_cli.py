@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -730,9 +731,9 @@ class TestEstimate:
             calls["deconv_kernel_grid"] += 1
             return grid_fn(*args)
 
-        def counted_gauss(u):
+        def counted_gauss(u, out=None):
             calls["gaussian_kernel"] += 1
-            return gauss_fn(u)
+            return gauss_fn(u, out)
 
         monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
@@ -743,6 +744,37 @@ class TestEstimate:
         ])
         assert result.exit_code == 0, result.output
         assert calls == {"deconv_kernel_grid": 1, "gaussian_kernel": 1}
+
+    def test_a_failing_kernel_build_on_the_helper_exits_3_with_its_text(self, runner, tmp_path,
+                                                                        monkeypatch):
+        import hetdeconv.estimators as estimators
+
+        def failing_lt(cache, bs):
+            raise RuntimeError("lt build failed")
+
+        monkeypatch.setattr(estimators.KernelCache, "lt", failing_lt)
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        before = threading.active_count()
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "error: lt build failed" in result.output
+        assert threading.active_count() == before
+
+    def test_a_non_numeric_data_entry_exits_2(self, runner, tmp_path):
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=5)
+        lines = data.read_text().splitlines()
+        lines[3] = "0.5,abc,1.0"
+        data.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert (f"{data}: non-numeric entry (could not convert string to float: 'abc')"
+                in result.output)
 
     def test_unknown_family_exits_2(self, runner, tmp_path):
         data = tmp_path / "data.csv"
@@ -1027,3 +1059,26 @@ def test_importing_the_cli_loads_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--workers", "1"],
+    ["cross-section", "--axis", "x", "--value", "0.5"],
+    ["cross-section", "--axis", "t", "--value", "0.5", "--estimator", "partial-linear"],
+], ids=["simulate", "cross-section-deconv", "cross-section-partial-linear"])
+def test_simulate_and_cross_section_start_no_thread(runner, tmp_path, monkeypatch, args):
+    # the helper thread of predict_grid serves estimate alone; --workers stays
+    # the CPU budget of a simulate run
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    cfg = _write_config(tmp_path, model="model2", n=60, reps=2)
+    result = runner.invoke(main, [args[0], "--config", str(cfg), *args[1:],
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert started == []

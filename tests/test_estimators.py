@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -79,6 +82,17 @@ class TestSampleAndFit:
         est = fit(sample, Bandwidths(0.3, 0.3), quad64)
         value, _, _ = _point(est, 0.5, 0.0)
         assert np.isfinite(value)
+
+    def test_the_callers_arrays_stay_writeable_and_the_samples_are_read_only(self):
+        x, w, y = np.array([0.0, 1.0]), np.array([0.2, -0.5]), np.array([1.0, 2.0])
+        sample = Sample(x=x, w=w, y=y, ensemble=_degenerate_ensemble(2))
+        for given, held in ((x, sample.x), (w, sample.w), (y, sample.y)):
+            assert held is not given and given.flags.writeable
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 5.0
+        x[0] = 5.0
+        assert sample.x[0] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -289,6 +303,105 @@ class TestStackedRatioGrid:
         finally:
             tracemalloc.stop()
         assert peak < operands[0].nbytes
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestPredictGridHelper:
+    """predict_grid builds lt and forms the density on one helper thread, bit for bit."""
+
+    @staticmethod
+    def _estimator(family, quad):
+        ens = build_ensemble(family, 300)
+        data = generate(Model.MODEL1, 300, ens, np.random.default_rng(11))
+        return fit(data.sample, Bandwidths(0.2, 0.3), quad)
+
+    @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2), (17, 23), (60, 60)])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_equals_the_cache_without_a_helper(self, family, n_x, n_t, quad64):
+        est = self._estimator(family, quad64)
+        xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.5, 1.5, n_t)
+        got = est.predict_grid(xg, tg)
+        want = KernelCache(est.sample, xg, tg, quad64).deconv([0.2], [0.3])
+        for a, w in zip(got, want):
+            assert a.shape == (n_x, n_t) and a.dtype == w.dtype
+            assert a.tobytes() == w[0, 0].tobytes()
+
+    def test_starts_one_thread_and_joins_it(self, quad64, monkeypatch):
+        est = self._estimator(ErrorFamily.LAPLACE, quad64)
+        monkeypatch.setattr(_CountedThread, "started", 0)
+        monkeypatch.setattr(threading, "Thread", _CountedThread)
+        before = threading.active_count()
+        est.predict_grid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))
+        assert _CountedThread.started == 1
+        assert threading.active_count() == before
+
+    def test_an_exception_of_the_helper_leaves_predict_grid(self, quad64, monkeypatch):
+        est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
+
+        def failing_lt(cache, bs):
+            raise RuntimeError("lt failed on the helper")
+
+        monkeypatch.setattr(KernelCache, "lt", failing_lt)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="lt failed on the helper"):
+            est.predict_grid([0.0, 0.5], [0.0])
+        assert threading.active_count() == before
+
+    def test_an_exception_of_the_caller_waits_for_the_helper(self, quad64, monkeypatch):
+        est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
+        lt_fn, finished = KernelCache.lt, []
+
+        def slow_lt(cache, bs):
+            time.sleep(0.2)
+            finished.append(bs)
+            return lt_fn(cache, bs)
+
+        def failing_kx(cache, hs):
+            raise MemoryError("no room for kx")
+
+        monkeypatch.setattr(KernelCache, "lt", slow_lt)
+        monkeypatch.setattr(KernelCache, "kx_stack", failing_kx)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room for kx"):
+            est.predict_grid([0.0, 0.5], [0.0])
+        assert finished == [[0.3]]
+        assert threading.active_count() == before
+
+    def test_callers_on_many_threads_each_get_their_own_result(self, quad64):
+        # 4 calling threads and their 4 helpers on 2 cores, switching often:
+        # a call handed to the wrong helper, or a result read before it was
+        # written, would change some caller's bytes
+        est = self._estimator(ErrorFamily.LAPLACE, quad64)
+        grids = [(np.linspace(-1, 1, 3 + k), np.linspace(-1, 1, 7 - k)) for k in range(4)]
+        want = [KernelCache(est.sample, *g, quad64).deconv([0.2], [0.3]) for g in grids]
+        got = [[] for _ in grids]
+
+        def call(k):
+            for _ in range(5):
+                got[k].append(est.predict_grid(*grids[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(grids))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for results, ref in zip(got, want):
+            assert len(results) == 5
+            for result in results:
+                assert [a.tobytes() for a in result] == [w[0, 0].tobytes() for w in ref]
 
 
 class TestRegressionEstimator:

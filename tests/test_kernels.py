@@ -25,6 +25,7 @@ from hetdeconv import (
     gaussian_kernel,
 )
 from hetdeconv.error_models import shared_denominator
+from hetdeconv.kernels import SMALLEST_NORMAL
 from hetdeconv.simulation import build_ensemble
 
 
@@ -130,6 +131,25 @@ class TestScalarKernels:
         # (w - t) / h at h = 1e-300: -u^2/2 overflows to -inf, whose kernel is exactly 0
         u = np.array([4e300, -1e300, 1e155, np.inf, 0.0])
         assert np.array_equal(gaussian_kernel(u), [0.0, 0.0, 0.0, 0.0, gaussian_kernel(0.0)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(u=st.lists(
+        st.just(0.0)
+        | st.floats(-SMALLEST_NORMAL, SMALLEST_NORMAL)                # subnormals
+        | st.floats(37.0, 39.0) | st.floats(-39.0, -37.0)            # around the flush
+        | st.floats(-1e155, 1e155),                                  # u^2 overflows past 1.3e154
+        min_size=1, max_size=50))
+    def test_the_kernel_in_place_equals_the_kernel_and_the_former_product_order(self, u):
+        u = np.array(u)
+        want = gaussian_kernel(u)
+        assert gaussian_kernel(u.copy(), out=np.empty_like(u)).tobytes() == want.tobytes()
+        same = u.copy()
+        assert gaussian_kernel(same, out=same) is same and same.tobytes() == want.tobytes()
+        # (-u / 2) u, the order the kernel once took, rounds to the same kernel
+        with np.errstate(over="ignore"):
+            former = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+        former[former < SMALLEST_NORMAL] = 0.0
+        assert want.tobytes() == former.tobytes()
 
     def test_transform_values(self):
         assert bandlimited_kernel_ft(0.0) == 1.0

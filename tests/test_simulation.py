@@ -328,13 +328,13 @@ class TestSharedKernelCache:
             calls["deconv_kernel_grid"].append([w.bandwidth for w in weights.members])
             return grid_fn(weights, obs_args, eval_args)
 
-        def counted_gauss(u):
+        def counted_gauss(u, out=None):
             calls["gaussian_kernel"] += 1
-            return gauss_fn(u)
+            return gauss_fn(u, out)
 
-        def counted_stacked(stack, y, kt, scale, floor):
+        def counted_stacked(stack, y, kt, scale, floor, aside=None):
             calls["stacked"].append((kt.shape[0], stack.shape[0]))
-            return stacked_fn(stack, y, kt, scale, floor)
+            return stacked_fn(stack, y, kt, scale, floor, aside)
 
         def counted_floored(num, den, floor):
             calls["floored_ratio"] += 1
@@ -618,8 +618,12 @@ class TestSubnormalFlush:
         flushed = bandwidth_search(data, cfg.bw_pairs, KernelCache(data.sample, xg, tg, quad64),
                                    "naive")
 
-        def unflushed(u):
-            return np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+        def unflushed(u, out=None):
+            k = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+            if out is None:
+                return k
+            out[...] = k
+            return out
 
         tiny = np.finfo(float).tiny
         kx = unflushed((xg[None, :] - data.sample.x[:, None]) / 0.02)
