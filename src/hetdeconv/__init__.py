@@ -26,7 +26,6 @@ from .exceptions import (
 from .kernels import (
     DeconvWeights,
     QuadratureGrid,
-    WeightGroup,
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
@@ -71,7 +70,6 @@ __all__ = [
     "Sample",
     "SimulationConfig",
     "ValidationReport",
-    "WeightGroup",
     "bandlimited_kernel_ft",
     "bandwidth_search",
     "build_deconv_weights",

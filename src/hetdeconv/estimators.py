@@ -20,7 +20,6 @@ from .kernels import (
     TWO_PI,
     DeconvWeights,
     QuadratureGrid,
-    WeightGroup,
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
@@ -36,11 +35,12 @@ RIDGE_SCALE = 1e-8
 # Every batched array of one group of (b, h) pairs holds at most this many
 # float64 elements (512 KiB), unless one b or one h alone holds more.  The
 # sweep cuts the b grid into groups by it (the (B, H, X, T) contraction, the
-# (B, n, 2 ceil(M/2)) cos/sin operand of the kernel build, the (B, n, T)
-# kernels), and ``stacked_ratio_grid`` cuts the h of its numerator operand
-# by it.  The bound keeps large runs at the memory of one b at a time: at
-# full scale with n = 500 one b already fills it, and batching all ten b
-# there raised a run's peak RSS from 49.7 to 60.5 MB.
+# (B, n, T) kernels, and B times the (n, 2 ceil(M/2)) cos/sin operand that
+# the kernel build forms per b, counted as when it was batched so the groups
+# keep their sizes), and ``stacked_ratio_grid`` cuts the h of its numerator
+# operand by it.  The bound keeps large runs at the memory of one b at a
+# time: at full scale with n = 500 one b already fills it, and batching all
+# ten b there raised a run's peak RSS from 49.7 to 60.5 MB.
 GROUP_BUDGET = 1 << 16
 
 
@@ -99,17 +99,21 @@ class Bandwidths:
 def floored_ratio(num, den, floor):
     """num/den with |den| <= floor replaced by the signed floor; returns (ratio, flagged).
 
-    ``num`` has the shape of ``den`` (or broadcasts to it).  The guarded
-    denominator is one array of that shape, and the ratio is divided into it
-    in place, so the guard holds one temporary beside its inputs.
+    A den that is not finite is floored too, and every point whose den is
+    floored or whose ratio is not finite is flagged.  ``num`` has the shape
+    of ``den`` (or broadcasts to it).  The guarded denominator is one array
+    of that shape, and the ratio is divided into it in place.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    flagged = np.abs(den) <= floor
+    flagged = ~(np.abs(den) > floor)        # a NaN den compares False
+    flagged |= np.isinf(den)
     safe = np.where(den >= 0.0, floor, -floor)
     np.copyto(safe, den, where=~flagged)
     with np.errstate(over="ignore"):
-        return np.divide(num, safe, out=safe), flagged
+        ratio = np.divide(num, safe, out=safe)
+    flagged |= ~np.isfinite(ratio)
+    return ratio, flagged
 
 
 class _Helper:
@@ -230,7 +234,8 @@ class KernelCache:
         stack = np.empty((len(hs), self.sample.n, self.x_values.size))
         for i, h in enumerate(hs):
             u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
-            u /= h
+            with np.errstate(over="ignore"):    # an infinite u has the exact kernel 0
+                u /= h
             gaussian_kernel(u, out=u)
         self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
         return stack
@@ -257,10 +262,18 @@ class KernelCache:
         return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
 
     def lt(self, bs):
-        """The deconvolution kernels at each b of ``bs``, (B, n, T), in one group build."""
-        group = WeightGroup(tuple(self.deconv_weights(b) for b in bs))
-        bs = np.asarray(bs, dtype=float)[:, None]
-        return deconv_kernel_grid(group, self.sample.w / bs, self.t_values / bs)
+        """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.
+
+        A w or t so large that w / b or t / b overflows gives non-finite
+        kernel values, whose points the ratio guard flags, so the overflow
+        and the trig of inf are no warning.
+        """
+        lt = np.empty((len(bs), self.sample.n, self.t_values.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, b in enumerate(bs):
+                deconv_kernel_grid(self.deconv_weights(b), self.sample.w / b,
+                                   self.t_values / b, out=lt[k])
+        return lt
 
     def deconv(self, hs, bs, lt=None, aside=None):
         """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand.

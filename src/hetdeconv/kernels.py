@@ -2,7 +2,8 @@
 
 The contaminated direction is smoothed with a kernel whose Fourier transform
 (1 - v^2)^3 is supported on [-1, 1]; that compact support is what turns the
-Fourier-inversion integral into a fixed-interval quadrature.  The error-free
+Fourier-inversion integral into a fixed-interval quadrature, summed as a
+real cosine series by one matrix product per bandwidth.  The error-free
 direction uses the standard normal kernel.
 """
 
@@ -170,60 +171,30 @@ def build_deconv_weights(
                          values=values, denominator=denom, report=report)
 
 
-@dataclass(frozen=True)
-class WeightGroup:
-    """The DeconvWeights of B bandwidths whose kernels are built together.
+def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args, out=None) -> np.ndarray:
+    """Kernel values L_j(eval_args[i] - obs_args[j]) at the bandwidth of ``weights``, (n, T).
 
-    The members share one sample size and one quadrature grid ``quad``, so
-    their cosine coefficients stack over one set of nodes; a single b is the
-    group of one.
+    ``obs_args`` (n) and ``eval_args`` (T) hold the arguments at that
+    bandwidth.  Each node v > 0 pairs with -v, so L_j(e) = sum_{v>=0} c_jv
+    [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)], with c_jv the coefficients
+    of ``weights``: one real product of [c cos(v o), c sin(v o)] by
+    [cos(v e); sin(v e)], inner size M (M + 1 for odd M).  Each phase is
+    formed in its operand's sin slot, its cos is taken from there and then
+    its sin in place.  The product is written into ``out`` when given.
     """
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a weight group needs at least one member")
-        first = members[0]
-        if any(w.n != first.n or not np.array_equal(w.quad.nodes, first.quad.nodes)
-               for w in members[1:]):
-            raise ValueError("group members must share one sample size and quadrature grid")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def quad(self) -> QuadratureGrid:
-        return self.members[0].quad
-
-
-def deconv_kernel_grid(weights: WeightGroup, obs_args, eval_args) -> np.ndarray:
-    """Kernel values L_j(eval_args[k, i] - obs_args[k, j]) of every member k, shape (B, n, T).
-
-    ``obs_args`` (B, n) and ``eval_args`` (B, T) hold the arguments of each
-    member's bandwidth (1-D for a group of one).  Each node v > 0 pairs with
-    -v, so L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)],
-    with c_jv the member's ``DeconvWeights`` coefficients.  Per member that is
-    one real product of [c cos(v o), c sin(v o)] by [cos(v e); sin(v e)], inner
-    size M (M + 1 for odd M).  Each phase is formed in its operand's sin slot,
-    its cos is taken from there and then its sin in place, and one batched
-    product runs the B products.
-    """
-    obs_args = np.atleast_2d(np.asarray(obs_args, dtype=float))
-    eval_args = np.atleast_2d(np.asarray(eval_args, dtype=float))
-    members = weights.members
-    if not len(members) == len(obs_args) == len(eval_args):
-        raise ValueError(f"{len(members)} members for {len(obs_args)} observation and "
-                         f"{len(eval_args)} evaluation argument rows")
-    v = members[0].nodes
-    size, n, t, m = len(members), obs_args.shape[1], eval_args.shape[1], v.size
-    left = np.empty((size, n, 2, m))
-    phase = np.multiply(obs_args[:, :, None], v, out=left[:, :, 1])
-    np.cos(phase, out=left[:, :, 0])
+    obs_args = np.asarray(obs_args, dtype=float)
+    eval_args = np.asarray(eval_args, dtype=float)
+    if obs_args.shape != (weights.n,):
+        raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
+    v = weights.nodes
+    n, m = weights.n, v.size
+    left = np.empty((n, 2, m))
+    phase = np.multiply(obs_args[:, None], v, out=left[:, 1])
+    np.cos(phase, out=left[:, 0])
     np.sin(phase, out=phase)
-    for k, member in enumerate(members):
-        left[k] *= member.values[:, None, :]
-    right = np.empty((size, 2, m, t))
-    phase = np.multiply(v[:, None], eval_args[:, None, :], out=right[:, 1])
-    np.cos(phase, out=right[:, 0])
+    left *= weights.values[:, None, :]
+    right = np.empty((2, m, eval_args.size))
+    phase = np.multiply(v[:, None], eval_args, out=right[1])
+    np.cos(phase, out=right[0])
     np.sin(phase, out=phase)
-    return np.matmul(left.reshape(size, n, 2 * m), right.reshape(size, 2 * m, t))
+    return np.matmul(left.reshape(n, 2 * m), right.reshape(2 * m, -1), out=out)

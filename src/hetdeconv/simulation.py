@@ -205,8 +205,10 @@ def _b_groups(h_of: dict, cache: KernelCache) -> list:
 
     Each group is the longest run of consecutive b, from the first b not yet
     grouped, whose largest batched array fits ``GROUP_BUDGET``, where H is
-    the number of distinct h paired with the group's b.  A b whose arrays
-    alone exceed the budget is a group of one.  Returns (bs, hs) per group,
+    the number of distinct h paired with the group's b.  The cos/sin operand
+    of lt, built one b at a time, still counts B times, so the groups that
+    batch kt and the contractions keep their sizes.  A b whose arrays alone
+    exceed the budget is a group of one.  Returns (bs, hs) per group,
     with hs those h in increasing order.
     """
     m = cache.quad.size - cache.quad.size // 2
@@ -229,7 +231,7 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
 
     The normal kernels kx_h of all h are stacked once in the cache.  The
     sorted b are cut into groups (``_b_groups``).  Per group, lt is built
-    once for the b at which the ensemble is valid and serves the
+    once, b by b, for the b at which the ensemble is valid and serves the
     deconvolution estimator over every (b, h) of the group (one batched
     contraction) and the partial-linear one b by b; then kt is built once
     for all the group's b and serves the naive estimator in the same way.

@@ -30,6 +30,26 @@ def test_summary_counts_the_pairs_each_side_won_in_the_metric_direction():
     assert summary["wall_s"]["within_parent_iqr"] is False
 
 
+def _runs(walls):
+    return [{"wall_s": w, "points_per_s": 1 / w} for w in walls]
+
+
+def test_a_gain_is_claimed_only_past_the_parent_iqr_in_nine_tenths_of_the_pairs():
+    parent = [1.0 + 0.02 * i for i in range(10)]         # q1 1.045, median 1.09, q3 1.135
+    # 10/10 pairs won and the median (1.04) just outside [q1, q3], but the
+    # gain of 0.05 is less than the parent's q3 - q1 of 0.09
+    near = ab.summarize(METRICS, _runs(parent), _runs([w - 0.05 for w in parent]))
+    assert near["wall_s"]["change_won"] == 10 and not near["wall_s"]["within_parent_iqr"]
+    assert not near["wall_s"]["claim_met"] and not near["points_per_s"]["claim_met"]
+    far = ab.summarize(METRICS, _runs(parent), _runs([w - 0.2 for w in parent]))
+    assert far["wall_s"]["claim_met"] and far["points_per_s"]["claim_met"]
+    # the same gain with 2 of 10 pairs lost: 8 < ceil(0.9 * 10)
+    mixed = [w - 0.2 for w in parent[:8]] + [w + 0.01 for w in parent[8:]]
+    lost = ab.summarize(METRICS, _runs(parent), _runs(mixed))
+    assert lost["wall_s"]["change_won"] == 8 and not lost["wall_s"]["claim_met"]
+    assert lost["wall_s"]["parent_q"][1] - lost["wall_s"]["change_q"][1] > 0.09
+
+
 def test_a_metric_past_its_bound_is_reported():
     parent = [{"wall_s": 1.0, "points_per_s": 1.0}] * 3
     change = [{"wall_s": 1.3, "points_per_s": 0.7}] * 3
@@ -70,6 +90,7 @@ def test_alternating_runs_are_read_from_each_trees_runner(tmp_path):
     summary = json.loads(done.stdout.splitlines()[-1])["metrics"]
     assert summary["wall_s"]["parent_q"] == [2.0, 2.0, 2.0]
     assert summary["wall_s"]["relative_worse"] == -0.5
+    assert summary["wall_s"]["claim_met"] is True
     assert (summary["points_per_s"]["change_won"], summary["points_per_s"]["parent_won"]) == (3, 0)
 
 

@@ -470,6 +470,34 @@ class TestEstimate:
         assert "Warning" not in result.output
         assert {r["flagged"] for r in _read_rows(out / "predictions.csv")} == {"1"}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", ["x", "w"])
+    def test_a_huge_finite_entry_leaks_no_warning(self, runner, tmp_path, column):
+        # w_j = 1e308 overflows w_j / b, so every kernel sum is NaN and every
+        # point is flagged; x_j = 1e308 overflows (x - x_j) / h to -inf,
+        # whose normal kernel is an exact 0, so no point is
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=50)
+        _write_contaminated_errors(errors, 50)
+        rows = data.read_text().splitlines()
+        x, w, y = rows[8].split(",")
+        rows[8] = ",".join(["1e308", w, y] if column == "x" else [x, "1e308", y])
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors),
+            "--h", "0.3", "--b", "0.3", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Warning" not in result.output
+        predictions = _read_rows(out / "predictions.csv")
+        assert len(predictions) == 400
+        if column == "w":
+            assert "400 points, 400 flagged" in result.output
+            assert {r["flagged"] for r in predictions} == {"1"}
+        else:
+            assert "400 points, 0 flagged" in result.output
+            assert all(np.isfinite(float(r["r_hat"])) for r in predictions)
+
     @pytest.mark.filterwarnings("error")
     def test_a_tiny_b_is_an_invalid_ensemble_without_a_warning(self, runner, tmp_path):
         # the scaled nodes reach 1e300, where every CF is an exact 0
@@ -727,9 +755,9 @@ class TestEstimate:
         calls = {"deconv_kernel_grid": 0, "gaussian_kernel": 0}
         grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
 
-        def counted_grid(*args):
+        def counted_grid(*args, **kwargs):
             calls["deconv_kernel_grid"] += 1
-            return grid_fn(*args)
+            return grid_fn(*args, **kwargs)
 
         def counted_gauss(u, out=None):
             calls["gaussian_kernel"] += 1

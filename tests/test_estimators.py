@@ -74,6 +74,20 @@ class TestFloorRatio:
         vals, flags = floored_ratio(3.0, -1e-9, 1e-6)
         assert flags and vals == -3.0 / 1e-6
 
+    def test_a_density_that_is_not_finite_is_floored_and_flagged(self):
+        den = np.array([np.nan, np.inf, -np.inf, 2.0])
+        vals, flags = floored_ratio(np.array([3.0, 3.0, 3.0, np.nan]), den, 1e-6)
+        assert flags.tolist() == [True, True, True, True]
+        assert vals[:3].tolist() == [-3e6, 3e6, -3e6]
+
+    def test_an_overflowing_ratio_is_flagged(self):
+        # 1e300 / 1e-10 overflows although its density clears the floor
+        with np.errstate(all="raise"):
+            vals, flags = floored_ratio(np.array([1e300, 1e300, 1.0]),
+                                        np.array([1e-5, 1e-10, 0.5]), 1e-12)
+        assert flags.tolist() == [False, True, False]
+        assert vals[0] == 1e300 / 1e-5 and np.isinf(vals[1]) and vals[2] == 2.0
+
 
 class TestSampleAndFit:
     def test_minimal_sample_fits_and_evaluates(self, quad64):

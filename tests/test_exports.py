@@ -34,7 +34,7 @@ DELETED = ("CosineWeights", "NonRealKernel", "validate_ensemble", "IMAG_TOL",
            "_real_part_checked", "deconv_kernel", "bandlimited_kernel_closed_form",
            "ratio_grid", "DegenerateDenominator", "QuadratureRule",
            "naive_regression_grid", "partial_linear_grid", "ase", "AllPointsExcluded",
-           "RepOutcome")
+           "RepOutcome", "WeightGroup")
 
 
 def test_every_exported_name_resolves():

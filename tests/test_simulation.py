@@ -324,9 +324,9 @@ class TestSharedKernelCache:
             calls["kt"].append(list(bs))
             return kt_fn(cache, bs)
 
-        def counted_grid(weights, obs_args, eval_args):
-            calls["deconv_kernel_grid"].append([w.bandwidth for w in weights.members])
-            return grid_fn(weights, obs_args, eval_args)
+        def counted_grid(weights, obs_args, eval_args, out=None):
+            calls["deconv_kernel_grid"].append(weights.bandwidth)
+            return grid_fn(weights, obs_args, eval_args, out)
 
         def counted_gauss(u, out=None):
             calls["gaussian_kernel"] += 1
@@ -350,10 +350,10 @@ class TestSharedKernelCache:
         assert all(isinstance(out[name], SearchResult)
                    for name in ("deconv", "naive", "partial_linear"))
         h_values = {h for h, _ in context.config.bw_pairs}
-        # each b in exactly one lt build (one kernel build per group, shared
-        # by deconv and partial-linear) and in exactly one kt build
+        # each b in exactly one lt build (one per group, shared by deconv and
+        # partial-linear, of one kernel build per b) and in exactly one kt build
         assert calls["lt"] == groups
-        assert calls["deconv_kernel_grid"] == groups
+        assert calls["deconv_kernel_grid"] == [b for g in groups for b in g]
         assert calls["kt"] == groups
         # kx once per distinct h (into the stack), the naive kt once per group
         assert calls["gaussian_kernel"] == len(h_values) + len(groups)
