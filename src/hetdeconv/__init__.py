@@ -17,6 +17,7 @@ from .estimators import (
     variance_bound_diagnostic,
 )
 from .exceptions import (
+    BandwidthUnderflow,
     ConfigError,
     DegenerateDesign,
     DimensionMismatch,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AseReport",
+    "BandwidthUnderflow",
     "Bandwidths",
     "ConfigError",
     "DeconvEstimator",

@@ -29,7 +29,7 @@ from . import __version__
 from .error_models import ErrorEnsemble, ErrorFamily, ErrorModel
 from .estimators import Bandwidths, KernelCache, Sample, fit, variance_bound_diagnostic
 from .exceptions import ConfigError, EnsembleInvalid, HetdeconvError
-from .kernels import QuadratureGrid
+from .kernels import MAX_QUAD_NODES, QuadratureGrid
 from .simulation import (
     DECONV,
     NAIVE,
@@ -513,8 +513,8 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
         bandwidths = Bandwidths(h, b)
         x_values = _parse_grid_spec(x_grid, "--x-grid")
         t_values = _parse_grid_spec(t_grid, "--t-grid")
-        if quad_nodes < 16:
-            raise ConfigError(f"--quad-nodes must be >= 16, got {quad_nodes}")
+        if not 16 <= quad_nodes <= MAX_QUAD_NODES:
+            raise ConfigError(f"--quad-nodes must be in [16, {MAX_QUAD_NODES}], got {quad_nodes}")
         sample = Sample(x=x, w=w, y=y, ensemble=ensemble)
     except (ConfigError, HetdeconvError, ValueError) as exc:
         _fail(EXIT_CONFIG, str(exc))

@@ -8,15 +8,14 @@ shortcut for separable models, and the variance-bound diagnostic.
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .error_models import ErrorEnsemble
-from .exceptions import DegenerateDesign, DimensionMismatch, EnsembleInvalid
+from .exceptions import BandwidthUnderflow, DegenerateDesign, DimensionMismatch, EnsembleInvalid
 from .kernels import (
+    SMALLEST_NORMAL,
     TWO_PI,
     DeconvWeights,
     QuadratureGrid,
@@ -84,7 +83,12 @@ class Sample:
 
 @dataclass(frozen=True)
 class Bandwidths:
-    """Smoothing parameters: h for the exact direction, b for the contaminated one."""
+    """Smoothing parameters: h for the exact direction, b for the contaminated one.
+
+    Their product h*b scales every kernel sum and sets the ridge floor
+    RIDGE_SCALE / (h*b); a product below the smallest normal double loses
+    its digits or is 0, so such a pair raises BandwidthUnderflow.
+    """
 
     h: float
     b: float
@@ -94,6 +98,9 @@ class Bandwidths:
         object.__setattr__(self, "b", float(self.b))
         if not (0 < self.h < np.inf and 0 < self.b < np.inf):
             raise ValueError(f"bandwidths must be finite and positive, got h={self.h}, b={self.b}")
+        if self.h * self.b < SMALLEST_NORMAL:
+            raise BandwidthUnderflow(f"bandwidth product h*b is below {SMALLEST_NORMAL:g}, "
+                                     f"got h={self.h}, b={self.b}")
 
 
 def floored_ratio(num, den, floor):
@@ -116,47 +123,7 @@ def floored_ratio(num, den, floor):
     return ratio, flagged
 
 
-class _Helper:
-    """One helper thread that runs one call at a time beside the calling thread.
-
-    ``helper(fn, *args)`` hands fn(*args) to the thread and returns a join
-    callable, which waits for the call and returns its value or raises its
-    exception; the caller joins each call before it hands over the next.
-    ``close`` lets the thread finish the call in hand, ends it and waits for it.
-    """
-
-    def __init__(self):
-        self._calls, self._handed, self._done = [], threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while self._handed.acquire() and (call := self._calls.pop(0)) is not None:
-            try:
-                self._result = call(), None
-            except BaseException as exc:    # raised again by the caller's join
-                self._result = None, exc
-            self._done.release()
-
-    def __call__(self, fn, *args):
-        self._calls.append(functools.partial(fn, *args))
-        self._handed.release()
-        return self._join
-
-    def _join(self):
-        self._done.acquire()
-        value, exc = self._result
-        if exc is not None:
-            raise exc
-        return value
-
-    def close(self):
-        self._calls.append(None)
-        self._handed.release()
-        self._thread.join()
-
-
-def stacked_ratio_grid(stack, y, kt, scale, floor, aside=None):
+def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
     density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
@@ -170,20 +137,20 @@ def stacked_ratio_grid(stack, y, kt, scale, floor, aside=None):
     a run of consecutive h whose (h, n, X) slice fits ``GROUP_BUDGET`` (at
     least one h), and lives only for the product of its run, which is written
     into the numerator in place: no (H, n, X) copy of the stack is held beside
-    kt's temporaries.  With a ``_Helper`` as ``aside`` the density product
-    runs on its thread while the numerator runs here; the products and their
-    operands are the same either way.
+    kt's temporaries.  With a one-worker executor as ``pool`` the density
+    product runs on its worker while the numerator runs here; the products
+    and their operands are the same either way.
     """
     n_h, n, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    den = None if aside is None else aside(np.matmul, stack.transpose(0, 2, 1), kt)
+    den = None if pool is None else pool.submit(np.matmul, stack.transpose(0, 2, 1), kt)
     run = max(1, GROUP_BUDGET // max(1, n * n_x))
     for lo in range(0, n_h, run):
         np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
                   out=num[:, lo:lo + run])
-    den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den()
+    den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den.result()
     num /= scale
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
@@ -275,16 +242,16 @@ class KernelCache:
                                    self.t_values / b, out=lt[k])
         return lt
 
-    def deconv(self, hs, bs, lt=None, aside=None):
+    def deconv(self, hs, bs, lt=None, pool=None):
         """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand.
 
-        ``aside`` (a ``_Helper``) runs the density product beside the numerator.
+        ``pool`` (a one-worker executor) runs the density product beside the numerator.
         """
         hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
         hb = hs * bs[:, None]
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
                                   self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb,
-                                  aside)
+                                  pool)
 
     def naive(self, hs, bs):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
@@ -333,20 +300,19 @@ class DeconvEstimator:
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T).
 
-        One helper thread builds lt while this thread builds kx, and then
+        A one-worker executor builds lt while this thread builds kx, and then
         forms the density while this thread forms the numerator; the result
-        is that of ``KernelCache.deconv`` without a helper, bit for bit.
+        is that of ``KernelCache.deconv`` without a pool, bit for bit.
         """
+        from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
+
         h, b = self.bandwidths.h, self.bandwidths.b
         cache = KernelCache(self.sample, x_values, t_values, self.weights.quad,
                             {b: self.weights})
-        helper = _Helper()
-        try:
-            lt = helper(cache.lt, [b])
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            lt = pool.submit(cache.lt, [b])
             cache.kx_stack([h])
-            return tuple(a[0, 0] for a in cache.deconv([h], [b], lt(), helper))
-        finally:
-            helper.close()
+            return tuple(a[0, 0] for a in cache.deconv([h], [b], lt.result(), pool))
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:
@@ -380,9 +346,11 @@ def variance_bound_diagnostic(weights: DeconvWeights, h: float, c_sup: float) ->
     Computes c_sup / (2 pi h b) * int_{-1}^{1} kernel_ft(u)^2 / S(u/b) du,
     the substituted form of the variance bound, from the S(v/b) that
     ``weights`` holds (b is ``weights.bandwidth``); monotone diagnostics only.
+    Raises BandwidthUnderflow for a pair that ``Bandwidths`` rejects.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"h must be finite and positive, got {h}")
+    Bandwidths(h, weights.bandwidth)
     if not 0 < c_sup < np.inf:
         raise ValueError(f"c_sup must be finite and positive, got {c_sup}")
     quad = weights.quad

@@ -20,6 +20,10 @@ class EnsembleInvalid(HetdeconvError, ValueError):
         self.report = report
 
 
+class BandwidthUnderflow(HetdeconvError, ValueError):
+    """A bandwidth pair whose product h*b is below the smallest normal double."""
+
+
 class DegenerateDesign(HetdeconvError, ValueError):
     """The error-free covariate has zero variance; no slope is identifiable."""
 

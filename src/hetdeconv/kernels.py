@@ -22,6 +22,11 @@ TWO_PI = 2.0 * np.pi
 # Smallest positive normal double; smaller kernel values are flushed to 0.
 SMALLEST_NORMAL = np.finfo(float).tiny
 
+# Most quadrature nodes a command accepts.  leggauss(m) forms an m x m
+# companion matrix and solves its eigenvalues before any check could run:
+# 128 MiB at 4096 nodes, 20 GB at 50 000.  The protocols use 64 and 128.
+MAX_QUAD_NODES = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:

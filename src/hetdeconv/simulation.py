@@ -18,8 +18,9 @@ import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
 from .estimators import GROUP_BUDGET, Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
-from .exceptions import ConfigError, DegenerateDesign, DimensionMismatch, EnsembleInvalid
-from .kernels import QuadratureGrid
+from .exceptions import (BandwidthUnderflow, ConfigError, DegenerateDesign, DimensionMismatch,
+                         EnsembleInvalid)
+from .kernels import MAX_QUAD_NODES, QuadratureGrid
 
 _MASK64 = (1 << 64) - 1
 
@@ -419,12 +420,17 @@ class SimulationConfig:
             raise ConfigError("bandwidth grid must be nonempty")
         if not all(0 < v < np.inf for pair in pairs for v in pair):
             raise ConfigError("bandwidth grid entries must be finite and positive")
+        try:
+            for h, b in pairs:
+                Bandwidths(h, b)
+        except BandwidthUnderflow as exc:
+            raise ConfigError(f"bandwidth_grid.pairs: {exc}") from exc
         object.__setattr__(self, "bw_pairs", pairs)
         for name, axis in (("eval_grid.x", self.eval_x), ("eval_grid.t", self.eval_t)):
             if axis.start < -2.0 or axis.stop > 2.0:
                 raise ConfigError(f"{name} must stay within [-2, 2]")
-        if self.quad_nodes < 16:
-            raise ConfigError(f"quad_nodes must be >= 16, got {self.quad_nodes}")
+        if not 16 <= self.quad_nodes <= MAX_QUAD_NODES:
+            raise ConfigError(f"quad_nodes must be in [16, {MAX_QUAD_NODES}], got {self.quad_nodes}")
         if not 0 <= self.seed < (1 << 64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

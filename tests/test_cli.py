@@ -16,7 +16,7 @@ from conftest import exit_in_child, needs_fork
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hetdeconv import cli, gaussian_kernel, simulation
+from hetdeconv import cli, gaussian_kernel, kernels, simulation
 from hetdeconv.cli import ASE_REPORT_COLUMNS, PREDICTIONS_COLUMNS, _float_text, _write_csv, main
 
 
@@ -736,6 +736,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("option,value", [
         ("--h", "nan"), ("--h", "inf"), ("--b", "inf"), ("--x-grid", "-2:inf:3"),
+        ("--h", "1e-320"), ("--b", "1e-320"),
     ])
     def test_nonfinite_bandwidth_or_grid_exits_2(self, runner, tmp_path, option, value):
         data, errors, *_ = _write_estimation_inputs(tmp_path)
@@ -1033,8 +1034,9 @@ class TestValidate:
         assert "FAIL" in result.output
         assert "failing nodes" in result.output
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e-308])
     def test_nonfinite_bandwidth_pair_exits_2(self, runner, tmp_path, bad):
+        # 1e-308 * 0.1 is below the smallest normal double
         cfg = _write_config(tmp_path, bandwidth_grid={"pairs": [[bad, 0.1], [0.1, 0.2]]})
         result = runner.invoke(main, ["validate", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
@@ -1110,3 +1112,43 @@ def test_simulate_and_cross_section_start_no_thread(runner, tmp_path, monkeypatc
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
     assert started == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--workers", "1"],
+    ["validate"],
+    ["cross-section", "--axis", "x", "--value", "0.5", "--estimator", "naive"],
+    ["cross-section", "--axis", "t", "--value", "0.5"],
+], ids=["simulate", "validate", "cross-section-naive", "cross-section-deconv"])
+def test_an_underflowing_bandwidth_product_exits_2(runner, tmp_path, args):
+    # 1e-300 * 1e-30 rounds to 0; the ridge floor and the scale divide by it
+    cfg = _write_config(tmp_path, bandwidth_grid={"pairs": [[1e-300, 1e-30], [0.1, 0.2]]})
+    out = tmp_path / "out"
+    result = runner.invoke(main, [args[0], "--config", str(cfg), *args[1:],
+                                  *(["--out", str(out)] if args[0] != "validate" else [])])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: bandwidth_grid.pairs: bandwidth product h*b")
+    assert "Traceback" not in result.output and "variance_bound" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_too_many_quad_nodes_exit_2_before_leggauss_allocates(runner, tmp_path, monkeypatch,
+                                                              command):
+    # leggauss(m) forms an m x m companion matrix: 20 GB at m = 50000
+    calls = []
+    monkeypatch.setattr(kernels, "leggauss", lambda m: calls.append(m))
+    too_many = kernels.MAX_QUAD_NODES + 1
+    if command == "estimate":
+        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        args = ["--data", str(data), "--errors", str(errors), "--h", "0.4", "--b", "0.4",
+                "--quad-nodes", str(too_many)]
+        message = f"error: --quad-nodes must be in [16, {kernels.MAX_QUAD_NODES}]"
+    else:
+        args = ["--config", str(_write_config(tmp_path)), "--set", f"quad_nodes={too_many}"]
+        message = f"error: quad_nodes must be in [16, {kernels.MAX_QUAD_NODES}]"
+    result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(message)
+    assert calls == []

@@ -2,6 +2,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import bandlimited_kernel_closed_form, ratio_grid, whole_stack_ratio_grid
 
 from hetdeconv import (
+    BandwidthUnderflow,
     Bandwidths,
     DegenerateDesign,
     DimensionMismatch,
@@ -21,6 +23,7 @@ from hetdeconv import (
     ErrorModel,
     KernelCache,
     Model,
+    QuadratureGrid,
     Sample,
     build_deconv_weights,
     build_ensemble,
@@ -33,6 +36,7 @@ from hetdeconv import (
     variance_bound_diagnostic,
 )
 from hetdeconv.estimators import RIDGE_SCALE, floored_ratio, stacked_ratio_grid
+from hetdeconv.kernels import SMALLEST_NORMAL
 
 
 def _degenerate_ensemble(n):
@@ -347,6 +351,21 @@ class TestPredictGridHelper:
             assert a.shape == (n_x, n_t) and a.dtype == w.dtype
             assert a.tobytes() == w[0, 0].tobytes()
 
+    @pytest.mark.parametrize("m", [64, 65])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_the_pool_path_of_a_group_equals_the_serial_path(self, family, m):
+        est = self._estimator(family, QuadratureGrid.gauss_legendre(m))
+        hs, bs = [0.15, 0.2, 0.35], [0.25, 0.3]
+        cache = KernelCache(est.sample, np.linspace(-1.5, 1.5, 13), np.linspace(-1.5, 1.5, 11),
+                            est.weights.quad)
+        lt = cache.lt(bs)
+        want = cache.deconv(hs, bs, lt)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = cache.deconv(hs, bs, lt, pool)
+        for a, w in zip(got, want):
+            assert a.shape == (2, 3, 13, 11)
+            assert a.tobytes() == w.tobytes()
+
     def test_starts_one_thread_and_joins_it(self, quad64, monkeypatch):
         est = self._estimator(ErrorFamily.LAPLACE, quad64)
         monkeypatch.setattr(_CountedThread, "started", 0)
@@ -608,6 +627,18 @@ class TestPartialLinearEstimator:
         assert np.all(flags == flags[0:1, :])
 
 
+class TestBandwidths:
+    @pytest.mark.parametrize("h,b", [(1e-300, 1e-30), (1e-320, 0.3), (0.3, 1e-320),
+                                     (SMALLEST_NORMAL, 0.5)])
+    def test_a_product_below_the_smallest_normal_is_rejected(self, h, b):
+        with pytest.raises(BandwidthUnderflow, match="h\\*b is below"):
+            Bandwidths(h, b)
+
+    @pytest.mark.parametrize("h,b", [(SMALLEST_NORMAL, 1.0), (1e-300, 0.3), (0.3, 1e-300)])
+    def test_a_product_at_or_above_the_smallest_normal_is_kept(self, h, b):
+        assert (Bandwidths(h, b).h, Bandwidths(h, b).b) == (h, b)
+
+
 class TestVarianceBoundDiagnostic:
     def test_degenerate_closed_form(self, quad128):
         # S == n, so the bound is c_sup/(2 pi h b n) * int (1-u^2)^6 du,
@@ -643,6 +674,12 @@ class TestVarianceBoundDiagnostic:
         with pytest.raises(ValueError, match="finite and positive"):
             variance_bound_diagnostic(build_deconv_weights(_degenerate_ensemble(3), 0.1, quad64),
                                       0.1, c_sup)
+
+    def test_an_underflowing_product_is_rejected(self, quad64):
+        # h b = 1e-330 rounds to 0, which the bound divides by
+        weights = build_deconv_weights(_degenerate_ensemble(3), 1e-30, quad64)
+        with pytest.raises(BandwidthUnderflow):
+            variance_bound_diagnostic(weights, 1e-300, 1.0)
 
     @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonfinite_or_nonpositive_h_rejected(self, quad64, h):

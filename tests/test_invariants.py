@@ -17,6 +17,12 @@ may run another code path (a SIMD body or its scalar tail).  Each path is
 taken to be within 4 ulp of the true value, so a value moved to another
 position may change by up to 8 ulp, ``MOVED`` relative.  The affine map
 leaves every kernel matrix and the density bit for bit unchanged.
+
+Shifting w and the t-grid by c, or x and the x-grid, leaves every kernel
+argument unchanged in exact arithmetic, but each kernel is formed from its
+two arguments apart: a phase v w_j / b beside v t / b, or a difference
+x - x_j.  Its budget is the error of each side's kernel against the exact
+kernel, the shifted inputs' own roundings included, summed over both sides.
 """
 
 import numpy as np
@@ -25,6 +31,7 @@ from hypothesis import strategies as st
 
 from hetdeconv import ErrorEnsemble, KernelCache, QuadratureGrid, Sample, linear_slope
 from hetdeconv.estimators import RIDGE_SCALE
+from hetdeconv.kernels import SMALLEST_NORMAL
 
 U = np.finfo(float).eps / 2
 MOVED = 16 * U
@@ -206,3 +213,82 @@ class TestAffineResponse:
                      + abs(a) * U * (np.abs(xg * s)[:, None] + np.abs(values))
                      + U * (np.abs(a * values) + np.abs(expected)))
             assert np.all((np.abs(v2 - expected) <= bound)[~flags])
+
+
+def _normal_kernel_error(grid, obs, widths):
+    """Bound on |computed - exact| of phi((grid - obs_j) / w) for each w, (W, n, G).
+
+    The inputs may be rounded shifts (u |grid| + u |obs_j| of the argument's
+    numerator); the difference and the division round once each, so the
+    argument is off by du <= u (|grid| + |obs_j|) / w + 2 u |arg|, and
+    phi(arg) by |arg| du phi.  Its square rounds (u arg^2 / 2 of the
+    exponent), exp is within 4 ulp (8 u), the division by sqrt(2 pi) and
+    that constant round once each (2 u), and a value below the smallest
+    normal double is flushed to 0.
+    """
+    widths = np.asarray(widths, dtype=float)[:, None, None]
+    arg = (grid - obs[:, None]) / widths
+    du = U * (np.abs(grid) + np.abs(obs)[:, None]) / widths + 2 * U * np.abs(arg)
+    phi = np.exp(-arg * arg / 2) / np.sqrt(2 * np.pi)
+    return phi * (np.abs(arg) * du + U * arg * arg / 2 + 10 * U) + SMALLEST_NORMAL
+
+
+def _deconv_kernel_error(cache, bs, obs, grid):
+    """Bound on |computed - exact| of L_j(t) for each b, (B, n, T), and the C_j, (B, n).
+
+    Each argument o = w_j / b and e = t / b (of rounded shifts) is off by
+    2 u |o|, and its phase v o (v <= 1) by u |o| more.  A trig value is
+    within 4 ulp (8 u) plus the phase error, and c_jv times it rounds once,
+    so the factors of a node are off by 9 u + 3 u |o| and 8 u + 3 u |e|
+    (times |c_jv| on the left).  As |cos| + |sin| <= sqrt(2), the node's
+    two products are off by at most sqrt(2) times the sum of the two; as
+    |cos a cos b| + |sin a sin b| <= 1, the 2 ceil(M/2) terms of L_j total
+    at most C_j = sum_v |c_jv| in magnitude, and their sum adds gamma of
+    that many terms.
+    """
+    half = cache.quad.size - cache.quad.size // 2
+    c = np.stack([np.abs(cache.deconv_weights(b).values).sum(axis=1) for b in bs])
+    bs = np.asarray(bs, dtype=float)[:, None, None]
+    phases = 3 * U * (np.abs(obs)[:, None] + np.abs(grid)) / bs
+    return c[:, :, None] * (np.sqrt(2) * (17 * U + phases) + gamma(2 * half + 1)), c
+
+
+class TestShift:
+    """Shifting w and the t-grid, or x and the x-grid, by c changes no estimate."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(c=st.floats(-8, 8), along=st.sampled_from(["t", "x"]), **GRIDS)
+    def test_within_the_budget_of_the_kernels(self, c, along, n, n_x, n_t, n_h, n_b, m, seed):
+        sample, _, hs, bs, (xg, tg, quad) = _problem(seed, n, n_x, n_t, n_h, n_b, m)
+        if along == "t":
+            moved = Sample(sample.x, sample.w + c, sample.y, sample.ensemble)
+            other = KernelCache(moved, xg, tg + c, quad)
+        else:
+            moved = Sample(sample.x + c, sample.w, sample.y, sample.ensemble)
+            other = KernelCache(moved, xg + c, tg, quad)
+        cache = KernelCache(sample, xg, tg, quad)
+        sides = (cache, other)
+        kx, kt = cache.kx_stack(hs), cache.kt(bs)
+        ay, ones, hb = np.abs(sample.y), np.ones(n), hs * bs[:, None]
+        g = gamma(n + 2)          # n products summed, then divided by the scale
+        floor = RIDGE_SCALE / hb[:, :, None, None]
+
+        # the side that is not shifted builds the same kernel bit for bit
+        if along == "t":
+            errs = [_deconv_kernel_error(s, bs, s.sample.w, s.t_values) for s in sides]
+            lt_err, c_j = errs[0][0] + errs[1][0], errs[0][1]
+            kt_err = sum(_normal_kernel_error(s.t_values, s.sample.w, bs) for s in sides)
+            kx_err = np.zeros_like(kx)
+        else:
+            c_j = _deconv_kernel_error(cache, bs, sample.w, tg)[1]
+            lt_err, kt_err = np.zeros(kt.shape), np.zeros(kt.shape)
+            kx_err = sum(_normal_kernel_error(s.x_values, s.sample.x, hs) for s in sides)
+
+        def budgets(kernel, kernel_err, scale):
+            return [2 * g * _sums(kx, kernel, z, scale) + _sums(kx, kernel_err, z, scale)
+                    + _sums(kx_err, kernel, z, scale) for z in (ay, ones)]
+
+        _assert_ratio_within(other.deconv(hs, bs), cache.deconv(hs, bs),
+                             *budgets(c_j[:, :, None], lt_err, hb), floor)
+        _assert_ratio_within(other.naive(hs, bs), cache.naive(hs, bs),
+                             *budgets(kt, kt_err, n * hb), floor)

@@ -36,7 +36,7 @@ from hetdeconv import (
     true_regression,
 )
 from hetdeconv.estimators import RIDGE_SCALE, Bandwidths
-from hetdeconv.kernels import gaussian_kernel
+from hetdeconv.kernels import MAX_QUAD_NODES, gaussian_kernel
 from hetdeconv.simulation import (
     ERROR_VARIANCE_SCALE,
     GeneratedData,
@@ -332,9 +332,9 @@ class TestSharedKernelCache:
             calls["gaussian_kernel"] += 1
             return gauss_fn(u, out)
 
-        def counted_stacked(stack, y, kt, scale, floor, aside=None):
+        def counted_stacked(stack, y, kt, scale, floor, pool=None):
             calls["stacked"].append((kt.shape[0], stack.shape[0]))
-            return stacked_fn(stack, y, kt, scale, floor, aside)
+            return stacked_fn(stack, y, kt, scale, floor, pool)
 
         def counted_floored(num, den, floor):
             calls["floored_ratio"] += 1
@@ -679,6 +679,16 @@ class TestConfig:
         for pair in ([bad, 0.1], [0.1, bad]):
             with pytest.raises(ConfigError):
                 SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [pair]}))
+
+    def test_an_underflowing_pair_product_is_rejected(self):
+        with pytest.raises(ConfigError, match="bandwidth product h\\*b is below"):
+            SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [[1e-300, 1e-30]]}))
+
+    def test_quad_nodes_are_capped(self):
+        assert SimulationConfig.from_dict(self._raw(quad_nodes=MAX_QUAD_NODES)).quad_nodes == MAX_QUAD_NODES
+        for bad in (15, MAX_QUAD_NODES + 1):
+            with pytest.raises(ConfigError, match=f"in \\[16, {MAX_QUAD_NODES}\\]"):
+                SimulationConfig.from_dict(self._raw(quad_nodes=bad))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ConfigError):
