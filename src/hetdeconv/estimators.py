@@ -178,9 +178,9 @@ class KernelCache:
     the naive normal kt, each (B, n, T), are rebuilt on every request and
     kept by nobody; a single b is the group of one.  ``weights`` maps b to
     weights built beforehand for the sample's ensemble (as by ``fit``, or
-    entries of ``kernel_weights``).  ``deconv`` and ``naive`` take a sequence
-    of h and a group of b and return (values, flags, density), each
-    (B, H, X, T); ``partial_linear`` returns them on the (X, T) grid of one b.
+    entries of ``kernel_weights``).  Every estimator takes a group of b and
+    returns (values, flags, density), each (B, H, X, T): ``deconv`` and
+    ``naive`` for a sequence of h, ``partial_linear`` (no h) with H = 1.
     """
 
     def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid, weights=None):
@@ -264,20 +264,20 @@ class KernelCache:
                                   self.sample.n * hs * bs[:, None],
                                   RIDGE_SCALE / (hs * bs[:, None]))
 
-    def partial_linear(self, b, slope, lt=None):
-        """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope.
+    def partial_linear(self, bs, slope, lt=None):
+        """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope, per b of ``bs``.
 
-        Only the contaminated direction is smoothed, so flags and density
-        are constant across x.  ``lt`` (n, T) is the lt of b if the caller
-        has it.
+        Only the contaminated direction is smoothed (H = 1), so flags and
+        density are constant across x.  ``lt`` is lt(bs) if the caller has it.
         """
-        lt = self.lt([b])[0] if lt is None else lt
+        bs = np.asarray(bs, dtype=float)[:, None, None, None]
+        lt = self.lt(bs.ravel()) if lt is None else lt
         resid = self.sample.y - self.sample.x * slope
-        density = lt.sum(axis=0) / b
-        ratio, flags = floored_ratio(resid @ lt / b, density, RIDGE_SCALE / b)
-        values = self.x_values[:, None] * slope + ratio[None, :]
-        return (values, np.broadcast_to(flags[None, :], values.shape).copy(),
-                np.broadcast_to(density[None, :], values.shape).copy())
+        density = lt.sum(axis=1)[:, None, None] / bs
+        ratio, flags = floored_ratio((resid @ lt)[:, None, None] / bs, density, RIDGE_SCALE / bs)
+        values = self.x_values[:, None] * slope + ratio
+        return (values, np.broadcast_to(flags, values.shape).copy(),
+                np.broadcast_to(density, values.shape).copy())
 
 
 @dataclass(frozen=True)

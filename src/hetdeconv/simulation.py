@@ -145,31 +145,44 @@ def _select_best(pairs, ase_values) -> int:
     return best
 
 
+def _candidates(name: str, pairs: tuple) -> tuple:
+    """``pairs``, or (None, b) per sorted distinct b for partial-linear, which has no h."""
+    if name == PARTIAL_LINEAR:
+        return tuple((None, b) for b in sorted({b for _, b in pairs}))
+    return pairs
+
+
 class _Scores:
-    """One estimator's ASE per candidate, exclusion counts and statuses, filled group by group."""
+    """One estimator's ASE per candidate, exclusion counts and statuses, filled group by group.
+
+    ``members`` maps b to the (i, h) of its candidates, h = None for partial-linear.
+    """
 
     def __init__(self, name: str, pairs: tuple):
-        self.name, self.pairs = name, pairs
-        self.ase_values = np.full(len(pairs), np.inf)
-        self.excluded = np.zeros(len(pairs), dtype=int)
-        self.statuses = [None] * len(pairs)
+        self.name, self.pairs = name, _candidates(name, pairs)
+        self.members = {}
+        for i, (h, b) in enumerate(self.pairs):
+            self.members.setdefault(b, []).append((i, h))
+        self.ase_values = np.full(len(self.pairs), np.inf)
+        self.excluded = np.zeros(len(self.pairs), dtype=int)
+        self.statuses = [None] * len(self.pairs)
 
-    def fail(self, indices, exc: Exception):
-        for i in indices:
+    def fail(self, b, exc: Exception):
+        for i, _ in self.members[b]:
             self.statuses[i] = str(exc)
 
-    def score(self, targets, grid, truth):
-        """Score candidate i by the slice (k, r) of ``grid`` for each (i, k, r) in ``targets``.
+    def score(self, bs, row, grid, truth):
+        """Score each candidate (i, h) of each b of ``bs`` by the slice (k, row[h]) of ``grid``.
 
-        ``grid`` is (values, flags, density), each (B, H, X, T); a slice's
-        ASE is the mean squared error against ``truth`` (X, T) over its
-        unflagged points.  The squared errors are formed once.  A slice
-        without flagged points is one contiguous row of them, whose mean is
-        one pairwise sum; a flagged slice is the mean of its unflagged
-        squared errors in row-major order, taken as ``np.mean`` takes it
-        for float64 (one ``np.add.reduce``, divided by the count) without
-        its per-call overhead.  A slice with every point flagged gets a
-        status instead.
+        ``grid`` is (values, flags, density), each (B, H, X, T), with k the
+        position of b in ``bs``; a slice's ASE is the mean squared error
+        against ``truth`` (X, T) over its unflagged points.  The squared
+        errors are formed once.  A slice without flagged points is one
+        contiguous row of them, whose mean is one pairwise sum; a flagged
+        slice is the mean of its unflagged squared errors in row-major
+        order, taken as ``np.mean`` takes it for float64 (one
+        ``np.add.reduce``, divided by the count) without its per-call
+        overhead.  A slice with every point flagged gets a status instead.
         """
         values, flags, _ = grid
         sq = values - truth
@@ -178,7 +191,7 @@ class _Scores:
         with np.errstate(over="ignore"):
             sq *= sq
             means = np.mean(sq.reshape(*clean.shape, -1), axis=2)
-            for i, k, r in targets:
+            for i, k, r in [(i, k, row[h]) for k, b in enumerate(bs) for i, h in self.members[b]]:
                 if clean[k, r]:
                     self.ase_values[i], self.excluded[i] = means[k, r], 0
                     continue
@@ -192,13 +205,6 @@ class _Scores:
     def result(self) -> SearchResult:
         return SearchResult(self.name, self.pairs, self.ase_values, self.excluded,
                             tuple(self.statuses), _select_best(self.pairs, self.ase_values))
-
-
-def _candidates(name: str, pairs: tuple) -> tuple:
-    """``pairs``, or (None, b) per sorted distinct b for partial-linear, which has no h."""
-    if name == PARTIAL_LINEAR:
-        return tuple((None, b) for b in sorted({b for _, b in pairs}))
-    return pairs
 
 
 def _b_groups(h_of: dict, cache: KernelCache) -> list:
@@ -233,18 +239,19 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
     The normal kernels kx_h of all h are stacked once in the cache.  The
     sorted b are cut into groups (``_b_groups``).  Per group, lt is built
     once, b by b, for the b at which the ensemble is valid and serves the
-    deconvolution estimator over every (b, h) of the group (one batched
-    contraction) and the partial-linear one b by b; then kt is built once
-    for all the group's b and serves the naive estimator in the same way.
-    Neither outlives its group.  Returns name -> SearchResult, or the
-    exception that left the estimator without one.
+    deconvolution estimator over every (b, h) of the group and the
+    partial-linear one over every b, one batched contraction each; then kt
+    is built once for all the group's b and serves the naive estimator in
+    the same way.  Neither outlives its group.  Returns name ->
+    SearchResult, or the exception that left the estimator without one.
     """
     pairs = tuple((float(h), float(b)) for h, b in bw_pairs)
     if not pairs:
         raise ValueError("bandwidth grid is empty")
-    b_values = sorted({b for _, b in pairs})
-    hs = sorted({h for h, _ in pairs})
-    scores = {name: _Scores(name, _candidates(name, pairs)) for name in estimators}
+    h_of = {b: [] for b in sorted({b for _, b in pairs})}
+    for h, b in pairs:
+        h_of[b].append(h)
+    scores = {name: _Scores(name, pairs) for name in estimators}
     out = {}
     if PARTIAL_LINEAR in scores:
         try:
@@ -254,44 +261,30 @@ def _sweep(bw_pairs, cache: KernelCache, estimators, truth) -> dict:
             del scores[PARTIAL_LINEAR]
     deconv, naive, plin = (scores.get(name) for name in (DECONV, NAIVE, PARTIAL_LINEAR))
     if deconv or naive:
-        cache.kx_stack(hs)
+        cache.kx_stack(sorted({h for h, _ in pairs}))
 
-    members = {b: [] for b in b_values}
-    for i, (h, b) in enumerate(pairs):
-        members[b].append((i, h))
-    plin_index = {b: j for j, b in enumerate(b_values)}
-
-    h_of = {b: [h for _, h in found] for b, found in members.items()}
+    lt_users = [found for found in (deconv, plin) if found]
     for group, h_g in _b_groups(h_of, cache):
         row = {h: r for r, h in enumerate(h_g)}
-
-        def targets(bs):
-            return [(i, k, row[h]) for k, b in enumerate(bs) for i, h in members[b]]
-
-        if deconv or plin:
+        if lt_users:
             valid = []
             for b in group:
                 try:
                     cache.deconv_weights(b)
                 except EnsembleInvalid as exc:
-                    if deconv:
-                        deconv.fail([i for i, _ in members[b]], exc)
-                    if plin:
-                        plin.fail([plin_index[b]], exc)
+                    for found in lt_users:
+                        found.fail(b, exc)
                 else:
                     valid.append(b)
             if valid:
                 lt = cache.lt(valid)
                 if deconv:
-                    deconv.score(targets(valid), cache.deconv(h_g, valid, lt), truth)
+                    deconv.score(valid, row, cache.deconv(h_g, valid, lt), truth)
                 if plin:
-                    for k, b in enumerate(valid):
-                        plin.score([(plin_index[b], 0, 0)],
-                                   [a[None, None] for a in cache.partial_linear(b, slope, lt[k])],
-                                   truth)
+                    plin.score(valid, {None: 0}, cache.partial_linear(valid, slope, lt), truth)
                 del lt
         if naive:
-            naive.score(targets(group), cache.naive(h_g, group), truth)
+            naive.score(group, row, cache.naive(h_g, group), truth)
 
     for name, found in scores.items():
         try:
@@ -732,7 +725,8 @@ def cross_section(
 ) -> CrossSection:
     """Evaluate one estimator along a fixed-x or fixed-t line over [-2, 2].
 
-    ``estimator`` is a registry name: "deconv", "naive" or "partial_linear".
+    ``estimator`` is a registry name: "deconv", "naive" or "partial_linear",
+    evaluated as a (1, 1, X, T) grid with X = 1 or T = 1 and flattened.
     ``weights`` maps b to deconvolution weights built beforehand for the
     sample's ensemble, as ``KernelCache(weights=)`` takes it (a run's
     ``RunContext.weights``); a b it lacks is built here.
@@ -748,23 +742,18 @@ def cross_section(
 
     cache = KernelCache(data.sample, xs, ts, quad, weights)
     if estimator == PARTIAL_LINEAR:
-        values, flags, _ = cache.partial_linear(bandwidths.b, linear_slope(data.sample))
+        grid = cache.partial_linear([bandwidths.b], linear_slope(data.sample))
     elif estimator in (DECONV, NAIVE):
         evaluate = cache.deconv if estimator == DECONV else cache.naive
-        values, flags, _ = (a[0, 0] for a in evaluate([bandwidths.h], [bandwidths.b]))
+        grid = evaluate([bandwidths.h], [bandwidths.b])
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if axis == "fix_x":
-        est, flg = values[0, :], flags[0, :]
-        truth = true_regression(data.model, value, coords)
-    else:
-        est, flg = values[:, 0], flags[:, 0]
-        truth = true_regression(data.model, coords, value)
+    estimates, flags, _ = (a[0, 0].ravel() for a in grid)
     return CrossSection(
         axis=axis,
         fixed_value=float(value),
         coords=coords,
-        estimates=est,
-        truth=truth,
-        flags=flg,
+        estimates=estimates,
+        truth=true_regression(data.model, xs[:, None], ts[None, :]).ravel(),
+        flags=flags,
     )

@@ -597,8 +597,9 @@ class TestPartialLinearEstimator:
         theta = 3.0
         sample = Sample(x=data.sample.x, w=data.sample.w,
                         y=theta * data.sample.x, ensemble=ens)
-        vals, flags, _ = KernelCache(sample, np.linspace(-2, 2, 9), np.linspace(-2, 2, 9),
-                                     quad64).partial_linear(0.15, theta)
+        vals, flags, _ = (a[0, 0] for a in KernelCache(sample, np.linspace(-2, 2, 9),
+                                                       np.linspace(-2, 2, 9),
+                                                       quad64).partial_linear([0.15], theta))
         expected = np.linspace(-2, 2, 9)[:, None] * theta
         assert np.abs((vals - expected)[~flags]).max() < 1e-12
 
@@ -610,7 +611,8 @@ class TestPartialLinearEstimator:
         b = 0.3
         tg = np.linspace(-1.5, 1.5, 7)
         xg = np.array([0.0, 1.0])
-        vals, flags, _ = KernelCache(data.sample, xg, tg, quad128).partial_linear(b, slope)
+        vals, flags, _ = (a[0, 0] for a in
+                          KernelCache(data.sample, xg, tg, quad128).partial_linear([b], slope))
         resid = data.sample.y - data.sample.x * slope
         lt = bandlimited_kernel_closed_form((tg[None, :] - data.sample.w[:, None]) / b)
         oracle = resid @ lt / lt.sum(axis=0)
@@ -622,8 +624,9 @@ class TestPartialLinearEstimator:
         n = 30
         ens = build_ensemble(ErrorFamily.GAUSSIAN, n)
         data = generate(Model.MODEL2, n, ens, rng)
-        vals, flags, _ = KernelCache(data.sample, np.linspace(-2, 2, 5), np.linspace(-2, 2, 11),
-                                     quad64).partial_linear(0.1, 3.0)
+        vals, flags, _ = (a[0, 0] for a in KernelCache(data.sample, np.linspace(-2, 2, 5),
+                                                       np.linspace(-2, 2, 11),
+                                                       quad64).partial_linear([0.1], 3.0))
         assert np.all(flags == flags[0:1, :])
 
 

@@ -144,9 +144,10 @@ class TestPermutation:
         d_r = np.abs(sample.x) * d_s + 2 * U * (np.abs(sample.x * s) + np.abs(resid))
         rel = 2 * g + kernel
         for k, b in enumerate(bs):
-            want = cache.partial_linear(b, s)
+            want = tuple(a[0, 0] for a in cache.partial_linear([b], s))
             x_s = np.abs(xg * s)[:, None]
-            _assert_ratio_within(other.partial_linear(b, linear_slope(moved)), want,
+            _assert_ratio_within(tuple(a[0, 0] for a in
+                                       other.partial_linear([b], linear_slope(moved))), want,
                                  (rel * np.abs(resid) @ c[k] + d_r @ c[k]) / b,
                                  rel * c[k].sum() / b, RIDGE_SCALE / b,
                                  ratio=np.abs(want[0] - xg[:, None] * s),
@@ -200,8 +201,9 @@ class TestAffineResponse:
                + abs(a) * U * (ax * abs(s) + np.abs(resid)))
         for b in bs:
             lt = np.abs(cache.lt([b])[0])
-            (values, flags, den), (v2, f2, d2) = (cache.partial_linear(b, s),
-                                                  other.partial_linear(b, s2))
+            (values, flags, den), (v2, f2, d2) = (
+                tuple(a[0, 0] for a in cache.partial_linear([b], s)),
+                tuple(a[0, 0] for a in other.partial_linear([b], s2)))
             assert np.array_equal(flags, f2) and d2.tobytes() == den.tobytes()
             num_tol = (d_r @ lt + g * ((np.abs(resid2) + abs(a) * np.abs(resid)) @ lt
                                        + abs(c) * lt.sum(axis=0))) / b

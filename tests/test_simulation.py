@@ -262,8 +262,8 @@ class TestSharedKernelCache:
             "deconv": lambda h, b: fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg),
             "naive": lambda h, b: tuple(a[0, 0] for a in KernelCache(sample, xg, tg,
                                                                      quad64).naive([h], [b])),
-            "partial_linear": lambda h, b: KernelCache(sample, xg, tg,
-                                                       quad64).partial_linear(b, slope),
+            "partial_linear": lambda h, b: tuple(a[0, 0] for a in KernelCache(
+                sample, xg, tg, quad64).partial_linear([b], slope)),
         }
         for name, evaluate in direct.items():
             res = bandwidth_search(data, self.PAIRS, cache, estimator=name)
@@ -358,10 +358,10 @@ class TestSharedKernelCache:
         # kx once per distinct h (into the stack), the naive kt once per group
         assert calls["gaussian_kernel"] == len(h_values) + len(groups)
         # one contraction per (group, estimator): deconv, then naive, over
-        # every (b, h) of the group at once; partial-linear b by b over the
-        # contaminated direction alone
+        # every (b, h) of the group at once; partial-linear over every b of
+        # the group at once, on the contaminated direction alone
         assert calls["stacked"] == [(len(g), len(h_values)) for g in groups for _ in range(2)]
-        assert calls["floored_ratio"] == 2 * len(groups) + sum(len(g) for g in groups)
+        assert calls["floored_ratio"] == 3 * len(groups)
 
 
 def _per_pair(cache, estimator, h, b, slope=None):
