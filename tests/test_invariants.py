@@ -294,3 +294,50 @@ class TestShift:
                              *budgets(c_j[:, :, None], lt_err, hb), floor)
         _assert_ratio_within(other.naive(hs, bs), cache.naive(hs, bs),
                              *budgets(kt, kt_err, n * hb), floor)
+
+
+class TestConstantResponse:
+    """y = c everywhere gives the estimate c at every unflagged point."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(c=st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)),
+           **{**GRIDS, "n_h": st.integers(2, 3), "n_b": st.integers(2, 3)})
+    def test_within_the_budget_of_the_two_products(self, c, n, n_x, n_t, n_h, n_b, m, seed):
+        sample, _, hs, bs, (xg, tg, quad) = _problem(seed, n, n_x, n_t, n_h, n_b, m)
+        sample = Sample(sample.x, sample.w, np.full(n, c), sample.ensemble)
+        cache = KernelCache(sample, xg, tg, quad)
+        kx, lt, ones, hb = cache.kx_stack(hs), cache.lt(bs), np.ones(n), hs * bs[:, None]
+
+        # The numerator sums the n terms (kx_j c) k_j, one rounding more than
+        # the density's terms kx_j k_j, and each is divided by the scale, so
+        # num - c den is within (gamma_{n+2} + gamma_{n+1}) |c| S, S the sum
+        # of |kx_j k_j| / scale; the ratio rounds once more (u |c|, and u
+        # again for |values| against |c|).  |c| is 0 or at least 1e-6, so no
+        # term kx_j c underflows at a point whose density clears the floor.
+        g = gamma(n + 2)
+        for (values, flags, den), kernel, scale in ((cache.deconv(hs, bs), np.abs(lt), hb),
+                                                    (cache.naive(hs, bs), cache.kt(bs), n * hb)):
+            assert values.shape == (n_b, n_h, n_x, n_t)
+            bound = (2 * g * abs(c) * _sums(kx, kernel, ones, scale) / np.where(flags, 1, np.abs(den))
+                     + 2 * U * abs(c))
+            assert np.all((np.abs(values - c) <= bound)[~flags])
+
+        # partial-linear: the slope s is 0 in exact arithmetic, and the
+        # computed s leaves the residuals c - x_j s, so the exact estimate is
+        # c + s (x - sum_j x_j L_j / sum_j L_j).  The residuals round twice
+        # (u |x_j s| + u |r_j|), their sum over j adds gamma_n and the sum of
+        # the L_j gamma_{n-1}; the two divisions by b, the ratio and x s each
+        # round once, and so does the final sum (u |values|).
+        s = linear_slope(sample)
+        values, flags, den = cache.partial_linear(bs, s)
+        assert values.shape == (n_b, 1, n_x, n_t)
+        resid, al = sample.y - sample.x * s, np.abs(lt)
+        weighted = (np.abs(sample.x) @ al)[:, None, None]
+        lt_sum = np.where(flags, 1, np.abs(den) * bs[:, None, None, None])
+        ratio = np.abs(values - xg[:, None] * s)
+        xs = np.abs(xg * s)[:, None]
+        bound = (abs(s) * (np.abs(xg)[:, None] + weighted / lt_sum)
+                 + (gamma(n + 1) * (np.abs(resid) @ al)[:, None, None] + U * abs(s) * weighted
+                    + gamma(n) * ratio * al.sum(axis=1)[:, None, None]) / lt_sum
+                 + 3 * U * ratio + U * xs + U * np.abs(values))
+        assert np.all((np.abs(values - c) <= bound)[~flags])

@@ -536,6 +536,27 @@ class TestGroupedSweep:
                 for a, r in zip(group, evaluate(hs, [b])):
                     assert a[k].tobytes() == r[0].tobytes()
 
+    @pytest.mark.parametrize("m", [64, 65])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_partial_linear_group_equals_per_b_and_the_oracle(self, family, m):
+        n = 40
+        data = generate(Model.MODEL2, n, build_ensemble(family, n), replication_rng(11, 1))
+        # w_0 / b overflows at b = 0.05 only, so that slice is flagged at every t
+        w = data.sample.w.copy()
+        w[0] = 1.5e307
+        sample = Sample(data.sample.x, w, data.sample.y, data.sample.ensemble)
+        xg, tg = np.linspace(-2, 2, 5), np.linspace(-2, 2, 7)
+        cache = KernelCache(sample, xg, tg, QuadratureGrid.gauss_legendre(m))
+        bs, slope = [0.05, 0.1, 0.2, 0.3], linear_slope(sample)
+        group = cache.partial_linear(bs, slope)
+        assert group[1][0].all() and not group[1][1:].any()
+        for k, b in enumerate(bs):
+            oracle = _per_pair(cache, "partial_linear", None, b, slope)
+            for a, one, r in zip(group, cache.partial_linear([b], slope), oracle):
+                assert a.shape == (len(bs), 1, xg.size, tg.size)
+                assert a[k].tobytes() == one[0].tobytes()
+                assert a[k, 0].tobytes() == np.ascontiguousarray(r).tobytes()
+
     def test_group_with_invalid_b_and_flagged_h_equals_per_pair(self, quad64):
         # b = 0.018 is invalid for the Gaussian laws, h = 0.05 is ridge-floored
         # everywhere; both sit in one group with the valid b
@@ -674,10 +695,10 @@ class TestConfig:
         cfg = SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [[0.1, 0.2]]}))
         assert cfg.bw_pairs == ((0.1, 0.2),)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
     def test_nonfinite_pairs_rejected(self, bad):
         for pair in ([bad, 0.1], [0.1, bad]):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="bandwidth_grid.pairs: bandwidths must be finite"):
                 SimulationConfig.from_dict(self._raw(bandwidth_grid={"pairs": [pair]}))
 
     def test_an_underflowing_pair_product_is_rejected(self):
