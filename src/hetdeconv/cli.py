@@ -481,7 +481,10 @@ def _parse_grid_spec(spec: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be start:stop:count, got {spec!r}") from exc
     if count < 1 or not -np.inf < start <= stop < np.inf:
         raise ConfigError(f"{name}: need finite start <= stop and count >= 1, got {spec!r}")
-    return np.linspace(start, stop, count)
+    if stop - start == np.inf:
+        raise ConfigError(f"{name}: stop - start overflows, got {spec!r}")
+    with np.errstate(over="ignore"):    # only the last point may overflow; it is set to stop
+        return np.linspace(start, stop, count)
 
 
 @main.command()

@@ -87,7 +87,9 @@ class Bandwidths:
 
     Their product h*b scales every kernel sum and sets the ridge floor
     RIDGE_SCALE / (h*b); a product below the smallest normal double loses
-    its digits or is 0, so such a pair raises BandwidthUnderflow.
+    its digits or is 0, so such a pair raises BandwidthUnderflow, as does a
+    subnormal b (the scaled quadrature nodes v/b overflow), and a product
+    that overflows would make the floor 0, so it raises ValueError.
     """
 
     h: float
@@ -101,6 +103,10 @@ class Bandwidths:
         if self.h * self.b < SMALLEST_NORMAL:
             raise BandwidthUnderflow(f"bandwidth product h*b is below {SMALLEST_NORMAL:g}, "
                                      f"got h={self.h}, b={self.b}")
+        if self.b < SMALLEST_NORMAL:
+            raise BandwidthUnderflow(f"bandwidth b is below {SMALLEST_NORMAL:g}, got b={self.b}")
+        if self.h * self.b == np.inf:
+            raise ValueError(f"bandwidth product h*b overflows, got h={self.h}, b={self.b}")
 
 
 def floored_ratio(num, den, floor):
@@ -151,8 +157,9 @@ def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
         np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
                   out=num[:, lo:lo + run])
     den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den.result()
-    num /= scale
-    den /= scale
+    with np.errstate(over="ignore"):    # a sum that overflows is flagged by the guard
+        num /= scale
+        den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den
 
@@ -200,8 +207,8 @@ class KernelCache:
         """
         stack = np.empty((len(hs), self.sample.n, self.x_values.size))
         for i, h in enumerate(hs):
-            u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
             with np.errstate(over="ignore"):    # an infinite u has the exact kernel 0
+                u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
                 u /= h
             gaussian_kernel(u, out=u)
         self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
@@ -226,7 +233,8 @@ class KernelCache:
     def kt(self, bs):
         """The normal kernels of the w's at each b of ``bs``, (B, n, T)."""
         bs = np.asarray(bs, dtype=float)[:, None, None]
-        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
+        with np.errstate(over="ignore"):    # an infinite argument has the exact kernel 0
+            return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
 
     def lt(self, bs):
         """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.

@@ -6,8 +6,11 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,6 +516,32 @@ class TestEstimate:
         assert result.output.startswith("error: ensemble invalid at b=1e-300: [FAIL]")
         assert "Warning" not in result.output
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["y", "x", "t-grid"])
+    def test_an_overflow_near_the_double_limit_leaks_no_warning(self, runner, tmp_path, case):
+        # y_j = 1e308 at (0, 0) overflows the numerator over h b, which is
+        # flagged; x_j = 1e308 overflows its difference to an x grid from
+        # -1e308, whose kernel is an exact 0; a t grid up to the largest
+        # double overflows the last point of np.linspace before it is set to
+        # the stop
+        data, errors, *_ = _write_estimation_inputs(tmp_path, n=10)
+        grids = {"--x-grid": "-1e308:1:3" if case == "x" else "-1:1:3",
+                 "--t-grid": "0:1.7976931348623157e308:4" if case == "t-grid" else "-1:1:3"}
+        if case != "t-grid":
+            rows = data.read_text().splitlines()
+            _, w, y = rows[4].split(",")
+            rows[4] = "0,0,1e308" if case == "y" else f"1e308,{w},{y}"
+            data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "estimate", "--data", str(data), "--errors", str(errors), "--h", "0.05", "--b", "0.05",
+            *(item for pair in grids.items() for item in pair), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        for row in _read_rows(out / "predictions.csv"):
+            if row["flagged"] == "0":
+                assert np.isfinite(float(row["r_hat"])) and np.isfinite(float(row["f_hat"]))
+
     def test_constant_response_gives_constant_predictions(self, runner, tmp_path):
         data, errors, *_ = _write_estimation_inputs(tmp_path, constant_y=3.25)
         out = tmp_path / "out"
@@ -736,7 +765,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("option,value", [
         ("--h", "nan"), ("--h", "inf"), ("--b", "inf"), ("--x-grid", "-2:inf:3"),
-        ("--h", "1e-320"), ("--b", "1e-320"),
+        ("--h", "1e-320"), ("--b", "1e-320"), ("--x-grid", "-1e308:1e308:3"),
     ])
     def test_nonfinite_bandwidth_or_grid_exits_2(self, runner, tmp_path, option, value):
         data, errors, *_ = _write_estimation_inputs(tmp_path)
@@ -863,6 +892,69 @@ class TestEstimate:
         ])
         assert result.exit_code == 0, result.output
         assert built == []
+
+
+
+EXTREMES = [1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -0.0, 0.0, 1e-300, 1e300]
+FUZZ_FLOATS = st.one_of(st.floats(-3, 3), st.sampled_from(EXTREMES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+# Each draw is mostly usable, so that many examples get past the checks to the fit.
+LAWS = st.one_of(st.tuples(st.sampled_from(["gaussian", "laplace", "normal"]),
+                           st.one_of(st.floats(0, 2), st.sampled_from(
+                               [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e308]))),
+                 st.just(("degenerate", 0.0)))
+BANDWIDTHS = st.one_of(st.floats(0.05, 2), st.sampled_from([5e-324, 1e-300, 1e-30, 1e30, 1e300,
+                                                           1e308, 1.7976931348623157e308]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+GRID_SPECS = st.one_of(
+    st.builds(lambda lo, hi, count: f"{min(lo, hi)!r}:{max(lo, hi)!r}:{count}",
+              st.floats(-3, 3), FUZZ_FLOATS, st.integers(1, 6)),
+    st.builds(lambda lo, hi, count: f"{min(lo, hi)!r}:{max(lo, hi)!r}:{count}",
+              FUZZ_FLOATS, FUZZ_FLOATS, st.integers(1, 6)),
+    st.sampled_from(["0:0:1", "1:0:3", "-1e308:1e308:3", "nan:1:2", "inf:inf:2", "1:2",
+                     "a:b:c", "0:1:0", "-0.0:-0.0:2", "-1e-320:1e-320:5"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(FUZZ_FLOATS, FUZZ_FLOATS, FUZZ_FLOATS, LAWS),
+                     min_size=2, max_size=6),
+       odd_law=st.one_of(st.none(), st.none(), st.none(),
+                         st.tuples(st.sampled_from(["gaussian", "degenerate", "cauchy"]),
+                                   FUZZ_FLOATS)),
+       h=BANDWIDTHS, b=BANDWIDTHS, x_grid=GRID_SPECS, t_grid=GRID_SPECS,
+       quad_nodes=st.sampled_from([15, 16, 17, 33, 64]))
+def test_estimate_fuzz_exits_cleanly(rows, odd_law, h, b, x_grid, t_grid, quad_nodes):
+    """Extreme but finite inputs end in exit 0, 2 or 3, and exit 0 writes finite clean rows.
+
+    Warnings are recorded rather than raised: ``estimate`` turns any
+    exception of the fit into exit 3, which would hide a warning made an
+    error.  n <= 6, grids <= 6 x 6 and quad_nodes <= 64 keep every array small.
+    """
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_text("x,w,y\n" + "".join(
+            f"{x!r},{w!r},{y!r}\n" for x, w, y, _ in rows))
+        laws = [law for *_, law in rows]
+        laws[0] = laws[0] if odd_law is None else odd_law
+        (tmp / "errors.csv").write_text("family,variance\n" + "".join(
+            f"{family},{variance!r}\n" for family, variance in laws))
+        result = CliRunner().invoke(main, [
+            "estimate", "--data", str(tmp / "data.csv"), "--errors", str(tmp / "errors.csv"),
+            "--h", repr(h), "--b", repr(b), f"--x-grid={x_grid}", f"--t-grid={t_grid}",
+            "--quad-nodes", str(quad_nodes), "--out", str(tmp / "out")])
+        assert result.exit_code in (0, 2, 3), (result.output, result.exc_info)
+        assert "Traceback" not in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+            [str(w.message) for w in caught]
+        if result.exit_code == 0:
+            predictions = _read_rows(tmp / "out" / "predictions.csv")
+            clean = [r for r in predictions if r["flagged"] == "0"]
+            assert all(np.isfinite(float(r["r_hat"])) and np.isfinite(float(r["f_hat"]))
+                       for r in clean), result.output
+        else:
+            assert result.output.startswith("error: "), result.output
 
 
 class TestCrossSection:

@@ -641,6 +641,18 @@ class TestBandwidths:
     def test_a_product_at_or_above_the_smallest_normal_is_kept(self, h, b):
         assert (Bandwidths(h, b).h, Bandwidths(h, b).b) == (h, b)
 
+    def test_a_subnormal_b_is_rejected_whatever_the_product(self):
+        # 1e20 * 1e-310 clears the smallest normal, but v / b overflows
+        with pytest.raises(BandwidthUnderflow, match="bandwidth b is below"):
+            Bandwidths(1e20, 1e-310)
+        assert Bandwidths(1e-300, SMALLEST_NORMAL * 1e300).b == SMALLEST_NORMAL * 1e300
+
+    def test_an_overflowing_product_is_rejected(self):
+        # the ridge floor RIDGE_SCALE / (h b) would be 0
+        with pytest.raises(ValueError, match="h\\*b overflows"):
+            Bandwidths(1e300, 1e10)
+        assert Bandwidths(1e300, 1e8).h == 1e300
+
 
 class TestVarianceBoundDiagnostic:
     def test_degenerate_closed_form(self, quad128):
