@@ -86,10 +86,10 @@ class Bandwidths:
     """Smoothing parameters: h for the exact direction, b for the contaminated one.
 
     Their product h*b scales every kernel sum and sets the ridge floor
-    RIDGE_SCALE / (h*b); a product below the smallest normal double loses
-    its digits or is 0, so such a pair raises BandwidthUnderflow, as does a
-    subnormal b (the scaled quadrature nodes v/b overflow), and a product
-    that overflows would make the floor 0, so it raises ValueError.
+    RIDGE_SCALE / (h*b).  A product below the smallest normal double loses
+    its digits or is 0, and a subnormal b overflows the scaled quadrature
+    nodes v/b: both raise BandwidthUnderflow.  A product that overflows
+    would make the floor 0 and raises ValueError.
     """
 
     h: float
@@ -233,8 +233,7 @@ class KernelCache:
     def kt(self, bs):
         """The normal kernels of the w's at each b of ``bs``, (B, n, T)."""
         bs = np.asarray(bs, dtype=float)[:, None, None]
-        with np.errstate(over="ignore"):    # an infinite argument has the exact kernel 0
-            return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
+        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
 
     def lt(self, bs):
         """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.
