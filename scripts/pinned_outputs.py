@@ -26,7 +26,9 @@ at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, the latter again
 on 65 quadrature nodes, whose odd grid has a node at v = 0, and at h = 0.05,
 b = 0.02 on a 40 x 40 grid over [-2.5, 2.5] with 64 nodes, whose CSV holds
-exponent-form, negative and ``0.0...`` fields and flagged rows; ``validate`` of
+exponent-form, negative and ``0.0...`` fields and flagged rows (of the
+estimate runs, by ``estimators.factored_order``, ``est_d`` takes the factored
+order and ``est_a``, ``est_b`` and ``est_c`` the lt order); ``validate`` of
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 

@@ -58,6 +58,9 @@ ASE_REPORT_COLUMNS = (
 PREDICTIONS_COLUMNS = ("x", "t", "r_hat", "f_hat", "flagged")
 CROSS_SECTION_COLUMNS = ("coord", "estimate", "truth", "flagged")
 
+# Rows a CSV block holds; the writer formats and writes a table block by block.
+CSV_BLOCK_ROWS = 10_000
+
 _ESTIMATOR_CHOICES = {
     "deconv": DECONV,
     "naive": NAIVE,
@@ -215,28 +218,51 @@ def _text(column) -> np.ndarray:
     return fields.view(np.uint8).reshape(len(fields), fields.itemsize)
 
 
-def _write_csv(path: Path, header, columns) -> None:
-    """Write one sequence per column; no field needs quoting (numbers, flags, enum names).
+def _csv_block(columns, lo: int, hi: int) -> bytes:
+    """The CSV text of rows lo..hi of ``columns`` (each a sequence of rows, see ``_write_csv``).
 
-    Each column becomes a text matrix (``_text``); the matrices are joined
-    with ``,`` and ``\\n``, the NUL padding is dropped, and the body is
-    written at once.  Raises ValueError naming the lengths, and writes no
-    file, when the columns differ in length.
+    Each column's rows become a text matrix (``_text``); the matrices are
+    joined with ``,`` and ``\\n`` and the NUL padding is dropped.
     """
-    texts = [_text(column) for column in columns]
-    lengths = [len(t) for t in texts]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"CSV columns differ in length: {lengths}")
-    table = np.empty((lengths[0] if lengths else 0, sum(t.shape[1] + 1 for t in texts)), np.uint8)
+    texts = [_text(column[lo:hi]) for column in columns]
+    table = np.empty((hi - lo, sum(t.shape[1] + 1 for t in texts)), np.uint8)
     end = 0
     for text in texts:
         end += text.shape[1] + 1
         table[:, end - 1 - text.shape[1]:end - 1] = text
         table[:, end - 1] = ord(",")
     table[:, -1:] = ord("\n")
+    return table[table != 0].tobytes()
+
+
+def _write_csv(path: Path, header, columns, pool=None) -> None:
+    """Write one sequence per column; no field needs quoting (numbers, flags, enum names).
+
+    A 2-D uint8 column is a text matrix with one row per field (``_text``);
+    any other array is read flat in C order.  The rows are formatted in
+    blocks of ``CSV_BLOCK_ROWS`` (``_csv_block``) and written in order; with
+    a one-worker executor as ``pool``, every other block is formatted on its
+    worker.  A field's text depends on its value alone, so the bytes do not
+    depend on the blocks.  Raises ValueError naming the lengths, and writes
+    no file, when the columns differ in length.
+    """
+    columns = [c.reshape(-1) if isinstance(c, np.ndarray) and (c.dtype != np.uint8 or c.ndim != 2)
+               else c for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    rows = lengths[0] if lengths else 0
+    bounds = [(lo, min(lo + CSV_BLOCK_ROWS, rows)) for lo in range(0, rows, CSV_BLOCK_ROWS)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.write(table[table != 0].tobytes())
+        for k in range(0, len(bounds), 2):
+            pair = bounds[k:k + 2]
+            if pool is None or len(pair) == 1:
+                fh.writelines(_csv_block(columns, lo, hi) for lo, hi in pair)
+            else:
+                aside = pool.submit(_csv_block, columns, *pair[0])
+                here = _csv_block(columns, *pair[1])
+                fh.writelines([aside.result(), here])
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo, seed, outputs, started, extra=None) -> Path:
@@ -528,12 +554,16 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
     except Exception as exc:
         _fail(EXIT_RUNTIME, str(exc))
 
+    from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
+
     # Rows run x-major: every t for the first x, then the next x.
     xs, ts = _float_text(x_values), _float_text(t_values)
     out_dir = _out_dir(out)
     pred_path = out_dir / "predictions.csv"
-    _write_csv(pred_path, PREDICTIONS_COLUMNS,
-               (np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1)), values, density, flags))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        _write_csv(pred_path, PREDICTIONS_COLUMNS,
+                   (np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1)), values, density,
+                    flags), pool)
     _write_manifest(
         out_dir, "estimate",
         {"data": str(data_path), "errors": str(errors_path), "h": h, "b": b,

@@ -22,6 +22,8 @@ from .kernels import (
     bandlimited_kernel_ft,
     build_deconv_weights,
     deconv_kernel_grid,
+    deconv_left,
+    deconv_right,
     gaussian_kernel,
 )
 
@@ -129,6 +131,41 @@ def floored_ratio(num, den, floor):
     return ratio, flagged
 
 
+def scaled_ratio(num, den, scale, floor):
+    """The ratio estimator from its sums: (num / scale) / (den / scale), ridge-floored.
+
+    ``num`` and ``den`` are divided by ``scale`` in place; returns (values,
+    flags, density) as ``floored_ratio`` does, with density = den / scale.
+    """
+    with np.errstate(over="ignore"):    # a sum that overflows is flagged by the guard
+        num /= scale
+        den /= scale
+    values, flags = floored_ratio(num, den, floor)
+    return values, flags, den
+
+
+def factored_order(n, n_x, n_t, rank):
+    """Whether kx.T @ (left @ right) is cheaper formed as (kx.T @ left) @ right.
+
+    kx (n, X) and left (n, rank) are contracted for both sums of the ratio
+    estimator, and right is (rank, T): 2 X rank (n + T) multiply-adds that
+    way against n T (rank + 2 X) through the (n, T) product left @ right.
+    """
+    return 2 * n_x * rank * (n + n_t) < n * n_t * (rank + 2 * n_x)
+
+
+def normal_rows(x_values, x_obs, h, out):
+    """The normal kernels of (x_values - x_j) / h for each x_j of ``x_obs``, formed in ``out``.
+
+    ``out`` is (r, X) for r observations; an infinite argument has the exact
+    kernel 0, so its overflow is no warning.
+    """
+    with np.errstate(over="ignore"):
+        u = np.subtract(x_values, x_obs[:, None], out=out)
+        u /= h
+    return gaussian_kernel(u, out=u)
+
+
 def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
@@ -157,11 +194,7 @@ def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
         np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
                   out=num[:, lo:lo + run])
     den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den.result()
-    with np.errstate(over="ignore"):    # a sum that overflows is flagged by the guard
-        num /= scale
-        den /= scale
-    values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
-    return values, flags, den
+    return scaled_ratio(num, den, scale, np.asarray(floor, dtype=float)[:, :, None, None])
 
 
 def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> dict:
@@ -207,10 +240,7 @@ class KernelCache:
         """
         stack = np.empty((len(hs), self.sample.n, self.x_values.size))
         for i, h in enumerate(hs):
-            with np.errstate(over="ignore"):    # an infinite u has the exact kernel 0
-                u = np.subtract(self.x_values, self.sample.x[:, None], out=stack[i])
-                u /= h
-            gaussian_kernel(u, out=u)
+            normal_rows(self.x_values, self.sample.x, h, stack[i])
         self._stack, self._row = stack, {h: i for i, h in enumerate(hs)}
         return stack
 
@@ -233,7 +263,8 @@ class KernelCache:
     def kt(self, bs):
         """The normal kernels of the w's at each b of ``bs``, (B, n, T)."""
         bs = np.asarray(bs, dtype=float)[:, None, None]
-        return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
+        with np.errstate(over="ignore"):    # an infinite argument has the exact kernel 0
+            return gaussian_kernel((self.t_values - self.sample.w[:, None]) / bs)
 
     def lt(self, bs):
         """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.
@@ -249,16 +280,12 @@ class KernelCache:
                                    self.t_values / b, out=lt[k])
         return lt
 
-    def deconv(self, hs, bs, lt=None, pool=None):
-        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand.
-
-        ``pool`` (a one-worker executor) runs the density product beside the numerator.
-        """
+    def deconv(self, hs, bs, lt=None):
+        """The heteroscedastic partial deconvolution estimator; ``lt`` is lt(bs) if at hand."""
         hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
         hb = hs * bs[:, None]
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
-                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb,
-                                  pool)
+                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb)
 
     def naive(self, hs, bs):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
@@ -307,19 +334,57 @@ class DeconvEstimator:
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T).
 
-        A one-worker executor builds lt while this thread builds kx, and then
-        forms the density while this thread forms the numerator; the result
-        is that of ``KernelCache.deconv`` without a pool, bit for bit.
+        The observations are cut at n // 2 into two row blocks: a one-worker
+        executor builds the first block's rows of kx and of ``deconv_left``
+        while this thread builds the second's.  The sums kx.T @ lt take the
+        association that ``factored_order`` finds cheaper.  Factored, each
+        block forms kx.T @ [y left | left], (X, 2M'), the two are added (the
+        first block's first) and each half is multiplied by ``deconv_right``.
+        Otherwise each block writes its rows of lt = left @ right and the
+        contraction is that of ``KernelCache.deconv``, with the density
+        formed on the executor: the result is that of ``KernelCache.deconv``
+        without a pool, bit for bit.  The cut depends on n alone, so the
+        result does not depend on the threads' timing.
         """
         from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
 
-        h, b = self.bandwidths.h, self.bandwidths.b
-        cache = KernelCache(self.sample, x_values, t_values, self.weights.quad,
-                            {b: self.weights})
+        sample, weights, h, b = self.sample, self.weights, self.bandwidths.h, self.bandwidths.b
+        x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
+        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+        n, rank = sample.n, 2 * weights.nodes.size
+        # A w or t so large that w / b or t / b overflows gives non-finite
+        # kernel values, whose points the ratio guard flags; so does a y_j
+        # left_j that overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            obs, right = sample.w / b, deconv_right(weights, t_values / b)
+        factored = factored_order(n, x_values.size, t_values.size, rank)
+        # Each block writes its rows of kx and of the operand [y left | left]
+        # or of lt.  They are allocated on this thread: what the worker
+        # allocates stays resident in its own malloc arena after it is freed.
+        stack = np.empty((1, n, x_values.size))
+        operand = np.empty((n, 2, rank)) if factored else None
+        lt = None if factored else np.empty((1, n, t_values.size))
+
+        def block(rows):
+            kx = normal_rows(x_values, sample.x[rows], h, stack[0, rows])
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not factored:
+                    return np.matmul(deconv_left(weights, obs, rows), right, out=lt[0, rows])
+                left = deconv_left(weights, obs, rows, out=operand[rows, 1])
+                np.multiply(left, sample.y[rows, None], out=operand[rows, 0])
+                return kx.T @ operand[rows].reshape(kx.shape[0], -1)
+
+        hb = np.array([[h * b]])
         with ThreadPoolExecutor(max_workers=1) as pool:
-            lt = pool.submit(cache.lt, [b])
-            cache.kx_stack([h])
-            return tuple(a[0, 0] for a in cache.deconv([h], [b], lt.result(), pool))
+            aside = pool.submit(block, slice(0, n // 2))
+            second = block(slice(n // 2, n))
+            first = aside.result()
+            if not factored:
+                return tuple(a[0, 0] for a in stacked_ratio_grid(
+                    stack, sample.y, lt, hb, RIDGE_SCALE / hb, pool))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (first + second).reshape(x_values.size, 2, rank).transpose(1, 0, 2) @ right
+        return scaled_ratio(sums[0], sums[1], hb, RIDGE_SCALE / hb)
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:

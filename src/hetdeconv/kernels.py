@@ -176,30 +176,47 @@ def build_deconv_weights(
                          values=values, denominator=denom, report=report)
 
 
+def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None) -> np.ndarray:
+    """The observation-side factor of ``deconv_kernel_grid``: [c cos(v o), c sin(v o)], (r, M').
+
+    ``obs_args`` (n) hold every observation's argument at the bandwidth of
+    ``weights``; the factor is formed for the observations of the slice
+    ``rows`` (r of them), with M' = 2 ceil(M/2) columns: the cos half, then the sin half.
+    Each phase is formed in its sin slot, its cos is taken from there and
+    then its sin in place.  It is written into ``out`` (r, M') when given.
+    """
+    obs_args = np.asarray(obs_args, dtype=float)
+    if obs_args.shape != (weights.n,):
+        raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
+    v, obs = weights.nodes, obs_args[rows]
+    shape = (obs.size, 2, v.size)
+    left = np.empty(shape) if out is None else out.reshape(shape, copy=False)
+    phase = np.multiply(obs[:, None], v, out=left[:, 1])
+    np.cos(phase, out=left[:, 0])
+    np.sin(phase, out=phase)
+    left *= weights.values[rows, None, :]
+    return left.reshape(obs.size, -1, copy=False)
+
+
+def deconv_right(weights: DeconvWeights, eval_args) -> np.ndarray:
+    """The evaluation-side factor of ``deconv_kernel_grid``: [cos(v e); sin(v e)], (M', T)."""
+    eval_args = np.asarray(eval_args, dtype=float)
+    v = weights.nodes
+    right = np.empty((2, v.size, eval_args.size))
+    phase = np.multiply(v[:, None], eval_args, out=right[1])
+    np.cos(phase, out=right[0])
+    np.sin(phase, out=phase)
+    return right.reshape(2 * v.size, -1)
+
+
 def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args, out=None) -> np.ndarray:
     """Kernel values L_j(eval_args[i] - obs_args[j]) at the bandwidth of ``weights``, (n, T).
 
     ``obs_args`` (n) and ``eval_args`` (T) hold the arguments at that
     bandwidth.  Each node v > 0 pairs with -v, so L_j(e) = sum_{v>=0} c_jv
     [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)], with c_jv the coefficients
-    of ``weights``: one real product of [c cos(v o), c sin(v o)] by
-    [cos(v e); sin(v e)], inner size M (M + 1 for odd M).  Each phase is
-    formed in its operand's sin slot, its cos is taken from there and then
-    its sin in place.  The product is written into ``out`` when given.
+    of ``weights``: the real product ``deconv_left`` @ ``deconv_right``,
+    inner size M' = 2 ceil(M/2), so the matrix has rank at most M'.  The
+    product is written into ``out`` when given.
     """
-    obs_args = np.asarray(obs_args, dtype=float)
-    eval_args = np.asarray(eval_args, dtype=float)
-    if obs_args.shape != (weights.n,):
-        raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
-    v = weights.nodes
-    n, m = weights.n, v.size
-    left = np.empty((n, 2, m))
-    phase = np.multiply(obs_args[:, None], v, out=left[:, 1])
-    np.cos(phase, out=left[:, 0])
-    np.sin(phase, out=phase)
-    left *= weights.values[:, None, :]
-    right = np.empty((2, m, eval_args.size))
-    phase = np.multiply(v[:, None], eval_args, out=right[1])
-    np.cos(phase, out=right[0])
-    np.sin(phase, out=phase)
-    return np.matmul(left.reshape(n, 2 * m), right.reshape(2 * m, -1), out=out)
+    return np.matmul(deconv_left(weights, obs_args), deconv_right(weights, eval_args), out=out)

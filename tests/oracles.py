@@ -123,6 +123,24 @@ def ratio_grid(kx, kt, y, scale, floor):
     return values, flags, den
 
 
+def longdouble_ratio_sums(kx, y, left, right):
+    """Both sums of the ratio estimator through lt = left @ right, in long double.
+
+    Returns (num, den, num_abs, den_abs) as float64 arrays (X, T): num =
+    (kx y).T @ lt and den = kx.T @ lt summed in np.longdouble from the
+    float64 operands kx (n, X), y (n), left (n, M') and right (M', T), and
+    the sums of the |terms| kx_j y_j left_jv right_vt and kx_j left_jv
+    right_vt, which scale the rounding error of any float64 order.
+    """
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        raise RuntimeError("np.longdouble is no wider than float64 on this platform")
+    kx, y, left, right = (np.asarray(a, dtype=np.longdouble) for a in (kx, y, left, right))
+    ky = kx * y[:, None]
+    sums = (ky.T @ left @ right, kx.T @ left @ right,
+            np.abs(ky).T @ np.abs(left) @ np.abs(right), np.abs(kx).T @ np.abs(left) @ np.abs(right))
+    return tuple(a.astype(float) for a in sums)
+
+
 def whole_stack_ratio_grid(stack, y, kt, scale, floor):
     """``estimators.stacked_ratio_grid`` with kx * y formed as one (H, n, X) copy of the stack."""
     scale = np.asarray(scale, dtype=float)[:, :, None, None]

@@ -10,6 +10,7 @@ import tempfile
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,28 @@ class TestCsvWriter:
         _write_csv(path, ASE_REPORT_COLUMNS, [list(c) for c in zip(*rows)])
         assert path.read_bytes() == _reference_csv(ASE_REPORT_COLUMNS, rows)
         assert path.read_text().splitlines()[2].split(",")[4] == ""
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["one-thread", "pool"])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 9, 13])
+    def test_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, rows, pool):
+        # blocks of 4 rows: 3 and 5 are the block size -1 and +1, 9 and 13 end
+        # in a lone block; only the first block holds exponent-form and
+        # %-fallback fields, so its text matrices are wider than the others'
+        values = np.linspace(-1.0, 1.0, rows) / 3.0
+        values[:4] = [1e-300, 2.5e20, np.nan, -3e-7][:min(rows, 4)]
+        columns = (_float_text(values[::-1]), values, values.reshape(1, -1) * 7.0,
+                   [None if i % 3 == 0 else i for i in range(rows)], values > 0)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10 ** 9)
+        _write_csv(tmp_path / "one.csv", ("a", "b", "c", "d", "e"), columns)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            _write_csv(tmp_path / "blocks.csv", ("a", "b", "c", "d", "e"), columns,
+                       executor if pool else None)
+        one = (tmp_path / "one.csv").read_bytes()
+        assert (tmp_path / "blocks.csv").read_bytes() == one
+        assert one.count(b"\n") == rows + 1
+        if rows >= 3:
+            assert b"e-300" in one and b"e+20" in one and b"nan" in one
 
     def test_columns_of_different_length_are_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -780,37 +803,42 @@ class TestEstimate:
         assert not (out / "predictions.csv").exists()
 
     def test_builds_the_kernel_matrices_once(self, runner, tmp_path, monkeypatch):
+        # each observation's rows of kx and of the left factor are built
+        # once, in one of the two row blocks; the right factor is built once
         import hetdeconv.estimators as estimators
 
-        calls = {"deconv_kernel_grid": 0, "gaussian_kernel": 0}
-        grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
+        built = {"normal_rows": [], "deconv_left": [], "deconv_right": [], "deconv_kernel_grid": []}
 
-        def counted_grid(*args, **kwargs):
-            calls["deconv_kernel_grid"] += 1
-            return grid_fn(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                built[name].append(len(result))      # list.append is atomic across threads
+                return result
+            return wrapper
 
-        def counted_gauss(u, out=None):
-            calls["gaussian_kernel"] += 1
-            return gauss_fn(u, out)
-
-        monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
-        monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
+        for name in built:
+            monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
         data, errors, *_ = _write_estimation_inputs(tmp_path)
         result = runner.invoke(main, [
             "estimate", "--data", str(data), "--errors", str(errors),
             "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 0, result.output
-        assert calls == {"deconv_kernel_grid": 1, "gaussian_kernel": 1}
+        assert sorted(built["normal_rows"]) == sorted(built["deconv_left"]) == [12, 12]
+        assert built["deconv_right"] == [2 * 64] and built["deconv_kernel_grid"] == []
 
     def test_a_failing_kernel_build_on_the_helper_exits_3_with_its_text(self, runner, tmp_path,
                                                                         monkeypatch):
         import hetdeconv.estimators as estimators
 
-        def failing_lt(cache, bs):
-            raise RuntimeError("lt build failed")
+        left_fn = estimators.deconv_left
 
-        monkeypatch.setattr(estimators.KernelCache, "lt", failing_lt)
+        def failing_left(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("lt build failed")
+            return left_fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "deconv_left", failing_left)
         data, errors, *_ = _write_estimation_inputs(tmp_path)
         before = threading.active_count()
         result = runner.invoke(main, [
@@ -1181,6 +1209,28 @@ def test_importing_the_cli_loads_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_estimate_runs_one_worker_at_a_time_and_joins_each(runner, tmp_path, monkeypatch):
+    # predict_grid's helper, then the CSV writer's: each is joined before
+    # the next starts and before the command returns
+    started, alive_at_start = [], []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            alive_at_start.append(sum(t.is_alive() for t in started))
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)     # 25 rows in 4 blocks, 2 of them aside
+    data, errors, *_ = _write_estimation_inputs(tmp_path)
+    result = runner.invoke(main, ["estimate", "--data", str(data), "--errors", str(errors),
+                                  "--h", "0.4", "--b", "0.4", "--x-grid", "-1:1:5",
+                                  "--t-grid", "-1:1:5", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert len(started) == 2 and alive_at_start == [0, 0]
+    assert not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize("args", [

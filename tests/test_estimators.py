@@ -10,7 +10,12 @@ import pytest
 from conftest import underflowing_ensemble
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bandlimited_kernel_closed_form, ratio_grid, whole_stack_ratio_grid
+from oracles import (
+    bandlimited_kernel_closed_form,
+    longdouble_ratio_sums,
+    ratio_grid,
+    whole_stack_ratio_grid,
+)
 
 from hetdeconv import (
     BandwidthUnderflow,
@@ -36,7 +41,7 @@ from hetdeconv import (
     variance_bound_diagnostic,
 )
 from hetdeconv.estimators import RIDGE_SCALE, floored_ratio, stacked_ratio_grid
-from hetdeconv.kernels import SMALLEST_NORMAL
+from hetdeconv.kernels import SMALLEST_NORMAL, deconv_left, deconv_right
 
 
 def _degenerate_ensemble(n):
@@ -331,25 +336,117 @@ class _CountedThread(threading.Thread):
         super().start()
 
 
+def _mixed_ensemble(n, scale):
+    return ErrorEnsemble.from_arrays(["gaussian", "laplace"] * (n // 2) + ["gaussian"] * (n % 2),
+                                     scale * (1.0 + np.arange(1, n + 1) / n))
+
+
+def _assert_within_the_oracle_budget(est, xg, tg, got):
+    """``got``, est.predict_grid(xg, tg), against long-double sums of the same float64 operands.
+
+    Each sum adds n products of kx by the rounded y left, in two blocks,
+    then M' products by right, and is divided by h b.  Such a sum errs by at
+    most (n + M' + 2) u times the sum of its |terms| (u = eps / 2); the
+    budget is (n + M' + 4) eps times that sum, over h b.
+    """
+    s, weights, h, b = est.sample, est.weights, est.bandwidths.h, est.bandwidths.b
+    kx = estimators.normal_rows(xg, s.x, h, np.empty((s.n, xg.size)))
+    left, right = deconv_left(weights, s.w / b), deconv_right(weights, tg / b)
+    num, den, num_abs, den_abs = (a / (h * b) for a in longdouble_ratio_sums(kx, s.y, left, right))
+    gamma = (s.n + right.shape[0] + 4) * np.finfo(float).eps
+    values, flags, density = got
+    assert np.all(np.abs(density - den) <= gamma * den_abs)
+    floor = RIDGE_SCALE / (h * b)
+    clear = np.abs(np.abs(den) - floor) > gamma * den_abs
+    assert np.array_equal(flags[clear], np.abs(den[clear]) <= floor)
+    ok = ~flags
+    assert np.all(np.abs(values[ok] * density[ok] - num[ok])
+                  <= gamma * num_abs[ok] + 2 * np.finfo(float).eps * np.abs(num[ok]))
+
+
 class TestPredictGridHelper:
-    """predict_grid builds lt and forms the density on one helper thread, bit for bit."""
+    """predict_grid splits kx and left by rows over one helper thread and this one.
+
+    The contraction takes the order ``factored_order`` finds cheaper: on lt
+    shapes the result is that of the cache, bit for bit; factored, it is
+    held to a long-double oracle.
+    """
 
     @staticmethod
-    def _estimator(family, quad):
-        ens = build_ensemble(family, 300)
-        data = generate(Model.MODEL1, 300, ens, np.random.default_rng(11))
-        return fit(data.sample, Bandwidths(0.2, 0.3), quad)
+    def _estimator(family, quad, n=300, b=0.3):
+        ens = build_ensemble(family, n)
+        data = generate(Model.MODEL1, n, ens, np.random.default_rng(11))
+        return fit(data.sample, Bandwidths(0.2, b), quad)
 
+    @pytest.mark.parametrize("shape,factored", [
+        ((5000, 200, 200, 128), True),     # the benchmark's estimate
+        ((5000, 20, 20, 128), False),      # the CLI's default grid
+        ((5000, 60, 60, 128), False),      # pinned est_a
+        ((5000, 30, 30, 128), False),      # pinned est_b
+        ((5000, 30, 30, 66), False),       # pinned est_c, 65 nodes
+        ((5000, 40, 40, 64), True),        # pinned est_d
+        ((5000, 200, 1, 128), False),      # a tall grid: factored would cost about 100 times
+        ((300, 60, 60, 64), True),
+        ((300, 1, 2, 64), True),
+        ((300, 17, 23, 64), False),
+    ])
+    def test_the_order_rule_pins_each_shape(self, shape, factored):
+        assert estimators.factored_order(*shape) is factored
+
+    @pytest.mark.parametrize("n", [300, 301])
     @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2), (17, 23), (60, 60)])
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
-    def test_equals_the_cache_without_a_helper(self, family, n_x, n_t, quad64):
-        est = self._estimator(family, quad64)
+    def test_equals_the_cache_without_a_helper(self, family, n_x, n_t, n, quad64):
+        # bit for bit on lt shapes; (1, 2) and (60, 60) take the factored order
+        est = self._estimator(family, quad64, n)
         xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.5, 1.5, n_t)
         got = est.predict_grid(xg, tg)
         want = KernelCache(est.sample, xg, tg, quad64).deconv([0.2], [0.3])
         for a, w in zip(got, want):
             assert a.shape == (n_x, n_t) and a.dtype == w.dtype
-            assert a.tobytes() == w[0, 0].tobytes()
+        if estimators.factored_order(n, n_x, n_t, 64):
+            _assert_within_the_oracle_budget(est, xg, tg, got)
+        else:
+            assert [a.tobytes() for a in got] == [w[0, 0].tobytes() for w in want]
+
+    @pytest.mark.parametrize("n,m,b,n_x,n_t", [
+        (301, 64, 0.3, 60, 60),
+        (300, 64, 0.3, 1, 30),
+        (301, 65, 0.3, 60, 60),      # odd M: a node at v = 0
+        (301, 65, 0.3, 1, 40),
+        (301, 64, 0.02, 60, 60),
+        (1001, 128, 0.02, 120, 120),
+    ])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "mixed"])
+    def test_the_factored_order_is_within_the_oracle_budget(self, family, n, m, b, n_x, n_t,
+                                                             monkeypatch):
+        ens = (_mixed_ensemble(n, 0.002) if family == "mixed"
+               else ErrorEnsemble.from_arrays([family] * n, 0.002 * (1.0 + np.arange(n) / n)))
+        data = generate(Model.MODEL1, n, ens, np.random.default_rng(n + m))
+        est = fit(data.sample, Bandwidths(0.2, b), QuadratureGrid.gauss_legendre(m))
+        assert estimators.factored_order(n, n_x, n_t, 2 * est.weights.nodes.size)
+        monkeypatch.setattr(estimators, "stacked_ratio_grid", None)    # the lt order's contraction
+        xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.2, 1.7, n_t)
+        got = est.predict_grid(xg, tg)
+        assert [a.shape for a in got] == [(n_x, n_t)] * 3
+        _assert_within_the_oracle_budget(est, xg, tg, got)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", ["x", "w", "y"])
+    def test_the_factored_order_leaks_no_overflow_warning(self, column, quad64):
+        # w_j = 1e308 overflows w_j / b, so every sum is NaN and every point
+        # is flagged; y_j = 1e308 overflows y_j left_j, and the numerator
+        # near x_j, which is flagged; x_j = 1e308 overflows (x - x_j) / h, whose kernel is an
+        # exact 0; at b = 0.05 the Gaussian weights reach 1e15
+        est = self._estimator(ErrorFamily.GAUSSIAN, quad64, b=0.05)
+        s = est.sample
+        arrays = {"x": s.x.copy(), "w": s.w.copy(), "y": s.y.copy()}
+        arrays[column][7] = 1e308
+        sample = Sample(arrays["x"], arrays["w"], arrays["y"], s.ensemble)
+        xg = tg = np.linspace(-1.5, 1.5, 60)
+        values, flags, _ = fit(sample, est.bandwidths, quad64).predict_grid(xg, tg)
+        assert np.isfinite(values[~flags]).all()
+        assert {"x": not flags.any(), "w": flags.all(), "y": flags.any()}[column]
 
     @pytest.mark.parametrize("m", [64, 65])
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
@@ -358,62 +455,69 @@ class TestPredictGridHelper:
         hs, bs = [0.15, 0.2, 0.35], [0.25, 0.3]
         cache = KernelCache(est.sample, np.linspace(-1.5, 1.5, 13), np.linspace(-1.5, 1.5, 11),
                             est.weights.quad)
-        lt = cache.lt(bs)
-        want = cache.deconv(hs, bs, lt)
+        hb = np.multiply.outer(bs, hs)
+        operands = (cache.kx_stack(hs), est.sample.y, cache.lt(bs), hb, RIDGE_SCALE / hb)
+        want = cache.deconv(hs, bs)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            got = cache.deconv(hs, bs, lt, pool)
+            got = stacked_ratio_grid(*operands, pool)
         for a, w in zip(got, want):
             assert a.shape == (2, 3, 13, 11)
             assert a.tobytes() == w.tobytes()
 
-    def test_starts_one_thread_and_joins_it(self, quad64, monkeypatch):
+    @pytest.mark.parametrize("n_x", [5, 60])      # the lt order and the factored order
+    def test_starts_one_thread_and_joins_it(self, n_x, quad64, monkeypatch):
         est = self._estimator(ErrorFamily.LAPLACE, quad64)
         monkeypatch.setattr(_CountedThread, "started", 0)
         monkeypatch.setattr(threading, "Thread", _CountedThread)
         before = threading.active_count()
-        est.predict_grid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 4))
+        est.predict_grid(np.linspace(-1, 1, n_x), np.linspace(-1, 1, n_x - 1))
         assert _CountedThread.started == 1
         assert threading.active_count() == before
 
     def test_an_exception_of_the_helper_leaves_predict_grid(self, quad64, monkeypatch):
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
+        left_fn = estimators.deconv_left
 
-        def failing_lt(cache, bs):
-            raise RuntimeError("lt failed on the helper")
+        def failing_left(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("left failed on the helper")
+            return left_fn(*args, **kwargs)
 
-        monkeypatch.setattr(KernelCache, "lt", failing_lt)
+        monkeypatch.setattr(estimators, "deconv_left", failing_left)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="lt failed on the helper"):
+        with pytest.raises(RuntimeError, match="left failed on the helper"):
             est.predict_grid([0.0, 0.5], [0.0])
         assert threading.active_count() == before
 
     def test_an_exception_of_the_caller_waits_for_the_helper(self, quad64, monkeypatch):
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
-        lt_fn, finished = KernelCache.lt, []
+        rows_fn, finished = estimators.normal_rows, []
 
-        def slow_lt(cache, bs):
+        def slow_or_failing_rows(x_values, x_obs, h, out):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("no room for kx")
             time.sleep(0.2)
-            finished.append(bs)
-            return lt_fn(cache, bs)
+            finished.append(x_obs.size)
+            return rows_fn(x_values, x_obs, h, out)
 
-        def failing_kx(cache, hs):
-            raise MemoryError("no room for kx")
-
-        monkeypatch.setattr(KernelCache, "lt", slow_lt)
-        monkeypatch.setattr(KernelCache, "kx_stack", failing_kx)
+        monkeypatch.setattr(estimators, "normal_rows", slow_or_failing_rows)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no room for kx"):
             est.predict_grid([0.0, 0.5], [0.0])
-        assert finished == [[0.3]]
+        assert finished == [150]
         assert threading.active_count() == before
 
     def test_callers_on_many_threads_each_get_their_own_result(self, quad64):
         # 4 calling threads and their 4 helpers on 2 cores, switching often:
-        # a call handed to the wrong helper, or a result read before it was
-        # written, would change some caller's bytes
+        # a call handed to the wrong helper, a block added in another order,
+        # or a result read before it was written, would change some caller's
+        # bytes; the first two grids take the factored order
         est = self._estimator(ErrorFamily.LAPLACE, quad64)
-        grids = [(np.linspace(-1, 1, 3 + k), np.linspace(-1, 1, 7 - k)) for k in range(4)]
-        want = [KernelCache(est.sample, *g, quad64).deconv([0.2], [0.3]) for g in grids]
+        grids = [(np.linspace(-1, 1, n_x), np.linspace(-1, 1, n_t))
+                 for n_x, n_t in ((1, 6), (2, 9), (5, 4), (6, 3))]
+        assert [estimators.factored_order(300, x.size, t.size, 64) for x, t in grids] == \
+            [True, True, False, False]
+        want = [est.predict_grid(*g) for g in grids]
         got = [[] for _ in grids]
 
         def call(k):
@@ -431,10 +535,13 @@ class TestPredictGridHelper:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        for results, ref in zip(got, want):
+        for k, (results, ref) in enumerate(zip(got, want)):
             assert len(results) == 5
             for result in results:
-                assert [a.tobytes() for a in result] == [w[0, 0].tobytes() for w in ref]
+                assert [a.tobytes() for a in result] == [w.tobytes() for w in ref]
+            if not estimators.factored_order(300, grids[k][0].size, grids[k][1].size, 64):
+                cache = KernelCache(est.sample, *grids[k], quad64).deconv([0.2], [0.3])
+                assert [a.tobytes() for a in ref] == [w[0, 0].tobytes() for w in cache]
 
 
 class TestRegressionEstimator:
@@ -557,6 +664,19 @@ class TestNaiveEstimator:
         ase_n = np.mean((vals_n[~flags_n] - truth[~flags_n]) ** 2)
         assert ase_n < 2.0 * ase_d
         assert ase_d < 2.0 * ase_n
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_difference_past_the_double_range_leaks_no_warning(self, quad64):
+        # t - w_j = -1e308 - 1e308 overflows, and so does (t - w_j) / b for
+        # w_j = 0 and 1: each kernel is an exact 0, so the density at that t
+        # is 0 and flagged
+        sample = Sample(x=np.zeros(3), w=[0.0, 1.0, 1e308], y=np.ones(3),
+                        ensemble=_degenerate_ensemble(3))
+        cache = KernelCache(sample, np.zeros(2), [-1e308, 0.0], quad64)
+        assert not cache.kt([0.3])[0, :, 0].any()
+        values, flags, density = (a[0, 0] for a in cache.naive([0.3], [0.3]))
+        assert flags[:, 0].all() and not density[:, 0].any()
+        assert not flags[:, 1].any() and np.all(values[:, 1] == 1.0)
 
 
 class TestSlopeEstimator:
