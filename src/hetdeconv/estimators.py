@@ -362,7 +362,7 @@ class DeconvEstimator:
         # or of lt.  They are allocated on this thread: what the worker
         # allocates stays resident in its own malloc arena after it is freed.
         stack = np.empty((1, n, x_values.size))
-        operand = np.empty((n, 2, rank)) if factored else None
+        operand = np.empty((n, 2, 2, rank // 2)) if factored else None
         lt = None if factored else np.empty((1, n, t_values.size))
 
         def block(rows):
@@ -370,9 +370,10 @@ class DeconvEstimator:
             with np.errstate(over="ignore", invalid="ignore"):
                 if not factored:
                     return np.matmul(deconv_left(weights, obs, rows), right, out=lt[0, rows])
-                left = deconv_left(weights, obs, rows, out=operand[rows, 1])
-                np.multiply(left, sample.y[rows, None], out=operand[rows, 0])
-                return kx.T @ operand[rows].reshape(kx.shape[0], -1)
+                ops = operand[rows]
+                deconv_left(weights, obs, rows, out=ops[:, 1])
+                np.multiply(ops[:, 1], sample.y[rows, None, None], out=ops[:, 0])
+                return kx.T @ ops.reshape(kx.shape[0], -1)
 
         hb = np.array([[h * b]])
         with ThreadPoolExecutor(max_workers=1) as pool:

@@ -183,19 +183,22 @@ def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None) ->
     ``weights``; the factor is formed for the observations of the slice
     ``rows`` (r of them), with M' = 2 ceil(M/2) columns: the cos half, then the sin half.
     Each phase is formed in its sin slot, its cos is taken from there and
-    then its sin in place.  It is written into ``out`` (r, M') when given.
+    then its sin in place.  It is written into ``out`` when given, an
+    (r, 2, M) array of the two halves, whose (r, M') view is returned.
     """
     obs_args = np.asarray(obs_args, dtype=float)
     if obs_args.shape != (weights.n,):
         raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
     v, obs = weights.nodes, obs_args[rows]
     shape = (obs.size, 2, v.size)
-    left = np.empty(shape) if out is None else out.reshape(shape, copy=False)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out of shape {out.shape} for a factor of shape {shape}")
+    left = np.empty(shape) if out is None else out
     phase = np.multiply(obs[:, None], v, out=left[:, 1])
     np.cos(phase, out=left[:, 0])
     np.sin(phase, out=phase)
     left *= weights.values[rows, None, :]
-    return left.reshape(obs.size, -1, copy=False)
+    return left.reshape(obs.size, -1)
 
 
 def deconv_right(weights: DeconvWeights, eval_args) -> np.ndarray:

@@ -435,9 +435,12 @@ class TestPredictGridHelper:
     @pytest.mark.parametrize("column", ["x", "w", "y"])
     def test_the_factored_order_leaks_no_overflow_warning(self, column, quad64):
         # w_j = 1e308 overflows w_j / b, so every sum is NaN and every point
-        # is flagged; y_j = 1e308 overflows y_j left_j, and the numerator
-        # near x_j, which is flagged; x_j = 1e308 overflows (x - x_j) / h, whose kernel is an
-        # exact 0; at b = 0.05 the Gaussian weights reach 1e15
+        # is flagged; x_j = 1e308 overflows (x - x_j) / h, whose kernel is an
+        # exact 0.  y_j = 1e308 overflows y_j left_j to +-inf, which reaches
+        # every point through right (inf - inf = NaN where the signs meet),
+        # so every point is flagged, where the lt order, which forms kx_j y_j
+        # first, flags only part of the grid.  At b = 0.05 the Gaussian
+        # weights reach 1e15.
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64, b=0.05)
         s = est.sample
         arrays = {"x": s.x.copy(), "w": s.w.copy(), "y": s.y.copy()}
@@ -446,7 +449,11 @@ class TestPredictGridHelper:
         xg = tg = np.linspace(-1.5, 1.5, 60)
         values, flags, _ = fit(sample, est.bandwidths, quad64).predict_grid(xg, tg)
         assert np.isfinite(values[~flags]).all()
-        assert {"x": not flags.any(), "w": flags.all(), "y": flags.any()}[column]
+        assert {"x": not flags.any(), "w": flags.all(), "y": flags.all()}[column]
+        if column == "y":
+            with np.errstate(over="ignore", invalid="ignore"):
+                lt_flags = KernelCache(sample, xg, tg, quad64).deconv([0.2], [0.05])[1]
+            assert 0 < lt_flags.sum() < flags.size
 
     @pytest.mark.parametrize("m", [64, 65])
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])

@@ -26,7 +26,7 @@ from hetdeconv import (
     gaussian_kernel,
 )
 from hetdeconv.error_models import shared_denominator
-from hetdeconv.kernels import SMALLEST_NORMAL
+from hetdeconv.kernels import SMALLEST_NORMAL, deconv_left
 from hetdeconv.simulation import build_ensemble
 
 
@@ -443,6 +443,22 @@ class TestPerBandwidthBuild:
             assert out.tobytes() == one.tobytes()
         # any run of b builds the same kernels
         assert cache.lt(bs[1:3]).tobytes() == lt[1:3].tobytes()
+
+    @pytest.mark.parametrize("m", [64, 65], ids=["gl64", "gl65-node-at-0"])
+    def test_the_left_factor_is_written_into_a_strided_out(self, m):
+        # the (rows, 2, M) slot of a wider row-major buffer, as predict_grid passes it
+        w = build_deconv_weights(build_ensemble(ErrorFamily.GAUSSIAN, 11), 0.2,
+                                 QuadratureGrid.gauss_legendre(m))
+        obs, half = np.linspace(-9.0, 9.0, 11), w.nodes.size
+        buffer = np.full((11, 2, 2, half), np.nan)
+        rows = slice(3, 8)
+        got = deconv_left(w, obs, rows, out=buffer[rows, 1])
+        assert got.shape == (5, 2 * half) and np.shares_memory(got, buffer)
+        assert buffer[rows, 1].reshape(5, -1).tobytes() == deconv_left(w, obs)[rows].tobytes()
+        assert got.tobytes() == deconv_left(w, obs)[rows].tobytes()
+        assert np.isnan(np.delete(buffer, np.s_[3:8], axis=0)).all() and np.isnan(buffer[:, 0]).all()
+        with pytest.raises(ValueError, match="out of shape"):
+            deconv_left(w, obs, rows, out=np.empty((5, 2 * half)))
 
     def test_observation_arguments_must_match_the_sample_size(self, quad64):
         w = build_deconv_weights(build_ensemble(ErrorFamily.LAPLACE, 6), 0.2, quad64)
