@@ -35,13 +35,9 @@ RIDGE_SCALE = 1e-8
 
 # Every batched array of one group of (b, h) pairs holds at most this many
 # float64 elements (512 KiB), unless one b or one h alone holds more.  The
-# sweep cuts the b grid into groups by it (the (B, H, X, T) contraction, the
-# (B, n, T) kernels, and B times the (n, 2 ceil(M/2)) cos/sin operand that
-# the kernel build forms per b, counted as when it was batched so the groups
-# keep their sizes), and ``stacked_ratio_grid`` cuts the h of its numerator
-# operand by it.  The bound keeps large runs at the memory of one b at a
-# time: at full scale with n = 500 one b already fills it, and batching all
-# ten b there raised a run's peak RSS from 49.7 to 60.5 MB.
+# sweep cuts the b grid into groups by it (the (B, H, X, T) contraction and
+# the (B, n, T) kernels), and ``stacked_ratio_grid`` cuts the h of its
+# numerator operand by it, so a large run holds a few b's arrays at a time.
 GROUP_BUDGET = 1 << 16
 
 
@@ -166,7 +162,7 @@ def normal_rows(x_values, x_obs, h, out):
     return gaussian_kernel(u, out=u)
 
 
-def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
+def stacked_ratio_grid(stack, y, kt, scale, floor):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
     density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
@@ -180,20 +176,17 @@ def stacked_ratio_grid(stack, y, kt, scale, floor, pool=None):
     a run of consecutive h whose (h, n, X) slice fits ``GROUP_BUDGET`` (at
     least one h), and lives only for the product of its run, which is written
     into the numerator in place: no (H, n, X) copy of the stack is held beside
-    kt's temporaries.  With a one-worker executor as ``pool`` the density
-    product runs on its worker while the numerator runs here; the products
-    and their operands are the same either way.
+    kt's temporaries.
     """
     n_h, n, n_x = stack.shape
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
     num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    den = None if pool is None else pool.submit(np.matmul, stack.transpose(0, 2, 1), kt)
     run = max(1, GROUP_BUDGET // max(1, n * n_x))
     for lo in range(0, n_h, run):
         np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
                   out=num[:, lo:lo + run])
-    den = np.matmul(stack.transpose(0, 2, 1), kt) if den is None else den.result()
+    den = np.matmul(stack.transpose(0, 2, 1), kt)
     return scaled_ratio(num, den, scale, np.asarray(floor, dtype=float)[:, :, None, None])
 
 
@@ -340,11 +333,10 @@ class DeconvEstimator:
         association that ``factored_order`` finds cheaper.  Factored, each
         block forms kx.T @ [y left | left], (X, 2M'), the two are added (the
         first block's first) and each half is multiplied by ``deconv_right``.
-        Otherwise each block writes its rows of lt = left @ right and the
-        contraction is that of ``KernelCache.deconv``, with the density
-        formed on the executor: the result is that of ``KernelCache.deconv``
-        without a pool, bit for bit.  The cut depends on n alone, so the
-        result does not depend on the threads' timing.
+        Otherwise each block writes its rows of lt = left @ right and, after
+        both blocks, the contraction is that of ``KernelCache.deconv``, bit
+        for bit.  The cut depends on n alone, so the result does not depend
+        on the threads' timing.
         """
         from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
 
@@ -380,9 +372,8 @@ class DeconvEstimator:
             aside = pool.submit(block, slice(0, n // 2))
             second = block(slice(n // 2, n))
             first = aside.result()
-            if not factored:
-                return tuple(a[0, 0] for a in stacked_ratio_grid(
-                    stack, sample.y, lt, hb, RIDGE_SCALE / hb, pool))
+        if not factored:
+            return tuple(a[0, 0] for a in stacked_ratio_grid(stack, sample.y, lt, hb, RIDGE_SCALE / hb))
         with np.errstate(over="ignore", invalid="ignore"):
             sums = (first + second).reshape(x_values.size, 2, rank).transpose(1, 0, 2) @ right
         return scaled_ratio(sums[0], sums[1], hb, RIDGE_SCALE / hb)

@@ -210,16 +210,14 @@ def _b_groups(h_of: dict, cache: KernelCache) -> list:
     """The b of ``h_of`` (b -> the h paired with b, in increasing b) cut into groups.
 
     Each group is the longest run of consecutive b, from the first b not yet
-    grouped, whose largest batched array fits ``GROUP_BUDGET``, where H is
-    the number of distinct h paired with the group's b.  The cos/sin operand
-    of lt, built one b at a time, still counts B times, so the groups that
-    batch kt and the contractions keep their sizes.  A b whose arrays alone
-    exceed the budget is a group of one.  Returns (bs, hs) per group,
-    with hs those h in increasing order.
+    grouped, whose batched arrays, the (B, H, X, T) contraction and the
+    (B, n, T) kernels, each fit ``GROUP_BUDGET``, where H is the number of
+    distinct h paired with the group's b.  A b whose arrays alone exceed the
+    budget is a group of one.  Returns (bs, hs) per group, with hs those h
+    in increasing order.
     """
-    m = cache.quad.size - cache.quad.size // 2
     x, t = cache.x_values.size, cache.t_values.size
-    per_b = cache.sample.n * max(2 * m, t)
+    per_b = cache.sample.n * t
     groups, bs, hs = [], [], set()
     for b, h_b in h_of.items():
         merged = hs | set(h_b)

@@ -2,7 +2,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -454,22 +453,6 @@ class TestPredictGridHelper:
             with np.errstate(over="ignore", invalid="ignore"):
                 lt_flags = KernelCache(sample, xg, tg, quad64).deconv([0.2], [0.05])[1]
             assert 0 < lt_flags.sum() < flags.size
-
-    @pytest.mark.parametrize("m", [64, 65])
-    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
-    def test_the_pool_path_of_a_group_equals_the_serial_path(self, family, m):
-        est = self._estimator(family, QuadratureGrid.gauss_legendre(m))
-        hs, bs = [0.15, 0.2, 0.35], [0.25, 0.3]
-        cache = KernelCache(est.sample, np.linspace(-1.5, 1.5, 13), np.linspace(-1.5, 1.5, 11),
-                            est.weights.quad)
-        hb = np.multiply.outer(bs, hs)
-        operands = (cache.kx_stack(hs), est.sample.y, cache.lt(bs), hb, RIDGE_SCALE / hb)
-        want = cache.deconv(hs, bs)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            got = stacked_ratio_grid(*operands, pool)
-        for a, w in zip(got, want):
-            assert a.shape == (2, 3, 13, 11)
-            assert a.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("n_x", [5, 60])      # the lt order and the factored order
     def test_starts_one_thread_and_joins_it(self, n_x, quad64, monkeypatch):

@@ -297,10 +297,13 @@ class TestSharedKernelCache:
             "b": {"start": 0.1, "stop": 0.3, "count": 3}})
         context = simulation.RunContext.build(cfg)
         b_values = list(cfg.b_values)
-        # n = 40 and 32 nodes: the cos/sin operand of one b holds 40 * 32
-        # elements, so the smaller budget cuts the three b into groups of 2 and 1
+        # the (n, T) kernels of one b outweigh its (H, X, T) contraction of
+        # two h, so a budget of two b's kernels cuts the three b into groups
+        # of 2 and 1
+        n, n_x, n_t = cfg.n, context.x_values.size, context.t_values.size
+        assert n * n_t > 2 * n_x * n_t
         for budget, groups in ((simulation.GROUP_BUDGET, [b_values]),
-                               (2 * 40 * 32, [b_values[:2], b_values[2:]])):
+                               (2 * n * n_t, [b_values[:2], b_values[2:]])):
             with monkeypatch.context() as patch:
                 patch.setattr(simulation, "GROUP_BUDGET", budget)
                 self._check_builds(patch, context, groups)
@@ -332,9 +335,9 @@ class TestSharedKernelCache:
             calls["gaussian_kernel"] += 1
             return gauss_fn(u, out)
 
-        def counted_stacked(stack, y, kt, scale, floor, pool=None):
+        def counted_stacked(stack, y, kt, scale, floor):
             calls["stacked"].append((kt.shape[0], stack.shape[0]))
-            return stacked_fn(stack, y, kt, scale, floor, pool)
+            return stacked_fn(stack, y, kt, scale, floor)
 
         def counted_floored(num, den, floor):
             calls["floored_ratio"] += 1
@@ -578,8 +581,8 @@ class TestGroupedSweep:
         assert seen == {"all", "ensemble"}   # both kinds of status occur
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    # n_t reaches past M so the (B, n, T) kernels, not only the cos/sin
-    # operand, can be the largest array of one b
+    # n_t and n_x range so that either the (B, n, T) kernels or the
+    # (B, H, X, T) contraction can be the largest array of a group
     @given(n=st.integers(2, 60), m=st.integers(16, 40),
            n_x=st.integers(1, 12), n_t=st.integers(1, 24), budget=st.integers(1, 6000),
            h_sets=st.lists(st.sets(st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.5]), min_size=1),
@@ -590,12 +593,10 @@ class TestGroupedSweep:
         sample = Sample(x=np.zeros(n), w=np.zeros(n), y=np.zeros(n),
                         ensemble=ErrorEnsemble.from_arrays(["degenerate"] * n, [0.0] * n))
         cache = KernelCache(sample, np.zeros(n_x), np.zeros(n_t), QuadratureGrid.gauss_legendre(m))
-        half = m - m // 2
 
         def largest(bs, hs):
-            # the (B, H, X, T) contraction, the (B, n, 2 ceil(M/2)) cos/sin
-            # operand and the (B, n, T) kernels
-            return len(bs) * max(len(hs) * n_x * n_t, n * 2 * half, n * n_t)
+            # the (B, H, X, T) contraction and the (B, n, T) kernels
+            return len(bs) * max(len(hs) * n_x * n_t, n * n_t)
 
         with mock.patch.object(simulation, "GROUP_BUDGET", budget):
             groups = _b_groups(h_of, cache)
@@ -608,18 +609,18 @@ class TestGroupedSweep:
             assert largest(bs + after[:1], set(hs) | set(h_of[after[0]])) > budget
 
     @pytest.mark.parametrize("raw,full_scale,sizes", [
-        ({"model": "model2", "error_family": "laplace", "n": 500}, True, [1] * 10),
-        ({"model": "model1", "error_family": "gaussian", "n": 500}, True, [1] * 10),
+        ({"model": "model2", "error_family": "laplace", "n": 500}, True, [2] * 5),
+        ({"model": "model1", "error_family": "gaussian", "n": 500}, True, [2] * 5),
         ({"model": "model1", "error_family": "gaussian", "n": 100}, False, [5]),
         ({"model": "model2", "error_family": "laplace", "n": 100}, False, [5]),
-        ({"model": "model1", "error_family": "gaussian", "n": 500}, False, [2, 2, 1]),
+        ({"model": "model1", "error_family": "gaussian", "n": 500}, False, [5]),
         ({"model": "model1", "error_family": "laplace", "n": 100}, True, [2] * 5),
     ], ids=["full-500", "full-500-gauss", "desk-100", "desk-100-m2", "desk-500", "full-100"])
     def test_group_partition_of_the_protocols(self, raw, full_scale, sizes):
-        # full scale, n = 500: the (1, n, 128) cos/sin operand of one b
-        # already holds 64 000 of the 65 536 elements, so every b is alone
-        # and the sweep runs the shapes of one b at a time; desk, n = 100:
-        # all five b fit in one group
+        # full scale, n = 500: the (n, T) kernels of one b and its (H, X, T)
+        # contraction each hold 25 000 of the 65 536 elements, so the ten b
+        # run in groups of two; desk: all five b fit in one group at n = 100
+        # and at n = 500
         cfg = SimulationConfig.from_dict({**raw, "seed": 20250808}, full_scale=full_scale)
         groups = _partition(cfg)
         assert [len(g) for g in groups] == sizes
