@@ -14,6 +14,10 @@ per-slice reference for the sweep's group scoring, raising
 operand formed for all h at once, the reference for the program's
 budget-bounded runs of h.
 ``trapezoid_grid`` is the only grid with nodes at v = +-1.
+``polynomial_cosine_kernel`` is the kernel of an error-free or a
+homoscedastic Laplace ensemble in closed form, and
+``longdouble_gauss_legendre`` the Gauss-Legendre rule in long double, both
+the references of the kernel's budget against its exact value.
 """
 
 from math import factorial
@@ -64,6 +68,63 @@ def bandlimited_kernel_closed_form(u):
         )
         out[~small] = integral / TWO_PI
     return float(out[0]) if scalar else out
+
+
+_LD_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def polynomial_cosine_kernel(e, c):
+    """(1/pi) int_0^1 q(v) cos(e v) dv, q(v) = (1 - v^2)^3 (1 + c v^2), in long double.
+
+    That is K(e) - c K''(e) for the contaminated-direction kernel K, so it is
+    K(e) at c = 0 and n L_j(e) for a homoscedastic Laplace ensemble of
+    variance s at c = s / (2 b^2) (Fan 1991, Ann. Statist. 19, 1257-1272).
+    For |e| < 2 it sums the Taylor series of cos against the exact moments
+    int_0^1 q(v) v^(2k) dv; otherwise it integrates by parts, where the terms
+    at v = 0 vanish (q is even) and so do q, q', q'' at v = 1:
+    sum_{k=3}^{8} (-1)^k q^(k)(1) cos(e - (k+1) pi/2) / e^(k+1).  Returns the
+    value and the sum of the |terms|, which scales its rounding error.
+    """
+    e, c = np.asarray(e, dtype=np.longdouble), np.longdouble(c)
+    q = np.zeros(9, dtype=np.longdouble)
+    q[0::2] = [1, c - 3, 3 - 3 * c, 3 * c - 1, -c]
+    value, size = np.zeros_like(e), np.zeros_like(e)
+    small = np.abs(e) < 2
+    es = e[small]
+    for k in range(_SERIES_TERMS + 2):
+        moment = sum(q[i] / (2 * k + i + 1) for i in range(0, 9, 2))
+        term = (-1) ** k * es ** (2 * k) / np.longdouble(factorial(2 * k)) * moment
+        value[small] += term
+        size[small] += np.abs(term)
+    el = e[~small]
+    trig = (np.cos(el), np.sin(el), -np.cos(el), -np.sin(el))   # cos(e - m pi/2), m mod 4
+    for k in range(3, 9):
+        derivative = np.polynomial.polynomial.polyval(np.longdouble(1), np.polynomial.polynomial.polyder(q, k))
+        term = (-1) ** k * derivative * trig[(k + 1) % 4] / el ** (k + 1)
+        value[~small] += term
+        size[~small] += np.abs(term)
+    return value / _LD_PI, size / _LD_PI
+
+
+def longdouble_gauss_legendre(m):
+    """The nodes and weights of the m-point Gauss-Legendre rule in long double, ascending.
+
+    Newton's method on the three-term recurrence of P_m, started from the
+    float64 nodes; weights 2 / ((1 - x^2) P_m'(x)^2), with 1 - x^2 formed as
+    (1 - x)(1 + x), which does not cancel near the ends.
+    """
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, m * (p0 - x * p1) / ((1 - x) * (1 + x))
+
+    x = np.polynomial.legendre.leggauss(m)[0].astype(np.longdouble)
+    for _ in range(4):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    return x, 2 / ((1 - x) * (1 + x) * dp * dp)
 
 
 def trapezoid_grid(m: int = 129) -> QuadratureGrid:

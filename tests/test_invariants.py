@@ -25,16 +25,24 @@ x - x_j.  Its budget is the error of each side's kernel against the exact
 kernel, the shifted inputs' own roundings included, summed over both sides.
 """
 
+from math import comb, factorial, lgamma, log
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import longdouble_gauss_legendre, polynomial_cosine_kernel
 
 from hetdeconv import ErrorEnsemble, KernelCache, QuadratureGrid, Sample, linear_slope
-from hetdeconv.estimators import RIDGE_SCALE
+from hetdeconv.estimators import RIDGE_SCALE, floored_ratio
 from hetdeconv.kernels import SMALLEST_NORMAL
 
 U = np.finfo(float).eps / 2
 MOVED = 16 * U
+LD = np.longdouble
+# The closed-form kernel sums at most 22 terms in long double: 32 of its ulps
+# of the sum of their magnitudes bound its rounding (it measures within 5).
+CLOSED_FORM = 32 * np.finfo(LD).eps
 
 
 def gamma(k):
@@ -255,6 +263,48 @@ def _deconv_kernel_error(cache, bs, obs, grid):
     return c[:, :, None] * (np.sqrt(2) * (17 * U + phases) + gamma(2 * half + 1)), c
 
 
+def _rule_kernel_error(quad, n, c, e):
+    """Bound on |exact sum of the computed coefficients - exact kernel| for n L(e) = (1/pi) int_0^1 q(v) cos(e v) dv.
+
+    q(v) = (1 - v^2)^3 (1 + c v^2), with c = 0 for error-free laws and
+    c = s / (2 b^2) for homoscedastic Laplace laws of variance s; ``e`` holds
+    the arguments.  Over the M nodes of ``quad``, each part over 2 pi n:
+
+    - the coefficients: 1 - v^2 is off by u, so (1 - v^2)^3 by
+      u (3 (1 - v^2)^2 + 2 (1 - v^2)^3); cf_j / S by (n + 20) u (cf_j by 6 u,
+      S sums n squares), and its product with the weight over pi by 4 u;
+    - the rule: ``quad``'s nodes and weights are off the exact
+      Gauss-Legendre rule (``longdouble_gauss_legendre``, whose weights are
+      good to u of each) by dv and dw, which move a node's term by
+      |dw q| + W (|q'| + |e q|) |dv|;
+    - the Gauss-Legendre remainder 2^(2M+1) (M!)^4 / ((2M+1) ((2M)!)^3)
+      max |f^(2M)|, f = q cos(e .), with max |f^(2M)| <= sum_k C(2M, k)
+      max |q^(k)| |e|^(2M-k) and max |q^(k)| <= sum_i |a_i| i! / (i-k)!
+      over the coefficients a_i of q.
+    """
+    v, w, m = quad.nodes, quad.weights, quad.size
+    nodes, weights = longdouble_gauss_legendre(m)
+    base, lift = 1 - v * v, 1 + c * v * v
+    q = base ** 3 * lift
+    dq = np.abs(-6 * v * base ** 2 * lift + 2 * c * v * base ** 3)
+    dv = np.abs(v - nodes).astype(float)
+    dw = (np.abs(w - weights) + U * weights).astype(float)
+    fixed = (w * U * (lift * (3 * base ** 2 + 2 * base ** 3) + (n + 24) * q)
+             + dw * q + w * dq * dv).sum()
+    per_e = (w * q * dv).sum()
+    a = np.abs([1, 0, c - 3, 0, 3 - 3 * c, 0, 3 * c - 1, 0, -c])
+    e = np.abs(np.asarray(e, dtype=float))
+    lead = ((2 * m + 1) * log(2) + 4 * lgamma(m + 1) - log(2 * m + 1) - 3 * lgamma(2 * m + 1))
+    with np.errstate(divide="ignore"):
+        log_e = np.log(e)
+    remainder = np.zeros_like(e)
+    for k in range(9):
+        top = sum(a[i] * factorial(i) / factorial(i - k) for i in range(k, 9))
+        if top:
+            remainder += np.exp(lead + log(comb(2 * m, k) * top) + (2 * m - k) * log_e)
+    return (fixed + per_e * e + remainder) / (2 * np.pi * n)
+
+
 class TestShift:
     """Shifting w and the t-grid, or x and the x-grid, by c changes no estimate."""
 
@@ -341,3 +391,72 @@ class TestConstantResponse:
                     + gamma(n) * ratio * al.sum(axis=1)[:, None, None]) / lt_sum
                  + 3 * U * ratio + U * xs + U * np.abs(values))
         assert np.all((np.abs(values - c) <= bound)[~flags])
+
+
+class TestClosedForms:
+    """Error-free and homoscedastic Laplace laws against their kernels in closed form.
+
+    The exact kernel comes from ``polynomial_cosine_kernel`` in long double;
+    the computed one is within ``_deconv_kernel_error`` (its trig and sums)
+    plus ``_rule_kernel_error`` (its coefficients and the quadrature rule)
+    of it, plus the closed form's own rounding, CLOSED_FORM of its terms.
+    """
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**{**GRIDS, "m": st.sampled_from([64, 65])})
+    def test_error_free_laws_give_nadaraya_watson_with_the_bandlimited_kernel(
+            self, n, n_x, n_t, n_h, n_b, m, seed):
+        # L_j = K((t - w_j) / b) / n.  With b >= 0.2 every |e| <= 20, where
+        # the remainder of 64 nodes is below 1e-80.  The reference sums run
+        # in long double and are rounded once to float64; the program's sums
+        # of n products, divided by the scale, add gamma_{n+2}, and 2 gamma
+        # covers both.
+        rng = np.random.default_rng(seed)
+        x, w = rng.uniform(-2, 2, (2, n))
+        y = x * x * np.exp(-w * w / 2) + rng.normal(0, 0.25, n)
+        sample = Sample(x, w, y, ErrorEnsemble.from_arrays(["degenerate"] * n, np.zeros(n)))
+        hs, bs = np.sort(rng.uniform(0.05, 1.0, n_h)), np.sort(rng.uniform(0.2, 1.0, n_b))
+        xg, tg = np.linspace(-2, 2, n_x), np.linspace(-2, 2, n_t)
+        cache = KernelCache(sample, xg, tg, QuadratureGrid.gauss_legendre(m))
+        kx, hb = cache.kx_stack(hs), hs * bs[:, None]
+
+        e = (tg.astype(LD) - w.astype(LD)[:, None]) / bs.astype(LD)[:, None, None]
+        exact, size = polynomial_cosine_kernel(e, 0)
+        err, c = _deconv_kernel_error(cache, bs, w, tg)
+        err = err + np.stack([_rule_kernel_error(cache.quad, n, 0.0, e_b) for e_b in e])
+        err += (CLOSED_FORM * size / n).astype(float)
+        scale = hb.astype(LD)[:, :, None, None]
+        sums = [np.einsum("hjx,bjt,j->bhxt", kx.astype(LD), exact / n, z.astype(LD)) / scale
+                for z in (y, np.ones(n))]
+        num, den = (a.astype(float) for a in sums)
+        floor = RIDGE_SCALE / hb[:, :, None, None]
+        want = (*floored_ratio(num, den, floor), den)
+        g = gamma(n + 2)
+        ay, ones = np.abs(y), np.ones(n)
+        _assert_ratio_within(cache.deconv(hs, bs), want,
+                             *[2 * g * _sums(kx, c, z, hb) + _sums(kx, err, z, hb)
+                               for z in (ay, ones)], floor)
+
+    @pytest.mark.parametrize("m", [64, 128])
+    @pytest.mark.parametrize("s", [4 / 15, 8 / 15])
+    def test_homoscedastic_laplace_kernel_on_the_ladder(self, s, m):
+        # L_j(e) = (K(e) - s / (2 b^2) K''(e)) / n (Fan 1991), on criterion
+        # 3's ladder of b and its arguments e in [-4, 4]
+        n = 100
+        rng = np.random.default_rng(m)
+        ensemble = ErrorEnsemble.from_arrays(["laplace"] * n, np.full(n, s))
+        quad = QuadratureGrid.gauss_legendre(m)
+        worst, room = 0.0, np.inf
+        for b in np.linspace(0.02, 0.2, 10):
+            w, tg = 2 * b * rng.uniform(-1, 1, n), 2 * b * np.linspace(-1, 1, 9)
+            cache = KernelCache(Sample(np.zeros(n), w, np.zeros(n), ensemble), [0.0], tg, quad)
+            e = (tg.astype(LD) - w.astype(LD)[:, None]) / LD(b)
+            exact, size = polynomial_cosine_kernel(e, LD(s) / (2 * LD(b) ** 2))
+            bound = (_deconv_kernel_error(cache, [b], w, tg)[0][0]
+                     + _rule_kernel_error(quad, n, s / (2 * b * b), e)
+                     + (CLOSED_FORM * size / n).astype(float))
+            diff = np.abs(cache.lt([b])[0] - exact / n).astype(float)
+            assert np.all(diff <= bound), f"b={b}"
+            worst, room = max(worst, diff.max()), min(room, (bound / np.maximum(diff, 1e-300)).min())
+        print(f"homoscedastic laplace s={s:.4f} M={m}: max |L - exact| = {worst:.3e}, "
+              f"bound at least {room:.1f} times the error")

@@ -608,6 +608,48 @@ class TestGroupedSweep:
             # each group is the longest run that fits: its next b would not
             assert largest(bs + after[:1], set(hs) | set(h_of[after[0]])) > budget
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 60), n_x=st.integers(1, 12), n_t=st.integers(1, 24),
+           budget=st.integers(1, 6000), seed=st.integers(0, 2 ** 32 - 1),
+           h_sets=st.lists(st.sets(st.sampled_from([0.2, 0.5, 1.0]), min_size=1),
+                           min_size=1, max_size=6))
+    def test_the_sweep_allocates_within_the_budget(self, n, n_x, n_t, budget, seed, h_sets):
+        # measured, not restated: every (B, n, T) kernel that lt and kt
+        # return and every (B, H, X, T) contraction of stacked_ratio_grid
+        # during one sweep holds at most the budget, unless its group is one b
+        import hetdeconv.estimators as estimators
+
+        rng = np.random.default_rng(seed)
+        sample = Sample(x=rng.uniform(-1, 1, n), w=rng.uniform(-1, 1, n), y=rng.normal(size=n),
+                        ensemble=ErrorEnsemble.from_arrays(["laplace"] * n, [0.01] * n))
+        cache = KernelCache(sample, np.linspace(-1, 1, n_x), np.linspace(-1, 1, n_t),
+                            QuadratureGrid.gauss_legendre(16))
+        pairs = [(h, 0.1 * (k + 1)) for k, hs in enumerate(h_sets) for h in sorted(hs)]
+        shapes = {"lt": [], "kt": [], "stacked": []}
+
+        def recorded(name, fn):
+            def call(*args):
+                out = fn(*args)
+                shapes[name].append((out[0] if name == "stacked" else out).shape)
+                return out
+            return call
+
+        with mock.patch.object(simulation, "GROUP_BUDGET", budget), \
+                mock.patch.object(estimators, "GROUP_BUDGET", budget), \
+                mock.patch.object(KernelCache, "lt", recorded("lt", KernelCache.lt)), \
+                mock.patch.object(KernelCache, "kt", recorded("kt", KernelCache.kt)), \
+                mock.patch.object(estimators, "stacked_ratio_grid",
+                                  recorded("stacked", estimators.stacked_ratio_grid)):
+            simulation._sweep(pairs, cache, ("deconv", "naive", "partial_linear"),
+                              np.zeros((n_x, n_t)))
+        # each b is in one lt and one kt build, and in two contractions
+        b_count = len(h_sets)
+        assert sum(shape[0] for shape in shapes["lt"]) == b_count
+        assert sum(shape[0] for shape in shapes["kt"]) == b_count
+        assert sum(shape[0] for shape in shapes["stacked"]) == 2 * b_count
+        for shape in shapes["lt"] + shapes["kt"] + shapes["stacked"]:
+            assert shape[0] == 1 or np.prod(shape) <= budget, shape
+
     @pytest.mark.parametrize("raw,full_scale,sizes", [
         ({"model": "model2", "error_family": "laplace", "n": 500}, True, [2] * 5),
         ({"model": "model1", "error_family": "gaussian", "n": 500}, True, [2] * 5),
