@@ -373,7 +373,8 @@ class DeconvEstimator:
             second = block(slice(n // 2, n))
             first = aside.result()
         if not factored:
-            return tuple(a[0, 0] for a in stacked_ratio_grid(stack, sample.y, lt, hb, RIDGE_SCALE / hb))
+            return tuple(a[0, 0] for a in stacked_ratio_grid(
+                stack, sample.y, lt, hb, RIDGE_SCALE / hb))
         with np.errstate(over="ignore", invalid="ignore"):
             sums = (first + second).reshape(x_values.size, 2, rank).transpose(1, 0, 2) @ right
         return scaled_ratio(sums[0], sums[1], hb, RIDGE_SCALE / hb)

@@ -98,8 +98,9 @@ def polynomial_cosine_kernel(e, c):
         size[small] += np.abs(term)
     el = e[~small]
     trig = (np.cos(el), np.sin(el), -np.cos(el), -np.sin(el))   # cos(e - m pi/2), m mod 4
+    poly = np.polynomial.polynomial
     for k in range(3, 9):
-        derivative = np.polynomial.polynomial.polyval(np.longdouble(1), np.polynomial.polynomial.polyder(q, k))
+        derivative = poly.polyval(np.longdouble(1), poly.polyder(q, k))
         term = (-1) ** k * derivative * trig[(k + 1) % 4] / el ** (k + 1)
         value[~small] += term
         size[~small] += np.abs(term)
