@@ -28,14 +28,17 @@ on 65 quadrature nodes, whose odd grid has a node at v = 0, and at h = 0.05,
 b = 0.02 on a 40 x 40 grid over [-2.5, 2.5] with 64 nodes, whose CSV holds
 exponent-form, negative and ``0.0...`` fields and flagged rows (of the
 estimate runs, by ``estimators.factored_order``, ``est_d`` takes the factored
-order and ``est_a``, ``est_b`` and ``est_c`` the lt order); ``validate`` of
+order and ``est_a``, ``est_b`` and ``est_c`` the lt order; each accumulates
+its 5000 rows in blocks of GROUP_BUDGET // 2M' rows, 20 blocks at 128 nodes,
+11 at 65 and 10 at 64); ``validate`` of
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 
 The gate pins both sides of the budget that bounds the contraction's
 numerator operand (``estimators.GROUP_BUDGET`` = 2^16 elements):
 ``full_m2_laplace_500`` runs it in runs of h (n H X = 250 000), while the
-desk n = 500 runs (n H X = 50 000) and every other run form it in one product.
+desk n = 500 runs (n H X = 50 000) and the other simulate and cross-section
+runs form it in one product.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ RIDGE_SCALE = 1e-8
 # Every batched array of one group of (b, h) pairs holds at most this many
 # float64 elements (512 KiB), unless one b or one h alone holds more.  The
 # sweep cuts the b grid into groups by it (the (B, H, X, T) contraction and
-# the (B, n, T) kernels), and ``stacked_ratio_grid`` cuts the h of its
-# numerator operand by it, so a large run holds a few b's arrays at a time.
+# the (B, n, T) kernels), ``stacked_ratio_grid`` the h of its numerator
+# operand, and ``predict_grid`` the observations into blocks of R rows.
 GROUP_BUDGET = 1 << 16
 
 
@@ -146,6 +146,8 @@ def factored_order(n, n_x, n_t, rank):
     kx (n, X) and left (n, rank) are contracted for both sums of the ratio
     estimator, and right is (rank, T): 2 X rank (n + T) multiply-adds that
     way against n T (rank + 2 X) through the (n, T) product left @ right.
+    The lt order rounds each L_j once for both sums, so a constant response
+    comes back within criterion 2's 1e-12; the factored order can miss it.
     """
     return 2 * n_x * rank * (n + n_t) < n * n_t * (rank + 2 * n_x)
 
@@ -327,57 +329,54 @@ class DeconvEstimator:
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T).
 
-        The observations are cut at n // 2 into two row blocks: a one-worker
-        executor builds the first block's rows of kx and of ``deconv_left``
-        while this thread builds the second's.  The sums kx.T @ lt take the
-        association that ``factored_order`` finds cheaper.  Factored, each
-        block forms kx.T @ [y left | left], (X, 2M'), the two are added (the
-        first block's first) and each half is multiplied by ``deconv_right``.
-        Otherwise each block writes its rows of lt = left @ right and, after
-        both blocks, the contraction is that of ``KernelCache.deconv``, bit
-        for bit.  The cut depends on n alone, so the result does not depend
-        on the threads' timing.
+        Both sums gather over blocks of R = max(1, GROUP_BUDGET // 2M') observations,
+        M' = 2 ceil(M/2): each block adds kx.T @ [y a | a] into an (X, 2W) total,
+        with a its rows of lt = left @ right (W = T) or, where ``factored_order``
+        holds, of ``deconv_left`` (W = M'), the total then times ``deconv_right``.
+        A one-worker executor takes the even blocks and this thread the odd ones,
+        each into its own total in block order; the worker's is added first, so
+        the result does not depend on the threads' timing.
         """
         from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
 
         sample, weights, h, b = self.sample, self.weights, self.bandwidths.h, self.bandwidths.b
         x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
         t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-        n, rank = sample.n, 2 * weights.nodes.size
-        # A w or t so large that w / b or t / b overflows gives non-finite
-        # kernel values, whose points the ratio guard flags; so does a y_j
-        # left_j that overflows.
+        n, n_x, rank = sample.n, x_values.size, 2 * weights.nodes.size
+        # A w or t so large that w / b or t / b overflows, or a y_j a_j that
+        # overflows, gives non-finite sums, whose points the ratio guard flags.
         with np.errstate(over="ignore", invalid="ignore"):
             obs, right = sample.w / b, deconv_right(weights, t_values / b)
-        factored = factored_order(n, x_values.size, t_values.size, rank)
-        # Each block writes its rows of kx and of the operand [y left | left]
-        # or of lt.  They are allocated on this thread: what the worker
-        # allocates stays resident in its own malloc arena after it is freed.
-        stack = np.empty((1, n, x_values.size))
-        operand = np.empty((n, 2, 2, rank // 2)) if factored else None
-        lt = None if factored else np.empty((1, n, t_values.size))
+        factored = factored_order(n, n_x, t_values.size, rank)
+        width = rank if factored else t_values.size
+        rows = min(n, max(1, GROUP_BUDGET // (2 * rank)))
+        # Allocated on this thread: what the worker allocates stays in its malloc arena.
+        kx, ops, totals = (np.empty((2, rows, n_x)), np.empty((2, rows, 2, width)),
+                           np.zeros((2, n_x, 2 * width)))
+        left = None if factored else np.empty((2, rows, 2, rank // 2))
 
-        def block(rows):
-            kx = normal_rows(x_values, sample.x[rows], h, stack[0, rows])
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not factored:
-                    return np.matmul(deconv_left(weights, obs, rows), right, out=lt[0, rows])
-                ops = operand[rows]
-                deconv_left(weights, obs, rows, out=ops[:, 1])
-                np.multiply(ops[:, 1], sample.y[rows, None, None], out=ops[:, 0])
-                return kx.T @ ops.reshape(kx.shape[0], -1)
+        def accumulate(k):
+            for lo in range(k * rows, n, 2 * rows):
+                r = min(rows, n - lo)
+                block, op = slice(lo, lo + r), ops[k, :r]
+                normal_rows(x_values, sample.x[block], h, kx[k, :r])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if factored:
+                        deconv_left(weights, obs, block, out=op[:, 1].reshape(r, 2, -1))
+                    else:
+                        np.matmul(deconv_left(weights, obs, block, out=left[k, :r]), right,
+                                  out=op[:, 1])
+                    np.multiply(op[:, 1], sample.y[block, None], out=op[:, 0])
+                    totals[k] += kx[k, :r].T @ op.reshape(r, -1)
 
-        hb = np.array([[h * b]])
         with ThreadPoolExecutor(max_workers=1) as pool:
-            aside = pool.submit(block, slice(0, n // 2))
-            second = block(slice(n // 2, n))
-            first = aside.result()
-        if not factored:
-            return tuple(a[0, 0] for a in stacked_ratio_grid(
-                stack, sample.y, lt, hb, RIDGE_SCALE / hb))
+            aside = pool.submit(accumulate, 0)
+            accumulate(1)
+            aside.result()
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = (first + second).reshape(x_values.size, 2, rank).transpose(1, 0, 2) @ right
-        return scaled_ratio(sums[0], sums[1], hb, RIDGE_SCALE / hb)
+            sums = (totals[0] + totals[1]).reshape(n_x, 2, width).transpose(1, 0, 2)
+            sums = sums @ right if factored else sums
+        return scaled_ratio(sums[0], sums[1], h * b, RIDGE_SCALE / (h * b))
 
 
 def fit(sample: Sample, bandwidths: Bandwidths, quad: QuadratureGrid) -> DeconvEstimator:

@@ -804,27 +804,35 @@ class TestEstimate:
 
     def test_builds_the_kernel_matrices_once(self, runner, tmp_path, monkeypatch):
         # each observation's rows of kx and of the left factor are built
-        # once, in one of the two row blocks; the right factor is built once
+        # once, in one of the blocks (24 rows in 5 blocks of at most 5, over
+        # both threads); the right factor is built once
         import hetdeconv.estimators as estimators
 
         built = {"normal_rows": [], "deconv_left": [], "deconv_right": [], "deconv_kernel_grid": []}
+        rows = {"normal_rows": [], "deconv_left": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 result = fn(*args, **kwargs)
                 built[name].append(len(result))      # list.append is atomic across threads
+                if name in rows:     # the x_j of a block, or the slice of its rows
+                    rows[name].append(args[1] if name == "normal_rows" else args[2])
                 return result
             return wrapper
 
         for name in built:
             monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
-        data, errors, *_ = _write_estimation_inputs(tmp_path)
+        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 128 * 5)     # R = 5 at M' = 128
+        data, errors, x, *_ = _write_estimation_inputs(tmp_path)
         result = runner.invoke(main, [
             "estimate", "--data", str(data), "--errors", str(errors),
             "--h", "0.4", "--b", "0.4", "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 0, result.output
-        assert sorted(built["normal_rows"]) == sorted(built["deconv_left"]) == [12, 12]
+        assert sorted(built["normal_rows"]) == sorted(built["deconv_left"]) == [4, 5, 5, 5, 5]
+        assert sorted(np.concatenate(rows["normal_rows"])) == sorted(x)
+        assert sorted(i for block in rows["deconv_left"] for i in range(24)[block]) == \
+            list(range(24))
         assert built["deconv_right"] == [2 * 64] and built["deconv_kernel_grid"] == []
 
     def test_a_failing_kernel_build_on_the_helper_exits_3_with_its_text(self, runner, tmp_path,

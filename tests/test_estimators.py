@@ -343,10 +343,12 @@ def _mixed_ensemble(n, scale):
 def _assert_within_the_oracle_budget(est, xg, tg, got):
     """``got``, est.predict_grid(xg, tg), against long-double sums of the same float64 operands.
 
-    Each sum adds n products of kx by the rounded y left, in two blocks,
-    then M' products by right, and is divided by h b.  Such a sum errs by at
-    most (n + M' + 2) u times the sum of its |terms| (u = eps / 2); the
-    budget is (n + M' + 4) eps times that sum, over h b.
+    Each sum adds n products of kx by the rounded y a, in blocks, and M'
+    products by right: after the n products when a is left (factored), or
+    before them in a = left @ right (lt order); it is divided by h b.  In
+    either order such a sum errs by at most (n + M' + 2) u times the sum of
+    its |terms| (u = eps / 2); the budget is (n + M' + 4) eps times that
+    sum, over h b.
     """
     s, weights, h, b = est.sample, est.weights, est.bandwidths.h, est.bandwidths.b
     kx = estimators.normal_rows(xg, s.x, h, np.empty((s.n, xg.size)))
@@ -364,11 +366,10 @@ def _assert_within_the_oracle_budget(est, xg, tg, got):
 
 
 class TestPredictGridHelper:
-    """predict_grid splits kx and left by rows over one helper thread and this one.
+    """predict_grid accumulates blocks of rows over one helper thread and this one.
 
-    The contraction takes the order ``factored_order`` finds cheaper: on lt
-    shapes the result is that of the cache, bit for bit; factored, it is
-    held to a long-double oracle.
+    Each block is contracted in the order ``factored_order`` finds cheaper;
+    both orders are held to a long-double oracle.
     """
 
     @staticmethod
@@ -396,39 +397,96 @@ class TestPredictGridHelper:
     @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2), (17, 23), (60, 60)])
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
     def test_equals_the_cache_without_a_helper(self, family, n_x, n_t, n, quad64):
-        # bit for bit on lt shapes; (1, 2) and (60, 60) take the factored order
+        # (1, 2) and (60, 60) take the factored order, the others the lt order
         est = self._estimator(family, quad64, n)
         xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.5, 1.5, n_t)
         got = est.predict_grid(xg, tg)
         want = KernelCache(est.sample, xg, tg, quad64).deconv([0.2], [0.3])
         for a, w in zip(got, want):
             assert a.shape == (n_x, n_t) and a.dtype == w.dtype
-        if estimators.factored_order(n, n_x, n_t, 64):
-            _assert_within_the_oracle_budget(est, xg, tg, got)
-        else:
-            assert [a.tobytes() for a in got] == [w[0, 0].tobytes() for w in want]
+        _assert_within_the_oracle_budget(est, xg, tg, got)
 
-    @pytest.mark.parametrize("n,m,b,n_x,n_t", [
-        (301, 64, 0.3, 60, 60),
-        (300, 64, 0.3, 1, 30),
-        (301, 65, 0.3, 60, 60),      # odd M: a node at v = 0
-        (301, 65, 0.3, 1, 40),
-        (301, 64, 0.02, 60, 60),
-        (1001, 128, 0.02, 120, 120),
+    @pytest.mark.parametrize("block_rows", [None, 61])     # n = 301 in 5 blocks of at most 61
+    @pytest.mark.parametrize("n,m,b,n_x,n_t,factored", [
+        (301, 64, 0.3, 60, 60, True),
+        (300, 64, 0.3, 1, 30, True),
+        (301, 65, 0.3, 60, 60, True),      # odd M: a node at v = 0
+        (301, 65, 0.3, 1, 40, True),
+        (301, 64, 0.02, 60, 60, True),
+        (1001, 128, 0.02, 120, 120, True),
+        (301, 64, 0.3, 17, 23, False),
+        (301, 64, 0.02, 20, 20, False),
+        (301, 128, 0.3, 60, 1, False),
     ])
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "mixed"])
     def test_the_factored_order_is_within_the_oracle_budget(self, family, n, m, b, n_x, n_t,
-                                                             monkeypatch):
+                                                             factored, block_rows, monkeypatch):
+        # and so is the lt order; at the default budget a call runs one block
+        # at M = 64 and 65, and two (n = 301) or four (n = 1001) at M = 128
         ens = (_mixed_ensemble(n, 0.002) if family == "mixed"
                else ErrorEnsemble.from_arrays([family] * n, 0.002 * (1.0 + np.arange(n) / n)))
         data = generate(Model.MODEL1, n, ens, np.random.default_rng(n + m))
         est = fit(data.sample, Bandwidths(0.2, b), QuadratureGrid.gauss_legendre(m))
-        assert estimators.factored_order(n, n_x, n_t, 2 * est.weights.nodes.size)
-        monkeypatch.setattr(estimators, "stacked_ratio_grid", None)    # the lt order's contraction
+        rank = 2 * est.weights.nodes.size
+        assert estimators.factored_order(n, n_x, n_t, rank) is factored
+        if block_rows:
+            monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * rank * block_rows)
+            assert -(-n // block_rows) % 2 == 1 and n > 2 * block_rows
+        monkeypatch.setattr(estimators, "stacked_ratio_grid", None)    # predict_grid calls none
         xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.2, 1.7, n_t)
         got = est.predict_grid(xg, tg)
         assert [a.shape for a in got] == [(n_x, n_t)] * 3
         _assert_within_the_oracle_budget(est, xg, tg, got)
+
+    @pytest.mark.parametrize("b", [0.02, 0.2])
+    @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
+    def test_the_lt_order_returns_a_constant_response_over_many_blocks(self, family, b, quad64,
+                                                                       monkeypatch):
+        # why the lt order stays: criterion 2's sample and grid, in 7 blocks
+        # of 16 rows.  Each L_j is rounded once and shared by the numerator
+        # and the density; forced into the factored order, the same calls
+        # read up to 1.5e-12 (gaussian) and 1.3e-10 (laplace) off
+        n, c = 100, 3.7
+        ens = build_ensemble(family, n)
+        data = generate(Model.MODEL1, n, ens, np.random.default_rng(20250810))
+        sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
+        xg = tg = np.linspace(-2, 2, 20)
+        assert not estimators.factored_order(n, xg.size, tg.size, 64)
+        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 64 * 16)
+        for h in (0.02, 0.2):
+            values, flags, _ = fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg)
+            assert (~flags).any()
+            assert np.abs(values[~flags] - c).max() < 1e-12
+
+    @pytest.mark.parametrize("m,n_x,n_t", [(16, 20, 20), (16, 20, 1)])
+    def test_holds_no_array_of_n_rows_beyond_w_over_b(self, m, n_x, n_t):
+        # at n = 8 R a thread's buffers are an eighth of a whole kx and
+        # operand; kx and the operand (n, 2M') or lt (n, T) held whole, as
+        # before the blocks, peaked at 2.1 to 2.4 times this bound
+        quad = QuadratureGrid.gauss_legendre(m)
+        rank = 2 * (m // 2)
+        rows = estimators.GROUP_BUDGET // (2 * rank)
+        n = 8 * rows
+        est = self._estimator(ErrorFamily.LAPLACE, quad, n)
+        factored = estimators.factored_order(n, n_x, n_t, rank)
+        assert factored is (n_t > 1)
+        width = rank if factored else n_t
+        # per thread: kx, [y a | a], the left rows of the lt order, the total
+        # and one block's product, and temporaries of at most R (X + M')
+        # elements (the kernels' mask, ufunc buffers); then right, the sums,
+        # the ratio's arrays and w / b, the one array of n elements
+        per_thread = (rows * (n_x + 2 * width + (0 if factored else rank) + n_x + rank)
+                      + 2 * n_x * 2 * width)
+        bound = 8 * (2 * per_thread + rank * n_t + 4 * n_x * n_t + n) + (64 << 10)
+        xg, tg = np.linspace(-1, 1, n_x), np.linspace(-1, 1, n_t)
+        est.predict_grid(xg, tg)
+        tracemalloc.start()
+        try:
+            est.predict_grid(xg, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", ["x", "w", "y"])
@@ -437,8 +495,8 @@ class TestPredictGridHelper:
         # is flagged; x_j = 1e308 overflows (x - x_j) / h, whose kernel is an
         # exact 0.  y_j = 1e308 overflows y_j left_j to +-inf, which reaches
         # every point through right (inf - inf = NaN where the signs meet),
-        # so every point is flagged, where the lt order, which forms kx_j y_j
-        # first, flags only part of the grid.  At b = 0.05 the Gaussian
+        # so every point is flagged, where ``KernelCache.deconv``, which forms
+        # kx_j y_j first, flags only part of the grid.  At b = 0.05 the Gaussian
         # weights reach 1e15.
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64, b=0.05)
         s = est.sample
@@ -480,7 +538,9 @@ class TestPredictGridHelper:
         assert threading.active_count() == before
 
     def test_an_exception_of_the_caller_waits_for_the_helper(self, quad64, monkeypatch):
+        # 300 rows in blocks of 100: the helper takes the first and the third
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
+        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 64 * 100)
         rows_fn, finished = estimators.normal_rows, []
 
         def slow_or_failing_rows(x_values, x_obs, h, out):
@@ -494,7 +554,7 @@ class TestPredictGridHelper:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no room for kx"):
             est.predict_grid([0.0, 0.5], [0.0])
-        assert finished == [150]
+        assert finished == [100, 100]
         assert threading.active_count() == before
 
     def test_callers_on_many_threads_each_get_their_own_result(self, quad64):
@@ -529,9 +589,7 @@ class TestPredictGridHelper:
             assert len(results) == 5
             for result in results:
                 assert [a.tobytes() for a in result] == [w.tobytes() for w in ref]
-            if not estimators.factored_order(300, grids[k][0].size, grids[k][1].size, 64):
-                cache = KernelCache(est.sample, *grids[k], quad64).deconv([0.2], [0.3])
-                assert [a.tobytes() for a in ref] == [w[0, 0].tobytes() for w in cache]
+            _assert_within_the_oracle_budget(est, *grids[k], ref)
 
 
 class TestRegressionEstimator:
