@@ -235,14 +235,15 @@ def _csv_block(columns, lo: int, hi: int) -> bytes:
     return table[table != 0].tobytes()
 
 
-def _write_csv(path: Path, header, columns, pool=None) -> None:
+def _write_csv(path: Path, header, columns) -> None:
     """Write one sequence per column; no field needs quoting (numbers, flags, enum names).
 
     A 2-D uint8 column is a text matrix with one row per field (``_text``);
     any other array is read flat in C order.  The rows are formatted in
-    blocks of ``CSV_BLOCK_ROWS`` (``_csv_block``) and written in order; with
-    a one-worker executor as ``pool``, every other block is formatted on its
-    worker.  A field's text depends on its value alone, so the bytes do not
+    blocks of ``CSV_BLOCK_ROWS`` (``_csv_block``) and written in order; a
+    table of two or more blocks starts and joins a one-worker executor, whose
+    worker formats the first block of each pair while this thread formats the
+    second.  A field's text depends on its value alone, so the bytes do not
     depend on the blocks.  Raises ValueError naming the lengths, and writes
     no file, when the columns differ in length.
     """
@@ -253,15 +254,19 @@ def _write_csv(path: Path, header, columns, pool=None) -> None:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     rows = lengths[0] if lengths else 0
     bounds = [(lo, min(lo + CSV_BLOCK_ROWS, rows)) for lo in range(0, rows, CSV_BLOCK_ROWS)]
-    with open(path, "wb") as fh:
+    pool = contextlib.nullcontext()
+    if len(bounds) > 1:
+        from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
+        pool = ThreadPoolExecutor(max_workers=1)
+    with pool, open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for k in range(0, len(bounds), 2):
             pair = bounds[k:k + 2]
-            if pool is None or len(pair) == 1:
-                fh.writelines(_csv_block(columns, lo, hi) for lo, hi in pair)
+            if len(pair) == 1:
+                fh.write(_csv_block(columns, *pair[0]))
             else:
                 aside = pool.submit(_csv_block, columns, *pair[0])
-                here = _csv_block(columns, *pair[1])
+                here = _csv_block(columns, *pair[1])    # formatted before the wait on aside
                 fh.writelines([aside.result(), here])
 
 
@@ -554,16 +559,12 @@ def estimate(data_path, errors_path, h, b, x_grid, t_grid, quad_nodes, out):
     except Exception as exc:
         _fail(EXIT_RUNTIME, str(exc))
 
-    from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
-
     # Rows run x-major: every t for the first x, then the next x.
     xs, ts = _float_text(x_values), _float_text(t_values)
     out_dir = _out_dir(out)
     pred_path = out_dir / "predictions.csv"
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        _write_csv(pred_path, PREDICTIONS_COLUMNS,
-                   (np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1)), values, density,
-                    flags), pool)
+    _write_csv(pred_path, PREDICTIONS_COLUMNS,
+               (np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1)), values, density, flags))
     _write_manifest(
         out_dir, "estimate",
         {"data": str(data_path), "errors": str(errors_path), "h": h, "b": b,

@@ -302,8 +302,8 @@ class KernelCache:
         bs = np.asarray(bs, dtype=float)[:, None, None, None]
         lt = self.lt(bs.ravel()) if lt is None else lt
         resid = self.sample.y - self.sample.x * slope
-        density = lt.sum(axis=1)[:, None, None] / bs
-        ratio, flags = floored_ratio((resid @ lt)[:, None, None] / bs, density, RIDGE_SCALE / bs)
+        ratio, flags, density = scaled_ratio((resid @ lt)[:, None, None],
+                                             lt.sum(axis=1)[:, None, None], bs, RIDGE_SCALE / bs)
         values = self.x_values[:, None] * slope + ratio
         return (values, np.broadcast_to(flags, values.shape).copy(),
                 np.broadcast_to(density, values.shape).copy())

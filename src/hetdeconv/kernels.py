@@ -182,22 +182,20 @@ def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None) ->
     ``obs_args`` (n) hold every observation's argument at the bandwidth of
     ``weights``; the factor is formed for the observations of the slice
     ``rows`` (r of them), with M' = 2 ceil(M/2) columns: the cos half, then the sin half.
-    Each phase is formed in its sin slot, its cos is taken from there and
-    then its sin in place.  It is written into ``out`` when given, an
-    (r, 2, M) array of the two halves, whose (r, M') view is returned.
+    It is written into ``out`` when given, an (r, 2, M) array of the two
+    halves, whose (r, M') view is returned.
     """
     obs_args = np.asarray(obs_args, dtype=float)
     if obs_args.shape != (weights.n,):
         raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
-    v, obs = weights.nodes, obs_args[rows]
+    v, obs, c = weights.nodes, obs_args[rows], weights.values[rows]
     shape = (obs.size, 2, v.size)
     if out is not None and out.shape != shape:
         raise ValueError(f"out of shape {out.shape} for a factor of shape {shape}")
     left = np.empty(shape) if out is None else out
-    phase = np.multiply(obs[:, None], v, out=left[:, 1])
-    np.cos(phase, out=left[:, 0])
-    np.sin(phase, out=phase)
-    left *= weights.values[rows, None, :]
+    phase = obs[:, None] * v
+    np.multiply(c, np.cos(phase), out=left[:, 0])
+    np.multiply(c, np.sin(phase, out=phase), out=left[:, 1])
     return left.reshape(obs.size, -1)
 
 

@@ -10,7 +10,6 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +111,8 @@ class TestCsvWriter:
         assert path.read_bytes() == _reference_csv(ASE_REPORT_COLUMNS, rows)
         assert path.read_text().splitlines()[2].split(",")[4] == ""
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["one-thread", "pool"])
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 9, 13])
-    def test_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, rows, pool):
+    def test_blocks_give_the_bytes_of_one_block(self, tmp_path, monkeypatch, rows):
         # blocks of 4 rows: 3 and 5 are the block size -1 and +1, 9 and 13 end
         # in a lone block; only the first block holds exponent-form and
         # %-fallback fields, so its text matrices are wider than the others'
@@ -125,14 +123,65 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 10 ** 9)
         _write_csv(tmp_path / "one.csv", ("a", "b", "c", "d", "e"), columns)
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            _write_csv(tmp_path / "blocks.csv", ("a", "b", "c", "d", "e"), columns,
-                       executor if pool else None)
+        _write_csv(tmp_path / "blocks.csv", ("a", "b", "c", "d", "e"), columns)
         one = (tmp_path / "one.csv").read_bytes()
         assert (tmp_path / "blocks.csv").read_bytes() == one
         assert one.count(b"\n") == rows + 1
         if rows >= 3:
             assert b"e-300" in one and b"e+20" in one and b"nan" in one
+
+    @pytest.mark.parametrize("rows, aside", [
+        (0, []), (1, []), (4, []), (5, [0]), (8, [0]), (9, [0]), (13, [0, 8]),
+    ])
+    def test_starts_one_worker_for_two_blocks_or_more_and_joins_it(self, tmp_path, monkeypatch,
+                                                                    rows, aside):
+        # blocks of 4 rows: a table of one block starts no thread; otherwise
+        # one worker formats the first block of each pair of blocks (rows
+        # from ``aside``), this thread the second and a lone last block
+        started, formatted_aside = [], []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        block = cli._csv_block
+
+        def recorded(columns, lo, hi):
+            if threading.current_thread() is not threading.main_thread():
+                formatted_aside.append(lo)
+            return block(columns, lo, hi)
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        monkeypatch.setattr(cli, "_csv_block", recorded)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        before = threading.active_count()
+        _write_csv(tmp_path / "table.csv", ("a",), (np.arange(rows, dtype=float),))
+        assert len(started) == (1 if aside else 0)
+        assert formatted_aside == aside
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
+        assert (tmp_path / "table.csv").read_bytes().count(b"\n") == rows + 1
+
+    def test_this_thread_formats_its_block_before_it_waits_on_the_worker(self, tmp_path,
+                                                                       monkeypatch):
+        # the worker's block is held until this thread has formatted its
+        # own; a writer that waited on the worker first would time out here
+        mine_done, waits = threading.Event(), []
+        block = cli._csv_block
+
+        def paired(columns, lo, hi):
+            if threading.current_thread() is threading.main_thread():
+                mine_done.set()
+            else:
+                waits.append(mine_done.wait(timeout=10.0))
+            return block(columns, lo, hi)
+
+        monkeypatch.setattr(cli, "_csv_block", paired)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        _write_csv(tmp_path / "pair.csv", ("a",), (np.arange(8, dtype=float),))
+        assert waits == [True]
+        assert (tmp_path / "pair.csv").read_text() == "a\n" + "".join(f"{i}\n" for i in range(8))
 
     def test_columns_of_different_length_are_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
