@@ -115,6 +115,15 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p.astype(np.int64) + floor.astype(np.int64), low - floor
 
 
+# The text of every 4-digit group "0000".."9999" as one uint32 of its 4 chars
+# (a byte view, so the order of the bytes does not depend on the machine),
+# and the group's trailing zero digits (4 for "0000").
+_QUAD_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None]
+                // np.array([1000, 100, 10, 1], np.uint16) % np.uint16(10)).astype(np.uint8)
+_QUAD_TEXT = (_QUAD_DIGITS + np.uint8(ord("0"))).view(np.uint32).ravel()
+_QUAD_ZEROS = np.logical_and.accumulate(_QUAD_DIGITS[:, ::-1] == 0, axis=1).sum(1, np.int8)
+
+
 def _float_text(values: np.ndarray) -> np.ndarray:
     """The ``'%.17g' % v`` text of each float, as rows of a NUL-padded (n, W) uint8 matrix.
 
@@ -125,7 +134,8 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     fraction zeros and no bare point.  A value whose last digit is not
     certain (fraction within 1e-9 of 0.5), and 0, inf, nan and |v| outside
     [1e-250, 1e250], is formatted by ``%`` itself.  A row's text is its
-    bytes with the NULs dropped.
+    bytes with the NULs dropped.  The matrix is built as a contiguous (W, n)
+    one, a row per character column, and returned as its transpose.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
@@ -147,57 +157,54 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     digits[carry] = 10 ** 16
     e += carry
 
-    # The 17 digits' chars: the leading digit as the pair "0d", then 8 pairs
-    # from two 8-digit halves, each pair's two chars one uint16 (byte views,
-    # so the order of the bytes does not depend on the machine);
-    # the trailing zero digits are counted on the way.
-    pair_text = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)
-    pair_zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.uint8)
-    high = digits // 10 ** 8
-    chars = np.empty((n, 9), np.uint16)
-    chars[:, 0] = np.take(pair_text, high // 10 ** 8)
-    zeros = np.zeros(n, np.uint8)
-    below = np.ones(n, bool)                 # every lower pair is 00
-    for h, half in enumerate((digits - high * 10 ** 8, high % 10 ** 8)):
-        half = half.astype(np.uint32)
-        for k in range(4):
-            rest = half // 100
-            pair = half - rest * 100
-            half = rest
-            chars[:, 8 - 4 * h - k] = np.take(pair_text, pair)
-            zeros += below * np.take(pair_zeros, pair)
-            below &= pair == 0
-    chars = chars.view(np.uint8)[:, 1:]
+    # The 17 digits' chars, a row each: the leading digit, then four 4-digit
+    # groups; the trailing zero digits are counted group by group from the last.
+    chars = np.empty((17, n), np.uint8)
+    first = digits // 10 ** 16
+    chars[0] = first + ord("0")
+    rest = digits - first * 10 ** 16
+    high = rest // 10 ** 8
+    groups = []
+    for half in (high.astype(np.uint32), (rest - high * 10 ** 8).astype(np.uint32)):
+        top = half // 10 ** 4
+        groups += [top, half - top * 10 ** 4]
+    for k, group in enumerate(groups):
+        chars[1 + 4 * k:5 + 4 * k] = np.take(_QUAD_TEXT, group).view(np.uint8).reshape(n, 4).T
+    zeros = np.take(_QUAD_ZEROS, groups[3])
+    below = groups[3] == 0                   # every later group is 0000
+    for group in groups[2::-1]:
+        zeros += below * np.take(_QUAD_ZEROS, group)
+        below &= group == 0
 
-    # Columns: sign, "0." and zeros where -4 <= E < 0, the digits before the
+    # Rows: sign, "0." and zeros where -4 <= E < 0, the digits before the
     # point, the point, the fraction digits less trailing zeros, "e+dd".
     expo = (e < -4) | (e >= 17)
     small = ~expo & (e < 0)
-    point_at = np.where(expo, 1, np.where(small, 0, e + 1))
-    end = 17 - zeros.astype(np.int64)
+    point_at = np.where(expo, 1, np.where(small, 0, e + 1)).astype(np.int8)
+    end = 17 - zeros
     lead = np.where(small, -e, 0)
-    prefix = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"]).view(np.uint8).reshape(5, 5)
-    col = np.arange(17)
+    prefix = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"]).view(np.uint8).reshape(5, 5).T
+    col = np.arange(17, dtype=np.int8)[:, None]
     whole_end, frac_start = int(point_at.max()), int(point_at.min())
     frac_col = col[frac_start:]
-    parts = [np.signbit(x)[:, None] * np.uint8(ord("-")),
-             np.take(prefix, lead, axis=0)[:, :int(lead.max()) + 1],
-             chars[:, :whole_end] * (col[:whole_end] < point_at[:, None]),
-             np.where(small | (end <= point_at), 0, ord(".")).astype(np.uint8)[:, None],
-             chars[:, frac_start:] * ((frac_col >= point_at[:, None]) & (frac_col < end[:, None]))]
+    parts = [(np.signbit(x) * np.uint8(ord("-")))[None],
+             np.take(prefix[:int(lead.max()) + 1], lead, axis=1),
+             chars[:whole_end] * (col[:whole_end] < point_at),
+             (~(small | (end <= point_at)) * np.uint8(ord(".")))[None],
+             chars[frac_start:] * ((frac_col >= point_at) & (frac_col < end))]
     rows = np.flatnonzero(expo)
     if rows.size:
-        exponents = np.zeros((n, 5), np.uint8)
-        exponents[rows] = _per_key(e[rows], lambda k: list(b"e%+03d" % k), 5, np.uint8)
+        exponents = np.zeros((5, n), np.uint8)
+        exponents[:, rows] = _per_key(e[rows], lambda k: list(b"e%+03d" % k), 5, np.uint8).T
         parts.append(exponents)
-    out = np.concatenate(parts, axis=1)
+    out = np.concatenate(parts)
     for i in np.flatnonzero(slow).tolist():
         text = np.frombuffer(b"%.17g" % x[i], np.uint8)
-        if text.size > out.shape[1]:
-            out = np.pad(out, ((0, 0), (0, text.size - out.shape[1])))
-        out[i] = 0
-        out[i, :text.size] = text
-    return out
+        if text.size > out.shape[0]:
+            out = np.pad(out, ((0, text.size - out.shape[0]), (0, 0)))
+        out[:, i] = 0
+        out[:text.size, i] = text
+    return out.T
 
 
 def _text(column) -> np.ndarray:
@@ -232,7 +239,7 @@ def _csv_block(columns, lo: int, hi: int) -> bytes:
         table[:, end - 1 - text.shape[1]:end - 1] = text
         table[:, end - 1] = ord(",")
     table[:, -1:] = ord("\n")
-    return table[table != 0].tobytes()
+    return table.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -240,12 +247,10 @@ def _write_csv(path: Path, header, columns) -> None:
 
     A 2-D uint8 column is a text matrix with one row per field (``_text``);
     any other array is read flat in C order.  The rows are formatted in
-    blocks of ``CSV_BLOCK_ROWS`` (``_csv_block``) and written in order; a
-    table of two or more blocks starts and joins a one-worker executor, whose
-    worker formats the first block of each pair while this thread formats the
-    second.  A field's text depends on its value alone, so the bytes do not
-    depend on the blocks.  Raises ValueError naming the lengths, and writes
-    no file, when the columns differ in length.
+    blocks of ``CSV_BLOCK_ROWS`` (``_csv_block``) on the calling thread and
+    written in order.  A field's text depends on its value alone, so the
+    bytes do not depend on the blocks.  Raises ValueError naming the
+    lengths, and writes no file, when the columns differ in length.
     """
     columns = [c.reshape(-1) if isinstance(c, np.ndarray) and (c.dtype != np.uint8 or c.ndim != 2)
                else c for c in columns]
@@ -253,21 +258,10 @@ def _write_csv(path: Path, header, columns) -> None:
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     rows = lengths[0] if lengths else 0
-    bounds = [(lo, min(lo + CSV_BLOCK_ROWS, rows)) for lo in range(0, rows, CSV_BLOCK_ROWS)]
-    pool = contextlib.nullcontext()
-    if len(bounds) > 1:
-        from concurrent.futures import ThreadPoolExecutor   # not loaded by importing the CLI
-        pool = ThreadPoolExecutor(max_workers=1)
-    with pool, open(path, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for k in range(0, len(bounds), 2):
-            pair = bounds[k:k + 2]
-            if len(pair) == 1:
-                fh.write(_csv_block(columns, *pair[0]))
-            else:
-                aside = pool.submit(_csv_block, columns, *pair[0])
-                here = _csv_block(columns, *pair[1])    # formatted before the wait on aside
-                fh.writelines([aside.result(), here])
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            fh.write(_csv_block(columns, lo, min(lo + CSV_BLOCK_ROWS, rows)))
 
 
 def _write_manifest(out_dir: Path, command: str, config_echo, seed, outputs, started, extra=None) -> Path:

@@ -168,8 +168,10 @@ def build_deconv_weights(
     report = ValidationReport.from_denominator(bandwidth, quad.nodes / bandwidth, denom)
     if not report.passed:
         raise EnsembleInvalid(f"ensemble invalid at b={bandwidth:g}: {report.summary()}", report)
-    values = (bandlimited_kernel_ft(nodes)[None, :] * (cf / denom_half)
-              * (quad.weights[half:] / np.pi))
+    # ft * (cf / S) * (w / pi), formed in cf's memory: IEEE products commute
+    values = np.divide(cf, denom_half, out=cf)
+    values *= bandlimited_kernel_ft(nodes)
+    values *= quad.weights[half:] / np.pi
     if quad.size % 2:
         values[:, 0] *= 0.5
     return DeconvWeights(ensemble=ensemble, bandwidth=float(bandwidth), quad=quad,

@@ -74,6 +74,7 @@ wall = {wall}
 print("human-readable lines first")
 print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": {{
     "wall_s": {{"value": wall, "unit": "s"}},
+    "cpu_s_per_call": {{"value": wall / 4, "unit": "s"}},
     "points_per_s": {{"value": 1 / wall, "unit": "1/s"}}}}}}))
 """
 
@@ -87,6 +88,9 @@ def test_alternating_runs_are_read_from_each_trees_runner(tmp_path):
                            "--workload", "w", "--pairs", "3", "--seconds", "0"],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    progress = [line for line in done.stdout.splitlines() if line.startswith("pair ")]
+    assert progress == [f"pair {i}/3: wall_s parent 2 change 1, "
+                        "cpu_s_per_call parent 0.5 change 0.25" for i in (1, 2, 3)]
     summary = json.loads(done.stdout.splitlines()[-1])["metrics"]
     assert summary["wall_s"]["parent_q"] == [2.0, 2.0, 2.0]
     assert summary["wall_s"]["relative_worse"] == -0.5

@@ -130,15 +130,11 @@ class TestCsvWriter:
         if rows >= 3:
             assert b"e-300" in one and b"e+20" in one and b"nan" in one
 
-    @pytest.mark.parametrize("rows, aside", [
-        (0, []), (1, []), (4, []), (5, [0]), (8, [0]), (9, [0]), (13, [0, 8]),
-    ])
-    def test_starts_one_worker_for_two_blocks_or_more_and_joins_it(self, tmp_path, monkeypatch,
-                                                                    rows, aside):
-        # blocks of 4 rows: a table of one block starts no thread; otherwise
-        # one worker formats the first block of each pair of blocks (rows
-        # from ``aside``), this thread the second and a lone last block
-        started, formatted_aside = [], []
+    @pytest.mark.parametrize("rows", [0, 1, 4, 5, 8, 9, 13])
+    def test_formats_every_block_on_the_calling_thread_and_starts_no_thread(self, tmp_path,
+                                                                             monkeypatch, rows):
+        # blocks of 4 rows: tables of no, one, two, three and four blocks
+        started, formatted = [], []
 
         class CountedThread(threading.Thread):
             def start(self):
@@ -148,8 +144,7 @@ class TestCsvWriter:
         block = cli._csv_block
 
         def recorded(columns, lo, hi):
-            if threading.current_thread() is not threading.main_thread():
-                formatted_aside.append(lo)
+            formatted.append((lo, threading.current_thread() is threading.main_thread()))
             return block(columns, lo, hi)
 
         monkeypatch.setattr(threading, "Thread", CountedThread)
@@ -157,31 +152,10 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
         before = threading.active_count()
         _write_csv(tmp_path / "table.csv", ("a",), (np.arange(rows, dtype=float),))
-        assert len(started) == (1 if aside else 0)
-        assert formatted_aside == aside
-        assert not any(t.is_alive() for t in started)
-        assert threading.active_count() == before
-        assert (tmp_path / "table.csv").read_bytes().count(b"\n") == rows + 1
-
-    def test_this_thread_formats_its_block_before_it_waits_on_the_worker(self, tmp_path,
-                                                                       monkeypatch):
-        # the worker's block is held until this thread has formatted its
-        # own; a writer that waited on the worker first would time out here
-        mine_done, waits = threading.Event(), []
-        block = cli._csv_block
-
-        def paired(columns, lo, hi):
-            if threading.current_thread() is threading.main_thread():
-                mine_done.set()
-            else:
-                waits.append(mine_done.wait(timeout=10.0))
-            return block(columns, lo, hi)
-
-        monkeypatch.setattr(cli, "_csv_block", paired)
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
-        _write_csv(tmp_path / "pair.csv", ("a",), (np.arange(8, dtype=float),))
-        assert waits == [True]
-        assert (tmp_path / "pair.csv").read_text() == "a\n" + "".join(f"{i}\n" for i in range(8))
+        assert started == [] and threading.active_count() == before
+        assert formatted == [(lo, True) for lo in range(0, rows, 4)]
+        text = (tmp_path / "table.csv").read_text()
+        assert text == "a\n" + "".join(f"{i}\n" for i in range(rows))
 
     def test_columns_of_different_length_are_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -197,6 +171,10 @@ _POWERS = [10.0 ** k for k in range(-310, 309)]
 _EDGES = [1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 99999999999999992.0,
           0.5, 2.5, 1e-250, 1e250, np.nextafter(1e-250, 0), np.nextafter(1e250, np.inf),
           1e-4, 1e-5, 9.9999999999999991e-05, 123456789012345678.0, 0.1 + 0.2, 2.0 ** -1074]
+# 17 digits ending in k = 1..16 zeros (1234567891234563 has 1, 3.0 has 16),
+# then 0, 13, 9 and 1: counts 4, 8, 12 and 16 end on a 4-digit group boundary
+_TRAILING = ([float("123456789123456"[:16 - k] + "3") for k in range(1, 17)]
+             + [0.1, 1234.0, 12345678.0, 1e16 - 2])
 
 
 class TestFloatText:
@@ -210,6 +188,7 @@ class TestFloatText:
     @example(_POWERS + [np.nextafter(p, 0) for p in _POWERS] + [np.nextafter(p, np.inf)
                                                                for p in _POWERS])
     @example([-v for v in _EDGES] + _EDGES + [np.nextafter(v, 0) for v in _EDGES])
+    @example(_TRAILING + [-v / 1024 for v in _TRAILING] + [v * 1e10 for v in _TRAILING])
     @example([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308])
     @example([])
     def test_equals_percent_formatting(self, values):
@@ -1268,26 +1247,38 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert proc.stdout.strip() == "[]"
 
 
-def test_estimate_runs_one_worker_at_a_time_and_joins_each(runner, tmp_path, monkeypatch):
-    # predict_grid's helper, then the CSV writer's: each is joined before
-    # the next starts and before the command returns
-    started, alive_at_start = [], []
+def test_a_csv_of_many_blocks_loads_no_executor(tmp_path):
+    # the writer formats on the calling thread: 4 blocks load no concurrent.futures
+    probe = ("import sys, numpy as np; from hetdeconv import cli; cli.CSV_BLOCK_ROWS = 4; "
+             f"cli._write_csv({str(tmp_path / 't.csv')!r}, ('a',), (np.arange(13.0),)); "
+             "print('concurrent.futures' in sys.modules, hasattr(cli, 'ThreadPoolExecutor'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
+def test_estimate_runs_one_worker_and_joins_it(runner, tmp_path, monkeypatch):
+    # predict_grid's helper is the only thread; the CSV writer formats its
+    # 4 blocks on the calling thread
+    started, callers = [], []
 
     class CountedThread(threading.Thread):
         def start(self):
-            alive_at_start.append(sum(t.is_alive() for t in started))
+            frame = sys._getframe()
+            while frame.f_code.co_name != "predict_grid" and frame.f_back is not None:
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
             started.append(self)
             super().start()
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)     # 25 rows in 4 blocks, 2 of them aside
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)     # 25 rows in 4 blocks
     data, errors, *_ = _write_estimation_inputs(tmp_path)
     result = runner.invoke(main, ["estimate", "--data", str(data), "--errors", str(errors),
                                   "--h", "0.4", "--b", "0.4", "--x-grid", "-1:1:5",
                                   "--t-grid", "-1:1:5", "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
-    assert len(started) == 2 and alive_at_start == [0, 0]
-    assert not any(t.is_alive() for t in started)
+    assert callers == ["predict_grid"] and not started[0].is_alive()
 
 
 @pytest.mark.parametrize("args", [

@@ -218,10 +218,14 @@ class TestDeconvWeights:
         expected = bandlimited_kernel_ft(w.nodes) / n
         assert np.allclose(w.values / _quadrature_factor(quad), expected, rtol=0, atol=1e-15)
 
-    def test_weights_are_the_half_of_the_full_complex_weights(self):
+    @pytest.mark.parametrize("ens", [
+        build_ensemble(ErrorFamily.GAUSSIAN, 7),
+        ErrorEnsemble.from_arrays(["gaussian", "laplace", "degenerate", "laplace"] * 3,
+                                  [0.3, 0.5, 0.0, 0.1] * 3),
+    ], ids=["gaussian", "mixed"])
+    def test_weights_are_the_half_of_the_full_complex_weights(self, ens):
         # c_jv is bit for bit the v >= 0 half of the full weights times weight / pi
         for quad in (QuadratureGrid.gauss_legendre(64), trapezoid_grid(65)):
-            ens = build_ensemble(ErrorFamily.GAUSSIAN, 7)
             w = build_deconv_weights(ens, 0.15, quad)
             half = quad.size // 2
             expected = full_weights(w)[:, half:] * (quad.weights[half:] / np.pi)
