@@ -9,9 +9,10 @@ on odd i, so a drift of the machine's speed over the runs falls on both
 sides alike; after each pair it prints both sides' ``wall_s`` and
 ``cpu_s_per_call``.  For every end-to-end metric of ``BENCHMARK.json`` it prints
 q1/median/q3 of each side, the change of the median relative to the parent's
-and against its bound, the number of pairs each side won (ties count for
-neither) and whether the change meets the rule for claiming a gain
-(``claim_met``, see ``summarize``).  It then runs
+and against its bound, the median over the pairs of each pair's change/parent
+ratio (a drift of the machine's speed over the runs cancels within a pair),
+the number of pairs each side won (ties count for neither) and whether the
+change meets the rule for claiming a gain (``claim_met``, see ``summarize``).  It then runs
 ``scripts/pinned_outputs.py --src TREE/src`` (the script beside this one) on
 both trees and prints every output whose hash differs between them or that
 only one tree printed; trees without a ``src/hetdeconv`` package skip this
@@ -79,7 +80,8 @@ def summarize(metrics, parent_runs, change_runs) -> dict:
     """Per metric of ``metrics`` (BENCHMARK.json's end_to_end): quartiles, wins and the bound.
 
     ``parent_runs`` and ``change_runs`` hold one metric -> value mapping per
-    pair, in pair order.  ``claim_met`` holds when the change won at least
+    pair, in pair order.  ``ratio_q`` holds q1/median/q3 of the pairs'
+    change/parent ratios; it informs and decides nothing.  ``claim_met`` holds when the change won at least
     nine tenths of the pairs (rounded up) and its median is better than the
     parent's by more than the parent's q3 - q1: the rule a claimed gain must meet.
     """
@@ -89,13 +91,15 @@ def summarize(metrics, parent_runs, change_runs) -> dict:
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
         p_q, c_q = _quartiles(parent), _quartiles(change)
+        ratio_q = _quartiles([c / p for p, c in zip(parent, change)])
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         lost = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         worse = (c_q[1] - p_q[1]) / p_q[1] * (1 if lower else -1)
         gain = (p_q[1] - c_q[1]) * (1 if lower else -1)
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-            "parent_q": p_q, "change_q": c_q, "change_won": won, "parent_won": lost,
+            "parent_q": p_q, "change_q": c_q, "ratio_q": ratio_q,
+            "change_won": won, "parent_won": lost,
             "relative_worse": worse, "within_bound": worse <= spec["bound"],
             "within_parent_iqr": p_q[0] <= c_q[1] <= p_q[2],
             "claim_met": won >= math.ceil(0.9 * len(parent)) and gain > p_q[2] - p_q[0],
@@ -137,11 +141,11 @@ def main() -> None:
     metrics = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(metrics, runs[parent], runs[change])
     print(f"{'metric':16s} {'parent q1/med/q3':>30s} {'change q1/med/q3':>30s} "
-          f"{'worse':>8s} {'bound':>6s} {'won c/p':>8s} {'claim':>5s}")
+          f"{'worse':>8s} {'bound':>6s} {'ratio':>7s} {'won c/p':>8s} {'claim':>5s}")
     for name, s in summary.items():
         quartiles = ["/".join(f"{v:.4g}" for v in s[side]) for side in ("parent_q", "change_q")]
         print(f"{name:16s} {quartiles[0]:>30s} {quartiles[1]:>30s} "
-              f"{s['relative_worse']:+8.2%} {s['bound']:6.2f} "
+              f"{s['relative_worse']:+8.2%} {s['bound']:6.2f} {s['ratio_q'][1]:7.4f} "
               f"{s['change_won']:>4d}/{s['parent_won']:<3d} {'met' if s['claim_met'] else 'no':>5s}")
 
     differ = None

@@ -1,4 +1,4 @@
-"""Hash the 21 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
+"""Hash the 22 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -20,7 +20,7 @@ x gaussian/laplace x n 100/500, and model1 and model2 gaussian n=100 on the b
 grid {0.018, 0.02, 0.065, 0.11} x h {0.02, 0.11, 0.2}, whose b = 0.018 is
 invalid and is scored beside the valid b of its group (for model2, by the
 partial-linear estimator too); full-scale ``simulate`` of model2 laplace
-n=500 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
+at n=500 and n=600 (reps 2, 1 worker); ``cross-section`` of each estimator along both axes
 at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 ``bench/inputs.py`` estimate-mixed-n5000 inputs of seed 7 at h = b = 0.3 on
 a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, the latter again
@@ -34,11 +34,17 @@ its 5000 rows in blocks of GROUP_BUDGET // 2M' rows, 20 blocks at 128 nodes,
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 
-The gate pins both sides of the budget that bounds the contraction's
-numerator operand (``estimators.GROUP_BUDGET`` = 2^16 elements):
-``full_m2_laplace_500`` runs it in runs of h (n H X = 250 000), while the
-desk n = 500 runs (n H X = 50 000) and the other simulate and cross-section
-runs form it in one product.
+The simulate and cross-section runs sum their contraction over blocks of
+R = GROUP_BUDGET // 2M' observations (``estimators.block_rows``: 512 rows at
+the desk's 64 nodes, 256 at full scale's 128), and form a block's numerator
+operand for runs of h whose (h, R, X) slice fits ``estimators.GROUP_BUDGET``
+= 2^16 elements.  The gate pins both sides of each rule.  The desk and
+cross-section runs (n <= 500) are one block each and form the operand in
+one product (R H X <= 50 000).  ``full_m2_laplace_500`` runs two blocks (256
+and 244 rows) of two runs of five h (R H X = 128 000); its sums equal those
+of one product over the 500 rows, which OpenBLAS splits at 256 rows itself.
+``full_m2_laplace_600`` runs three blocks (256, 256 and 88 rows), whose
+sums differ from that split in the last bits.
 """
 
 from __future__ import annotations
@@ -82,11 +88,12 @@ def runs(work: Path):
                       seed=SEED, bandwidth_grid=invalid_b)
         out.append((name, ["simulate", "--config", str(cfg), "--workers", "2"],
                     "ase_report.csv", 0))
-    cfg = _config(work, "full", model="model2", error_family="laplace", n=500, reps=2,
-                  seed=SEED)
-    out.append(("full_m2_laplace_500",
-                ["simulate", "--config", str(cfg), "--full-scale", "--workers", "1"],
-                "ase_report.csv", 0))
+    for n in (500, 600):
+        cfg = _config(work, f"full_{n}", model="model2", error_family="laplace", n=n, reps=2,
+                      seed=SEED)
+        out.append((f"full_m2_laplace_{n}",
+                    ["simulate", "--config", str(cfg), "--full-scale", "--workers", "1"],
+                    "ase_report.csv", 0))
     cfg = work / "desk_model2_laplace_100.json"
     for estimator in ("deconv", "naive", "partial-linear"):
         for axis in ("t", "x"):

@@ -37,7 +37,7 @@ RIDGE_SCALE = 1e-8
 # float64 elements (512 KiB), unless one b or one h alone holds more.  The
 # sweep cuts the b grid into groups by it (the (B, H, X, T) contraction and
 # the (B, n, T) kernels), ``stacked_ratio_grid`` the h of its numerator
-# operand, and ``predict_grid`` the observations into blocks of R rows.
+# operand, and ``block_rows`` the observations into blocks of R rows.
 GROUP_BUDGET = 1 << 16
 
 
@@ -164,32 +164,55 @@ def normal_rows(x_values, x_obs, h, out):
     return gaussian_kernel(u, out=u)
 
 
-def stacked_ratio_grid(stack, y, kt, scale, floor):
+def block_rows(quad: QuadratureGrid) -> int:
+    """R = max(1, GROUP_BUDGET // 2M'), M' = 2 ceil(M/2): the observations of one block.
+
+    ``predict_grid`` and the ``KernelCache`` estimators sum over blocks of R
+    rows: 256 at 128 nodes, 512 at 64.
+    """
+    return max(1, GROUP_BUDGET // (4 * (quad.size - quad.size // 2)))
+
+
+def stacked_ratio_grid(stack, y, kt, scale, floor, rows):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
     density = kx_h.T @ kt_b / scale and values = (kx_h * y).T @ kt_b / scale / density
     per (b, h), with |density| <= floor ridge-floored; ``stack`` (H, n, X)
     holds the kx_h, ``kt`` (B, n, T) the kt_b, ``scale`` and ``floor`` (B, H)
-    one value per pair, and each result is (B, H, X, T).  Each batched product
-    runs one (X, n) @ (n, T) product per pair on operands laid out as those of
-    a lone pair, as for B = H = 1; one flat (H X, n) @ (n, T) product would
-    not (BLAS may pick another kernel for the larger shape, with another
-    summation order).  The numerator operand kx_h * y is formed after kt, for
-    a run of consecutive h whose (h, n, X) slice fits ``GROUP_BUDGET`` (at
-    least one h), and lives only for the product of its run, which is written
-    into the numerator in place: no (H, n, X) copy of the stack is held beside
-    kt's temporaries.
+    one value per pair, and each result is (B, H, X, T).  Each sum adds one
+    (X, r) @ (r, T) product per pair and block of ``rows`` observations, in
+    block order: the first block is written into the total and each later
+    one added from a scratch array of one run of h (below), so a call of one
+    block (n <= rows) runs the products over all n.  The numerator is summed
+    before the density's total is allocated.  Each batched product reads
+    operands laid out as a lone pair's (B = H = 1); one flat (H X, r) @ (r, T)
+    product would not (BLAS may pick another kernel for the larger shape,
+    with another summation order).  A block's products are formed for runs
+    of consecutive h whose (h, r, X) slice fits ``GROUP_BUDGET`` (at least
+    one h), and the numerator operand kx_h * y lives only for its run's
+    product: no (H, n, X) copy of the stack is held.
     """
-    n_h, n, n_x = stack.shape
-    scale = np.asarray(scale, dtype=float)[:, :, None, None]
+    (n_h, n, n_x), n_b, n_t = stack.shape, kt.shape[0], kt.shape[-1]
     kt = kt[:, None]
-    num = np.empty((kt.shape[0], n_h, n_x, kt.shape[-1]))
-    run = max(1, GROUP_BUDGET // max(1, n * n_x))
-    for lo in range(0, n_h, run):
-        np.matmul((stack[lo:lo + run] * y[:, None]).transpose(0, 2, 1), kt,
-                  out=num[:, lo:lo + run])
-    den = np.matmul(stack.transpose(0, 2, 1), kt)
-    return scaled_ratio(num, den, scale, np.asarray(floor, dtype=float)[:, :, None, None])
+    run = max(1, GROUP_BUDGET // max(1, min(rows, n) * n_x))
+
+    def pair_sums(operand):
+        """operand(kx rows, lo).T @ kt rows per pair, summed over the blocks; (B, H, X, T)."""
+        total = np.empty((n_b, n_h, n_x, n_t))
+        part = np.empty((n_b, min(run, n_h), n_x, n_t)) if rows < n else None
+        for lo in range(0, n, rows):
+            for h in range(0, n_h, run):
+                kx = stack[h:h + run, lo:lo + rows]
+                out = total[:, h:h + run] if lo == 0 else part[:, :kx.shape[0]]
+                np.matmul(operand(kx, lo).transpose(0, 2, 1), kt[:, :, lo:lo + rows], out=out)
+                if lo:
+                    total[:, h:h + run] += out
+        return total
+
+    num = pair_sums(lambda kx, lo: kx * y[lo:lo + rows, None])
+    den = pair_sums(lambda kx, lo: kx)
+    return scaled_ratio(num, den, np.asarray(scale, dtype=float)[:, :, None, None],
+                        np.asarray(floor, dtype=float)[:, :, None, None])
 
 
 def kernel_weights(ensemble: ErrorEnsemble, b_values, quad: QuadratureGrid) -> dict:
@@ -280,7 +303,8 @@ class KernelCache:
         hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
         hb = hs * bs[:, None]
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y,
-                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb)
+                                  self.lt(bs) if lt is None else lt, hb, RIDGE_SCALE / hb,
+                                  block_rows(self.quad))
 
     def naive(self, hs, bs):
         """Nadaraya-Watson on (x, w) with normal kernels both ways.
@@ -291,7 +315,7 @@ class KernelCache:
         hs, bs = np.asarray(hs, dtype=float), np.asarray(bs, dtype=float)
         return stacked_ratio_grid(self._stack_of(hs), self.sample.y, self.kt(bs),
                                   self.sample.n * hs * bs[:, None],
-                                  RIDGE_SCALE / (hs * bs[:, None]))
+                                  RIDGE_SCALE / (hs * bs[:, None]), block_rows(self.quad))
 
     def partial_linear(self, bs, slope, lt=None):
         """x*slope plus a deconvolution-kernel mean of the residuals y - x*slope, per b of ``bs``.
@@ -329,7 +353,7 @@ class DeconvEstimator:
     def predict_grid(self, x_values, t_values):
         """Regression estimate on the tensor grid: (values, flags, density), each (X, T).
 
-        Both sums gather over blocks of R = max(1, GROUP_BUDGET // 2M') observations,
+        Both sums gather over blocks of R = ``block_rows`` observations,
         M' = 2 ceil(M/2): each block adds kx.T @ [y a | a] into an (X, 2W) total,
         with a its rows of lt = left @ right (W = T) or, where ``factored_order``
         holds, of ``deconv_left`` (W = M'), the total then times ``deconv_right``.
@@ -349,7 +373,7 @@ class DeconvEstimator:
             obs, right = sample.w / b, deconv_right(weights, t_values / b)
         factored = factored_order(n, n_x, t_values.size, rank)
         width = rank if factored else t_values.size
-        rows = min(n, max(1, GROUP_BUDGET // (2 * rank)))
+        rows = min(n, block_rows(weights.quad))
         # Allocated on this thread: what the worker allocates stays in its malloc arena.
         kx, ops, totals = (np.empty((2, rows, n_x)), np.empty((2, rows, 2, width)),
                            np.zeros((2, n_x, 2 * width)))

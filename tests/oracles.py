@@ -12,7 +12,8 @@ per-slice reference for the sweep's group scoring, raising
 ``AllPointsExcluded`` where the sweep records a status instead.
 ``whole_stack_ratio_grid`` is the stacked contraction with its numerator
 operand formed for all h at once, the reference for the program's
-budget-bounded runs of h.
+budget-bounded runs of h.  Both sum their products over blocks of rows
+when given a block size, in block order, as the program does.
 ``trapezoid_grid`` is the only grid with nodes at v = +-1.
 ``polynomial_cosine_kernel`` is the kernel of an error-free or a
 homoscedastic Laplace ensemble in closed form, and
@@ -166,21 +167,35 @@ def stacked_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarr
     return left @ np.vstack([np.cos(eval_phase), np.sin(eval_phase)])
 
 
-def ratio_grid(kx, kt, y, scale, floor):
+def block_sum(product, n, rows=None):
+    """product(block) summed over the blocks of ``rows`` of the n observations, in block order.
+
+    The first block's product is the total, to which each later one is
+    added; rows=None makes one block of all n.
+    """
+    blocks = [slice(lo, lo + rows) for lo in range(0, n, rows)] if rows else [slice(None)]
+    total = product(blocks[0])
+    for block in blocks[1:]:
+        total += product(block)
+    return total
+
+
+def ratio_grid(kx, kt, y, scale, floor, rows=None):
     """The ratio estimator on a tensor grid for one h: (values, flags, density).
 
     density = kx.T @ kt / scale and values = (kx * y).T @ kt / scale / density,
     with |density| <= floor ridge-floored.  kx (n, X) smooths the exact
-    direction and kt (n, T) the contaminated one; kx=None smooths the
-    contaminated direction alone and returns arrays of shape (T,).  The
-    per-pair reference for the program's stacked contraction.
+    direction and kt (n, T) the contaminated one, each product summed over
+    blocks of ``rows`` observations (``block_sum``); kx=None smooths the
+    contaminated direction alone, in one block, and returns arrays of shape
+    (T,).  The per-pair reference for the program's stacked contraction.
     """
     if kx is None:
         num = y @ kt / scale
         den = kt.sum(axis=0) / scale
     else:
-        num = (kx * y[:, None]).T @ kt / scale
-        den = kx.T @ kt / scale
+        num = block_sum(lambda r: (kx[r] * y[r, None]).T @ kt[r], y.size, rows) / scale
+        den = block_sum(lambda r: kx[r].T @ kt[r], y.size, rows) / scale
     values, flags = floored_ratio(num, den, floor)
     return values, flags, den
 
@@ -203,13 +218,18 @@ def longdouble_ratio_sums(kx, y, left, right):
     return tuple(a.astype(float) for a in sums)
 
 
-def whole_stack_ratio_grid(stack, y, kt, scale, floor):
-    """``estimators.stacked_ratio_grid`` with kx * y formed as one (H, n, X) copy of the stack."""
+def whole_stack_ratio_grid(stack, y, kt, scale, floor, rows=None):
+    """``estimators.stacked_ratio_grid`` with kx * y formed for all h of a block in one copy.
+
+    Each product is summed over blocks of ``rows`` observations (``block_sum``).
+    """
     scale = np.asarray(scale, dtype=float)[:, :, None, None]
     kt = kt[:, None]
-    num = np.matmul((stack * y[:, None]).transpose(0, 2, 1), kt)
+    num = block_sum(lambda r: np.matmul((stack[:, r] * y[r, None]).transpose(0, 2, 1),
+                                        kt[:, :, r]), y.size, rows)
     num /= scale
-    den = np.matmul(stack.transpose(0, 2, 1), kt)
+    den = block_sum(lambda r: np.matmul(stack[:, r].transpose(0, 2, 1), kt[:, :, r]),
+                    y.size, rows)
     den /= scale
     values, flags = floored_ratio(num, den, np.asarray(floor, dtype=float)[:, :, None, None])
     return values, flags, den

@@ -50,6 +50,19 @@ def test_a_gain_is_claimed_only_past_the_parent_iqr_in_nine_tenths_of_the_pairs(
     assert lost["wall_s"]["parent_q"][1] - lost["wall_s"]["change_q"][1] > 0.09
 
 
+def test_the_pair_ratios_resolve_a_gain_that_drift_hides_from_the_run_medians():
+    # the machine slows by half over the runs: the medians' middle halves
+    # overlap and the claim fails, yet the change is 3-7% faster in every pair
+    parent = [1.0 + 0.1 * i for i in range(10)]
+    ratios = [0.93, 0.95, 0.97, 0.94, 0.96] * 2
+    summary = ab.summarize(METRICS, _runs(parent), _runs([w * r for w, r in zip(parent, ratios)]))
+    s = summary["wall_s"]
+    assert s["parent_q"][0] <= s["change_q"][1] <= s["parent_q"][2]
+    assert s["change_won"] == 10 and not s["claim_met"]
+    assert s["ratio_q"] == pytest.approx([0.94, 0.95, 0.96])
+    assert summary["points_per_s"]["ratio_q"] == pytest.approx([1 / 0.96, 1 / 0.95, 1 / 0.94])
+
+
 def test_a_metric_past_its_bound_is_reported():
     parent = [{"wall_s": 1.0, "points_per_s": 1.0}] * 3
     change = [{"wall_s": 1.3, "points_per_s": 0.7}] * 3
@@ -95,6 +108,8 @@ def test_alternating_runs_are_read_from_each_trees_runner(tmp_path):
     assert summary["wall_s"]["parent_q"] == [2.0, 2.0, 2.0]
     assert summary["wall_s"]["relative_worse"] == -0.5
     assert summary["wall_s"]["claim_met"] is True
+    assert summary["wall_s"]["ratio_q"] == [0.5, 0.5, 0.5]
+    assert summary["points_per_s"]["ratio_q"] == [2.0, 2.0, 2.0]
     assert (summary["points_per_s"]["change_won"], summary["points_per_s"]["parent_won"]) == (3, 0)
 
 

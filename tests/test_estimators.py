@@ -230,22 +230,30 @@ def _group_operands(n, n_h, n_x, n_t, n_b):
 
 
 class TestStackedRatioGrid:
-    """The numerator operand is formed for runs of h bounded by GROUP_BUDGET, bit for bit."""
+    """Both sums add per-pair products over row blocks, in block order, bit for bit.
 
-    # (n, H, X, T, B): one product (desk-like, and one just under the
-    # budget), five runs of two h (full scale at n = 500), one h alone over
-    # the budget (estimate-like), and an empty x grid
-    SHAPES = [(100, 5, 20, 20, 5), (500, 5, 20, 20, 2), (500, 10, 50, 50, 1),
-              (2000, 1, 60, 60, 1), (100, 3, 0, 4, 2)]
+    The numerator operand of a block is formed for runs of h bounded by
+    GROUP_BUDGET.
+    """
+
+    # (n, H, X, T, B, R): one block and one product (desk-like, and one just
+    # under the budget), two blocks of two runs of five h (full scale at
+    # n = 500), one h alone over the budget (estimate-like), an empty x
+    # grid, n < R, n = R, n = R + 1, and three blocks with a partial last
+    # one (full scale at n = 600: 256, 256 and 88 rows)
+    SHAPES = [(100, 5, 20, 20, 5, 512), (500, 5, 20, 20, 2, 512), (500, 10, 50, 50, 1, 256),
+              (2000, 1, 60, 60, 1, 2000), (100, 3, 0, 4, 2, 512), (255, 3, 20, 20, 2, 256),
+              (256, 3, 20, 20, 2, 256), (257, 3, 20, 20, 2, 256), (600, 10, 50, 50, 2, 256)]
 
     @pytest.mark.parametrize("one_h_per_run", [False, True])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_equals_the_whole_stack_contraction(self, shape, one_h_per_run, monkeypatch):
-        n, n_h, n_x, n_t, n_b = shape
+        n, n_h, n_x, n_t, n_b, rows = shape
         if one_h_per_run:
-            monkeypatch.setattr(estimators, "GROUP_BUDGET", n * n_x)
-        operands = _group_operands(*shape)
-        got, want = stacked_ratio_grid(*operands), whole_stack_ratio_grid(*operands)
+            monkeypatch.setattr(estimators, "GROUP_BUDGET", min(n, rows) * n_x)
+        operands = _group_operands(n, n_h, n_x, n_t, n_b)
+        got = stacked_ratio_grid(*operands, rows)
+        want = whole_stack_ratio_grid(*operands, rows)
         for a, r in zip(got, want):
             assert a.shape == r.shape == (n_b, n_h, n_x, n_t)
             assert a.dtype == r.dtype and a.tobytes() == r.tobytes()
@@ -255,21 +263,25 @@ class TestStackedRatioGrid:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(1, 12), n_h=st.integers(1, 4), n_x=st.integers(0, 6),
            n_t=st.integers(1, 6), n_b=st.integers(1, 4), budget=st.integers(1, 300),
-           floor_exp=st.sampled_from([-300, -1, 0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+           rows=st.integers(1, 13), floor_exp=st.sampled_from([-300, -1, 0, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
     # X = 1 or T = 1 makes each product a BLAS dot or matrix-vector product,
     # whose sum order follows the operand's strides: with an (n, H, X)
     # stack a run of two h once summed the numerator in another order, and
     # the density of each h depended on H
-    @example(n=4, n_h=2, n_x=1, n_t=1, n_b=1, budget=8, floor_exp=-300, seed=2)
-    @example(n=4, n_h=2, n_x=2, n_t=1, n_b=1, budget=16, floor_exp=-300, seed=0)
-    @example(n=4, n_h=2, n_x=1, n_t=2, n_b=1, budget=16, floor_exp=-300, seed=0)
-    def test_equals_the_per_pair_oracle_bit_for_bit(self, n, n_h, n_x, n_t, n_b, budget,
+    @example(n=4, n_h=2, n_x=1, n_t=1, n_b=1, budget=8, rows=4, floor_exp=-300, seed=2)
+    @example(n=4, n_h=2, n_x=2, n_t=1, n_b=1, budget=16, rows=4, floor_exp=-300, seed=0)
+    @example(n=4, n_h=2, n_x=1, n_t=2, n_b=1, budget=16, rows=4, floor_exp=-300, seed=0)
+    @example(n=5, n_h=2, n_x=1, n_t=1, n_b=2, budget=8, rows=2, floor_exp=-300, seed=2)
+    def test_equals_the_per_pair_oracle_bit_for_bit(self, n, n_h, n_x, n_t, n_b, budget, rows,
                                                     floor_exp, seed):
-        # budgets from 1 to past n H X run the numerator operand one h at a
-        # time, in runs of several h and in one product; the floors range
-        # from none flagged to all flagged.  Every pair equals the call made
-        # for it alone and the per-pair oracle, both of which read stack[r]
-        # itself: the h-major stack holds each kx_h as a single pair has it.
+        # budgets from 1 to past R H X run the numerator operand one h at a
+        # time, in runs of several h and in one product; blocks from 1 row
+        # to past n run one block, several and a partial last one; the
+        # floors range from none flagged to all flagged.  Every pair equals
+        # the call made for it alone and the per-pair oracle, both of which
+        # read stack[r] itself: the h-major stack holds each kx_h as a single
+        # pair has it.
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(-2, 2, n), rng.normal(size=n)
         hs = rng.uniform(0.02, 1.0, n_h)
@@ -279,16 +291,47 @@ class TestStackedRatioGrid:
         scale = rng.uniform(0.1, 10.0, (n_b, n_h))
         floor = 10.0 ** floor_exp * rng.uniform(0.5, 2.0, (n_b, n_h))
         with mock.patch.object(estimators, "GROUP_BUDGET", budget):
-            got = stacked_ratio_grid(stack, y, kt, scale, floor)
+            got = stacked_ratio_grid(stack, y, kt, scale, floor, rows)
             for k in range(n_b):
                 for r in range(n_h):
                     alone = stacked_ratio_grid(stack[r:r + 1], y, kt[k:k + 1],
-                                               scale[k:k + 1, r:r + 1], floor[k:k + 1, r:r + 1])
-                    oracle = ratio_grid(stack[r], kt[k], y, scale[k, r], floor[k, r])
+                                               scale[k:k + 1, r:r + 1], floor[k:k + 1, r:r + 1],
+                                               rows)
+                    oracle = ratio_grid(stack[r], kt[k], y, scale[k, r], floor[k, r], rows)
                     for want in ([w[0, 0] for w in alone], oracle):
                         for a, w in zip(got, want):
                             assert a.shape == (n_b, n_h, n_x, n_t)
                             assert a[k, r].dtype == w.dtype and a[k, r].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m,rows", [(128, 256), (64, 512), (65, 496)])
+    def test_the_sweep_and_predict_grid_take_their_blocks_from_one_rule(self, m, rows,
+                                                                        monkeypatch):
+        # R = GROUP_BUDGET // 2M', M' = 2 ceil(M/2): 65 nodes make M' = 66
+        quad = QuadratureGrid.gauss_legendre(m)
+        assert estimators.block_rows(quad) == rows
+        n = rows + 7
+        ens = build_ensemble(ErrorFamily.LAPLACE, n)
+        data = generate(Model.MODEL1, n, ens, np.random.default_rng(m))
+        xg = tg = np.linspace(-1, 1, 5)
+        stacked_fn, rows_fn, seen = estimators.stacked_ratio_grid, estimators.normal_rows, []
+
+        def recorded_stacked(*args):
+            seen.append(("stacked", args[-1]))
+            return stacked_fn(*args)
+
+        def recorded_rows(x_values, x_obs, h, out):
+            seen.append(("predict", x_obs.size))
+            return rows_fn(x_values, x_obs, h, out)
+
+        monkeypatch.setattr(estimators, "stacked_ratio_grid", recorded_stacked)
+        cache = KernelCache(data.sample, xg, tg, quad)
+        cache.kx_stack([0.2])
+        cache.deconv([0.2], [0.3])
+        cache.naive([0.2], [0.3])
+        monkeypatch.setattr(estimators, "normal_rows", recorded_rows)
+        fit(data.sample, Bandwidths(0.2, 0.3), quad).predict_grid(xg, tg)
+        assert seen[:2] == [("stacked", rows)] * 2
+        assert sorted(seen[2:]) == [("predict", 7), ("predict", rows)]
 
     @pytest.mark.parametrize("method", ["naive", "deconv"])
     @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2)])
@@ -316,15 +359,40 @@ class TestStackedRatioGrid:
             assert stack[r].flags.c_contiguous
             assert stack[r].tobytes() == lone[0].tobytes()
 
-    def test_holds_no_copy_of_the_whole_stack(self):
-        operands = _group_operands(500, 10, 50, 50, 1)
+    @pytest.mark.parametrize("n,rows", [(500, 512), (600, 256)])     # one block, three blocks
+    def test_holds_no_copy_of_the_whole_stack(self, n, rows):
+        operands = _group_operands(n, 10, 50, 50, 1)
         tracemalloc.start()
         try:
-            stacked_ratio_grid(*operands)
+            stacked_ratio_grid(*operands, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < operands[0].nbytes
+
+
+    def test_a_full_scale_sweep_of_three_blocks_is_within_the_oracle_budget(self, quad128):
+        # n = 600 at 128 nodes runs blocks of 256, 256 and 88 rows, whose
+        # sums differ from one product over all 600 in the last bits.  Each
+        # of the sweep's sums adds the n rounded products kx_j (y_j) lt_jt,
+        # lt_jt = left_j @ right_t rounded after its M' products, kx_j y_j
+        # rounded once: in any order of the n terms, blocked or not, it errs
+        # by at most (n + M' + 1) u times the sum of its |terms| (u = eps / 2),
+        # within the (n + M' + 4) eps of ``_assert_within_the_oracle_budget``,
+        # which also bounds the division by h b and checks every unflagged
+        # point, every density and every flag clear of the floor by that budget
+        n = 600
+        ens = build_ensemble(ErrorFamily.LAPLACE, n)
+        data = generate(Model.MODEL2, n, ens, np.random.default_rng(20250808))
+        xg = tg = np.linspace(-2.0, 2.0, 50)
+        hs, bs = [0.02 * k for k in range(1, 11)], [0.04, 0.06]    # one full-scale group
+        assert -(-n // estimators.block_rows(quad128)) == 3
+        got = KernelCache(data.sample, xg, tg, quad128).deconv(hs, bs)
+        for k, b in enumerate(bs):
+            for i, h in (0, hs[0]), (7, hs[7]), (9, hs[9]):
+                assert not got[1][k, i].all()
+                est = fit(data.sample, Bandwidths(h, b), quad128)
+                _assert_within_the_oracle_budget(est, xg, tg, [a[k, i] for a in got])
 
 
 class _CountedThread(threading.Thread):

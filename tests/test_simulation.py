@@ -335,9 +335,9 @@ class TestSharedKernelCache:
             calls["gaussian_kernel"] += 1
             return gauss_fn(u, out)
 
-        def counted_stacked(stack, y, kt, scale, floor):
+        def counted_stacked(stack, y, kt, scale, floor, rows):
             calls["stacked"].append((kt.shape[0], stack.shape[0]))
-            return stacked_fn(stack, y, kt, scale, floor)
+            return stacked_fn(stack, y, kt, scale, floor, rows)
 
         def counted_floored(num, den, floor):
             calls["floored_ratio"] += 1
@@ -516,7 +516,7 @@ class TestGroupedSweep:
     """The sweep over groups of b scores exactly as one b, and one pair, at a time."""
 
     def test_group_contraction_equals_per_b_slices(self, quad64):
-        from hetdeconv.estimators import stacked_ratio_grid
+        from hetdeconv.estimators import block_rows, stacked_ratio_grid
 
         data = _far_sample()
         xg, tg = np.linspace(1.6, 2.0, 6), np.linspace(-2, 2, 7)
@@ -525,11 +525,12 @@ class TestGroupedSweep:
         stack = cache.kx_stack(hs)
         hb = np.asarray(hs) * bs[:, None]
         for kernels, scale in ((cache.lt(bs), hb), (cache.kt(bs), data.sample.n * hb)):
-            group = stacked_ratio_grid(stack, data.sample.y, kernels, scale, RIDGE_SCALE / hb)
+            group = stacked_ratio_grid(stack, data.sample.y, kernels, scale, RIDGE_SCALE / hb,
+                                       block_rows(quad64))
             assert group[1].any() and not group[1].all()     # flagged and clean slices
             for k in range(len(bs)):
                 one = stacked_ratio_grid(stack, data.sample.y, kernels[k:k + 1], scale[k:k + 1],
-                                         RIDGE_SCALE / hb[k:k + 1])
+                                         RIDGE_SCALE / hb[k:k + 1], block_rows(quad64))
                 for a, r in zip(group, one):
                     assert a.shape == (len(bs), len(hs), xg.size, tg.size)
                     assert a[k].tobytes() == r[0].tobytes()
