@@ -6,8 +6,8 @@ Each tree is a full checkout (``bench/run.py`` and ``src/``).  Pair i runs
 ``bench/run.py --workload W --seed N --seconds S --trace 0`` once in each
 tree, from the tree's root, the parent first on even i and the change first
 on odd i, so a drift of the machine's speed over the runs falls on both
-sides alike; after each pair it prints both sides' ``wall_s`` and
-``cpu_s_per_call``.  For every end-to-end metric of ``BENCHMARK.json`` it prints
+sides alike; after each pair it prints both sides' ``wall_s``,
+``cpu_s_per_call`` and ``peak_rss_mb``.  For every end-to-end metric of ``BENCHMARK.json`` it prints
 q1/median/q3 of each side, the change of the median relative to the parent's
 and against its bound, the median over the pairs of each pair's change/parent
 ratio (a drift of the machine's speed over the runs cancels within a pair),
@@ -136,7 +136,7 @@ def main() -> None:
             runs[tree].append(_run(tree, args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{name} parent {runs[parent][-1][name]:.4g} change {runs[change][-1][name]:.4g}"
-            for name in ("wall_s", "cpu_s_per_call")), flush=True)
+            for name in ("wall_s", "cpu_s_per_call", "peak_rss_mb")), flush=True)
 
     metrics = json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(metrics, runs[parent], runs[change])

@@ -1,4 +1,4 @@
-"""Hash the 22 pinned CLI outputs and 2 validate reports of a source tree; check the hashes.
+"""Hash the 22 pinned CLI outputs, 2 validate reports and 12 sweep digests of a tree; check them.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -9,6 +9,14 @@ to 1: the estimate outputs depend on the BLAS thread count.  Prints one
 trees give the same outputs when they print the same lines.  It then compares
 the lines with ``scripts/pinned_outputs.txt`` and exits 1, naming every output
 whose hash differs from the file's or is missing from either side.
+
+A simulate output's ``ase_report.csv`` holds only the best fixed pair's mean
+ASE, which can round to the same double when per-pair ASEs move in their
+last bits.  So each simulate run also prints a ``<name>.pairs`` line: a
+fresh ``python -c`` process on the package in ``--src`` runs the same config
+(at one worker; the report is the same for any worker count) and hashes,
+per estimator and replication in order, every pair's ``ase_values``,
+``excluded`` and ``statuses``, and each failed replication's message.
 
 The committed hashes hold for the BLAS they were recorded on (NumPy 2.4's
 bundled scipy-openblas 0.3.31, x86-64); another BLAS build may round the
@@ -62,6 +70,22 @@ REPO = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).resolve().with_name("pinned_outputs.txt")
 SEED = 20250808
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS_DIGEST = """\
+import hashlib, json, sys
+from hetdeconv.simulation import SimulationConfig, run_replications
+with open(sys.argv[1]) as fh:
+    config = SimulationConfig.from_dict(json.load(fh), full_scale=sys.argv[2] == "full")
+digest = hashlib.sha256()
+for name, summary in run_replications(config).estimators.items():
+    for rep, res in summary.results:
+        digest.update(f"{name} {rep}".encode())
+        digest.update(res.ase_values.tobytes())
+        digest.update(res.excluded.tobytes())
+        digest.update(repr(res.statuses).encode())
+    for rep, message in summary.failures:
+        digest.update(f"{name} {rep} failed: {message}".encode())
+print(digest.hexdigest()[:12])
+"""
 
 
 def _config(work: Path, name: str, **fields) -> Path:
@@ -139,6 +163,14 @@ def main() -> None:
             data = proc.stdout if output is None else (work / name / output).read_bytes()
             printed[name] = hashlib.sha256(data).hexdigest()[:12]
             print(f"{name} {printed[name]}", flush=True)
+            if cli_args[0] == "simulate":
+                scale = "full" if "--full-scale" in cli_args else "desk"
+                proc = subprocess.run([sys.executable, "-c", PAIRS_DIGEST,
+                                       cli_args[cli_args.index("--config") + 1], scale],
+                                      env=env, cwd=work, stdout=subprocess.PIPE, text=True,
+                                      check=True)
+                printed[f"{name}.pairs"] = proc.stdout.strip()
+                print(f"{name}.pairs {printed[name + '.pairs']}", flush=True)
     pinned = dict(line.split() for line in PINNED.read_text().splitlines() if line.strip())
     wrong = [name for name in {**pinned, **printed} if printed.get(name) != pinned.get(name)]
     if wrong:

@@ -596,7 +596,7 @@ def cmd_cross_section(config_path, overrides, axis, value, estimator_name, out, 
         context = RunContext.build(config)
         data = generate(config.model, config.n, context.ensemble, replication_rng(config.seed, 1))
         cache = KernelCache(data.sample, context.x_values, context.t_values, context.quad,
-                            context.weights)
+                            context.weights, context.right)
         search = bandwidth_search(data, config.bw_pairs, cache, estimator=estimator)
         best_h, best_b = search.best_pair
         bw = Bandwidths(best_h if best_h is not None else best_b, best_b)

@@ -22,11 +22,6 @@ import numpy as np
 DENOMINATOR_FLOOR = 1e-300
 
 
-def shared_denominator(cf) -> np.ndarray:
-    """S(v) = sum_k cf_k(v)^2 from a tabulated real (n, len(v)) CF matrix."""
-    return (cf * cf).sum(axis=0)
-
-
 class ErrorFamily(str, Enum):
     GAUSSIAN = "gaussian"
     LAPLACE = "laplace"
@@ -110,23 +105,40 @@ class ErrorEnsemble:
         codes.setflags(write=False)
         variances.setflags(write=False)
         self.codes, self.variances = codes, variances
+        # the family code of an ensemble of one family, None for a mixed one
+        self._family = int(codes[0]) if np.all(codes == codes[0]) else None
 
     @property
     def n(self) -> int:
         return self.variances.size
 
-    def cf_matrix(self, v) -> np.ndarray:
-        """cf_j(v) for every model j, shape (n, len(v))."""
+    def cf_matrix(self, v, rows=slice(None), out=None) -> np.ndarray:
+        """cf_j(v) for the models j of the slice ``rows``, shape (r, len(v)), into ``out`` if given.
+
+        In ErrorModel.cf's operation order from p = (variance / 2) v^2, so
+        every value is bit-identical to it: one chain of ufuncs when every
+        law is of one family; for a mixed ensemble, the Laplace form in place
+        and the Gaussian one copied over its rows (both are exactly 1 at a
+        degenerate law's p = 0).  A p beyond the double range is inf, where
+        both CFs are exactly 0.
+        """
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        # ErrorModel.cf's operation order, so every value is bit-identical to it.
-        # A p beyond the double range is inf, where both CFs are exactly 0.
         with np.errstate(over="ignore"):
-            p = (0.5 * self.variances)[:, None] * v * v
-        cf = np.ones_like(p)
-        gaussian, laplace = self.codes == _GAUSSIAN, self.codes == _LAPLACE
-        cf[gaussian] = np.exp(-p[gaussian])
-        cf[laplace] = 1.0 / (1.0 + p[laplace])
-        return cf
+            p = np.multiply((0.5 * self.variances[rows])[:, None], v, out=out)
+            p *= v
+        if self._family == _GAUSSIAN:
+            return np.exp(np.negative(p, out=p), out=p)
+        if self._family == _LAPLACE:
+            p += 1.0
+            return np.divide(1.0, p, out=p)
+        if self._family == _DEGENERATE:
+            p.fill(1.0)
+            return p
+        gaussian = np.exp(np.negative(p))
+        p += 1.0
+        np.divide(1.0, p, out=p)
+        np.copyto(p, gaussian, where=(self.codes[rows] == _GAUSSIAN)[:, None])
+        return p
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """One error draw per observation, in observation order.

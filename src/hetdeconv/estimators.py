@@ -15,13 +15,14 @@ import numpy as np
 from .error_models import ErrorEnsemble
 from .exceptions import BandwidthUnderflow, DegenerateDesign, DimensionMismatch, EnsembleInvalid
 from .kernels import (
+    GROUP_BUDGET,
     SMALLEST_NORMAL,
     TWO_PI,
     DeconvWeights,
     QuadratureGrid,
     bandlimited_kernel_ft,
+    block_rows,
     build_deconv_weights,
-    deconv_kernel_grid,
     deconv_left,
     deconv_right,
     gaussian_kernel,
@@ -32,13 +33,6 @@ from .kernels import (
 # deconvolution kernel takes negative values, so finite samples can push the
 # density estimate to zero or below far from the data.
 RIDGE_SCALE = 1e-8
-
-# Every batched array of one group of (b, h) pairs holds at most this many
-# float64 elements (512 KiB), unless one b or one h alone holds more.  The
-# sweep cuts the b grid into groups by it (the (B, H, X, T) contraction and
-# the (B, n, T) kernels), ``stacked_ratio_grid`` the h of its numerator
-# operand, and ``block_rows`` the observations into blocks of R rows.
-GROUP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,15 +158,6 @@ def normal_rows(x_values, x_obs, h, out):
     return gaussian_kernel(u, out=u)
 
 
-def block_rows(quad: QuadratureGrid) -> int:
-    """R = max(1, GROUP_BUDGET // 2M'), M' = 2 ceil(M/2): the observations of one block.
-
-    ``predict_grid`` and the ``KernelCache`` estimators sum over blocks of R
-    rows: 256 at 128 nodes, 512 at 64.
-    """
-    return max(1, GROUP_BUDGET // (4 * (quad.size - quad.size // 2)))
-
-
 def stacked_ratio_grid(stack, y, kt, scale, floor, rows):
     """The ratio estimator on a tensor grid for every (b, h) of a group: (values, flags, density).
 
@@ -230,24 +215,28 @@ class KernelCache:
     """Kernel matrices of one sample on one tensor evaluation grid.
 
     Lives for one sample (one replication).  It keeps the last ``kx_stack``
-    with the row of each of its h, and the deconvolution weights of each b
-    (an EnsembleInvalid raised at b is kept too and raised again on every
-    later request).  The kernels of a group of b, the deconvolution lt and
-    the naive normal kt, each (B, n, T), are rebuilt on every request and
-    kept by nobody; a single b is the group of one.  ``weights`` maps b to
-    weights built beforehand for the sample's ensemble (as by ``fit``, or
-    entries of ``kernel_weights``).  Every estimator takes a group of b and
-    returns (values, flags, density), each (B, H, X, T): ``deconv`` and
-    ``naive`` for a sequence of h, ``partial_linear`` (no h) with H = 1.
+    with the row of each of its h, and per b the deconvolution weights (an
+    EnsembleInvalid raised at b is kept too and raised again on every later
+    request) and the t-side factor ``deconv_right`` of t_values / b.  The
+    kernels of a group of b, the deconvolution lt and the naive normal kt,
+    each (B, n, T), are rebuilt on every request and kept by nobody; a single
+    b is the group of one.  ``weights`` maps b to weights built beforehand
+    for the sample's ensemble (as by ``fit``, or entries of
+    ``kernel_weights``), and ``right`` b to factors built beforehand from
+    those weights and this t_values (a run's ``RunContext.right``).  Every
+    estimator takes a group of b and returns (values, flags, density), each
+    (B, H, X, T): ``deconv`` and ``naive`` for a sequence of h,
+    ``partial_linear`` (no h) with H = 1.
     """
 
-    def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid, weights=None):
+    def __init__(self, sample: Sample, x_values, t_values, quad: QuadratureGrid, weights=None,
+                 right=None):
         self.sample = sample
         self.x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
         self.t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
         self.quad = quad
         self._stack, self._row = None, {}
-        self._weights = dict(weights or {})
+        self._weights, self._right = dict(weights or {}), dict(right or {})
 
     def kx_stack(self, hs):
         """kx_h for every h in ``hs``, shape (H, n, X); kept for later calls.
@@ -287,15 +276,30 @@ class KernelCache:
     def lt(self, bs):
         """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.
 
-        A w or t so large that w / b or t / b overflows gives non-finite
-        kernel values, whose points the ratio guard flags, so the overflow
-        and the trig of inf are no warning.
+        Each is ``deconv_kernel_grid``'s product, formed over blocks of R =
+        ``block_rows`` observations: a block's ``deconv_left`` times the kept
+        ``deconv_right`` of b.  Every block has R rows (n if fewer), the last
+        one ending at row n, so every product has one shape, whose rows BLAS
+        rounds as it rounds the whole product's.  A w or t so large that
+        w / b or t / b overflows gives non-finite kernel values, whose points
+        the ratio guard flags, so the overflow and the trig of inf are no
+        warning.
         """
-        lt = np.empty((len(bs), self.sample.n, self.t_values.size))
+        n = self.sample.n
+        rows = min(n, block_rows(self.quad))
+        lt = np.empty((len(bs), n, self.t_values.size))
+        left = np.empty((rows, 2, self.quad.size - self.quad.size // 2))
+        coef = np.empty((rows, left.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for k, b in enumerate(bs):
-                deconv_kernel_grid(self.deconv_weights(b), self.sample.w / b,
-                                   self.t_values / b, out=lt[k])
+                weights, obs = self.deconv_weights(b), self.sample.w / b
+                if b not in self._right:
+                    self._right[b] = deconv_right(weights, self.t_values / b)
+                for lo in range(0, n, rows):
+                    end = min(lo + rows, n)
+                    block = slice(end - rows, end)
+                    np.matmul(deconv_left(weights, obs, block, out=left, coef=coef),
+                              self._right[b], out=lt[k, block])
         return lt
 
     def deconv(self, hs, bs, lt=None):
@@ -378,6 +382,7 @@ class DeconvEstimator:
         kx, ops, totals = (np.empty((2, rows, n_x)), np.empty((2, rows, 2, width)),
                            np.zeros((2, n_x, 2 * width)))
         left = None if factored else np.empty((2, rows, 2, rank // 2))
+        coef = np.empty((2, rows, rank // 2))
 
         def accumulate(k):
             for lo in range(k * rows, n, 2 * rows):
@@ -386,10 +391,11 @@ class DeconvEstimator:
                 normal_rows(x_values, sample.x[block], h, kx[k, :r])
                 with np.errstate(over="ignore", invalid="ignore"):
                     if factored:
-                        deconv_left(weights, obs, block, out=op[:, 1].reshape(r, 2, -1))
+                        deconv_left(weights, obs, block, out=op[:, 1].reshape(r, 2, -1),
+                                    coef=coef[k, :r])
                     else:
-                        np.matmul(deconv_left(weights, obs, block, out=left[k, :r]), right,
-                                  out=op[:, 1])
+                        np.matmul(deconv_left(weights, obs, block, out=left[k, :r],
+                                              coef=coef[k, :r]), right, out=op[:, 1])
                     np.multiply(op[:, 1], sample.y[block, None], out=op[:, 0])
                     totals[k] += kx[k, :r].T @ op.reshape(r, -1)
 

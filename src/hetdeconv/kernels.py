@@ -14,13 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .error_models import ErrorEnsemble, ValidationReport, shared_denominator
+from .error_models import ErrorEnsemble, ValidationReport
 from .exceptions import EnsembleInvalid
 
 TWO_PI = 2.0 * np.pi
 
 # Smallest positive normal double; smaller kernel values are flushed to 0.
 SMALLEST_NORMAL = np.finfo(float).tiny
+
+# Exponents below which exp(x) / sqrt(2 pi) is below SMALLEST_NORMAL.
+_UNDERFLOW_EXPONENT = np.log(SMALLEST_NORMAL * np.sqrt(TWO_PI))
+
+# Every batched array of one group of (b, h) pairs holds at most this many
+# float64 elements (512 KiB), unless one b or one h alone holds more.  The
+# sweep cuts the b grid into groups by it (the (B, H, X, T) contraction and
+# the (B, n, T) kernels), ``stacked_ratio_grid`` the h of its numerator
+# operand, and ``block_rows`` the observations into blocks of R rows.
+GROUP_BUDGET = 1 << 16
 
 # Most quadrature nodes a command accepts.  leggauss(m) forms an m x m
 # companion matrix and solves its eigenvalues before any check could run:
@@ -81,6 +91,8 @@ def gaussian_kernel(u, out=None):
     Values below the smallest normal double (|u| > 37.5 or so) are exactly 0.
     Subnormal operands put BLAS matrix products on a slow path, and a term of
     at most 2.2e-308 cannot move a kernel sum that clears the ridge floor.
+    Exponents whose kernel is below it skip ``exp``, whose underflowing
+    results cost about twenty times a normal one; the values are the same.
     A square u^2 beyond the double range is inf, whose kernel is exactly 0,
     so that overflow is no warning.  Computed in place in one buffer: ``out``
     (which may be ``u`` itself) or a new one (0-d for scalar ``u``).
@@ -89,8 +101,12 @@ def gaussian_kernel(u, out=None):
     with np.errstate(over="ignore"):
         k = np.square(u, out=np.empty_like(u) if out is None else out)
     k *= -0.5
+    zero = k < _UNDERFLOW_EXPONENT      # exp would underflow: a slow path, and the value is 0
+    np.copyto(k, 0.0, where=zero)
     np.exp(k, out=k)
     k /= np.sqrt(TWO_PI)
+    np.copyto(k, 0.0, where=zero)
+    del zero                            # one mask alive at a time
     k[k < SMALLEST_NORMAL] = 0.0
     return k
 
@@ -103,38 +119,49 @@ def bandlimited_kernel_ft(v):
     return np.where(inside, base * base * base, 0.0)
 
 
+def block_rows(quad: QuadratureGrid) -> int:
+    """R = max(1, GROUP_BUDGET // 2M'), M' = 2 ceil(M/2): the observations of one block.
+
+    ``build_deconv_weights``, ``predict_grid`` and the ``KernelCache``
+    estimators work over blocks of R rows: 256 at 128 nodes, 512 at 64.
+    """
+    return max(1, GROUP_BUDGET // (4 * (quad.size - quad.size // 2)))
+
+
 @dataclass(frozen=True)
 class DeconvWeights:
-    """Half-node cosine coefficients of the deconvolution kernel at bandwidth b.
+    """The deconvolution kernel's coefficients at bandwidth b, formed per block of observations.
 
-    ``values`` (n, ceil(M/2)) hold c_jv = kernel_ft(v) * psi_j(v / b) *
-    (quadrature weight at v) / pi for the nodes v >= 0 (``nodes``), with the
-    v = 0 node (odd M) at half its coefficient; psi_j = cf_j / S is real and
-    even for every built-in law, so the nodes v < 0 repeat these values.
-    ``denominator`` is S(v/b) on all M nodes, read-only, and ``report`` the
-    passed validation report of it.
+    ``coefficients(rows)`` forms c_jv = kernel_ft(v) * psi_j(v / b) *
+    (quadrature weight at v) / pi for the observations j of a slice and the
+    nodes v >= 0 (``nodes``), with the v = 0 node (odd M) at half its
+    coefficient; psi_j = cf_j / S is real and even for every built-in law,
+    so the nodes v < 0 repeat these values.  Only vectors over the nodes are
+    held: ``denominator``, S(v/b) on all M nodes, read-only; ``report``, its
+    validation report, which must have passed; and at the nodes v >= 0, v / b,
+    S(v/b), kernel_ft(v) and weight / pi.
     """
 
     ensemble: ErrorEnsemble
     bandwidth: float
     quad: QuadratureGrid
-    values: np.ndarray
     denominator: np.ndarray
     report: ValidationReport
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.ensemble.n, self.nodes.size):
-            raise ValueError(
-                f"weights shape {values.shape} does not match "
-                f"(n={self.ensemble.n}, ceil(M/2)={self.nodes.size})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite deconvolution weights; validate the ensemble first")
+        if not self.report.passed:
+            raise ValueError("the validation report failed; no weights for an invalid ensemble")
         denominator = np.asarray(self.denominator, dtype=float)
-        for name, arr in (("values", values), ("denominator", denominator)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if denominator.shape != (self.quad.size,):
+            raise ValueError(f"denominator of shape {denominator.shape} for {self.quad.size} nodes")
+        denominator.setflags(write=False)
+        object.__setattr__(self, "denominator", denominator)
+        half = self.quad.size // 2
+        for name, vector in (("_scaled_nodes", self.nodes / self.bandwidth),
+                             ("_half_denominator", denominator[half:]),
+                             ("_kernel_ft", bandlimited_kernel_ft(self.nodes)),
+                             ("_weight_over_pi", self.quad.weights[half:] / np.pi)):
+            object.__setattr__(self, name, vector)
 
     @property
     def n(self) -> int:
@@ -144,57 +171,76 @@ class DeconvWeights:
     def nodes(self) -> np.ndarray:
         return self.quad.nodes[self.quad.size // 2:]
 
+    def coefficients(self, rows=slice(None), out=None) -> np.ndarray:
+        """c_jv for the observations j of the slice ``rows``, (r, ceil(M/2)), into ``out`` if given.
+
+        cf / S, times kernel_ft, times weight / pi, in that order.
+        """
+        c = self.ensemble.cf_matrix(self._scaled_nodes, rows, out=out)
+        c /= self._half_denominator
+        c *= self._kernel_ft
+        c *= self._weight_over_pi
+        if self.quad.size % 2:
+            c[:, 0] *= 0.5
+        return c
+
 
 def build_deconv_weights(
     ensemble: ErrorEnsemble, bandwidth: float, quad: QuadratureGrid
 ) -> DeconvWeights:
-    """Validate the ensemble at bandwidth b and tabulate its deconvolution weights.
+    """Validate the ensemble at bandwidth b and return its deconvolution weights.
 
-    One CF tabulation at the scaled nodes v/b >= 0 (ceil(M/2) of them) gives
-    S(v/b) there and the weights cf_j(v/b) / S(v/b).  Every built-in law is
-    even and the grid mirrored, so S(-v/b) = S(v/b) bit for bit: S is
+    S(v/b) = sum_j cf_j(v/b)^2 is tabulated at the scaled nodes v/b >= 0
+    (ceil(M/2) of them) over blocks of ``block_rows`` observations: the
+    first block's squares are summed down their rows, and each later
+    block's after the running S, which continues that one chain of rows,
+    so S is the sum over all n rows at once bit for bit.  Every built-in law
+    is even and the grid mirrored, so S(-v/b) = S(v/b) bit for bit: S is
     mirrored to all M nodes (the v = 0 node of odd M once) for the
-    validation report, and the weights keep S(v/b) and the report.  This is
-    the only place S(v/b) is tabulated and checked.  Raises EnsembleInvalid,
+    validation report, and the weights keep S and the report.  This is the
+    only place S(v/b) is tabulated and checked.  Raises EnsembleInvalid,
     carrying the report, when S falls at or below the numeric floor.
     """
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     half = quad.size // 2          # quad.nodes[half:] are the nodes v >= 0
-    nodes = quad.nodes[half:]
-    cf = ensemble.cf_matrix(nodes / bandwidth)
-    denom_half = shared_denominator(cf)
+    scaled, n, rows = quad.nodes[half:] / bandwidth, ensemble.n, block_rows(quad)
+    squares = np.empty((min(rows, n) + 1, scaled.size))     # row 0: the running S
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        cf = ensemble.cf_matrix(scaled, slice(lo, lo + r), out=squares[1:r + 1])
+        np.multiply(cf, cf, out=cf)
+        denom_half = squares[1 if lo == 0 else 0:r + 1].sum(axis=0)
+        squares[0] = denom_half
     denom = np.concatenate([denom_half[::-1][:half], denom_half])
     report = ValidationReport.from_denominator(bandwidth, quad.nodes / bandwidth, denom)
     if not report.passed:
         raise EnsembleInvalid(f"ensemble invalid at b={bandwidth:g}: {report.summary()}", report)
-    # ft * (cf / S) * (w / pi), formed in cf's memory: IEEE products commute
-    values = np.divide(cf, denom_half, out=cf)
-    values *= bandlimited_kernel_ft(nodes)
-    values *= quad.weights[half:] / np.pi
-    if quad.size % 2:
-        values[:, 0] *= 0.5
     return DeconvWeights(ensemble=ensemble, bandwidth=float(bandwidth), quad=quad,
-                         values=values, denominator=denom, report=report)
+                         denominator=denom, report=report)
 
 
-def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None) -> np.ndarray:
+def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None,
+                coef=None) -> np.ndarray:
     """The observation-side factor of ``deconv_kernel_grid``: [c cos(v o), c sin(v o)], (r, M').
 
     ``obs_args`` (n) hold every observation's argument at the bandwidth of
     ``weights``; the factor is formed for the observations of the slice
-    ``rows`` (r of them), with M' = 2 ceil(M/2) columns: the cos half, then the sin half.
-    It is written into ``out`` when given, an (r, 2, M) array of the two
-    halves, whose (r, M') view is returned.
+    ``rows`` (r of them), with c = ``weights.coefficients(rows)`` and
+    M' = 2 ceil(M/2) columns: the cos half, then the sin half.  It is
+    written into ``out`` when given, an (r, 2, M) array of the two halves,
+    whose (r, M') view is returned; c is formed in ``coef`` when given, an
+    (r, ceil(M/2)) array.
     """
     obs_args = np.asarray(obs_args, dtype=float)
     if obs_args.shape != (weights.n,):
         raise ValueError(f"{obs_args.size} observation arguments for weights of n={weights.n}")
-    v, obs, c = weights.nodes, obs_args[rows], weights.values[rows]
+    v, obs = weights.nodes, obs_args[rows]
     shape = (obs.size, 2, v.size)
     if out is not None and out.shape != shape:
         raise ValueError(f"out of shape {out.shape} for a factor of shape {shape}")
     left = np.empty(shape) if out is None else out
+    c = weights.coefficients(rows, out=coef)
     phase = obs[:, None] * v
     np.multiply(c, np.cos(phase), out=left[:, 0])
     np.multiply(c, np.sin(phase, out=phase), out=left[:, 1])
@@ -218,8 +264,9 @@ def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args, out=None) ->
     ``obs_args`` (n) and ``eval_args`` (T) hold the arguments at that
     bandwidth.  Each node v > 0 pairs with -v, so L_j(e) = sum_{v>=0} c_jv
     [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)], with c_jv the coefficients
-    of ``weights``: the real product ``deconv_left`` @ ``deconv_right``,
-    inner size M' = 2 ceil(M/2), so the matrix has rank at most M'.  The
-    product is written into ``out`` when given.
+    of ``weights``, formed for all n at once: the real product
+    ``deconv_left`` @ ``deconv_right``, inner size M' = 2 ceil(M/2), so the
+    matrix has rank at most M'.  The product is written into ``out`` when
+    given.
     """
     return np.matmul(deconv_left(weights, obs_args), deconv_right(weights, eval_args), out=out)

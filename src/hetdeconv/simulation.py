@@ -17,9 +17,9 @@ from enum import Enum
 import numpy as np
 
 from .error_models import ErrorEnsemble, ErrorFamily
-from .estimators import GROUP_BUDGET, Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
+from .estimators import Bandwidths, KernelCache, Sample, kernel_weights, linear_slope
 from .exceptions import ConfigError, DegenerateDesign, DimensionMismatch, EnsembleInvalid
-from .kernels import MAX_QUAD_NODES, QuadratureGrid
+from .kernels import GROUP_BUDGET, MAX_QUAD_NODES, QuadratureGrid, deconv_right
 
 _MASK64 = (1 << 64) - 1
 
@@ -580,14 +580,17 @@ class RunContext:
 
     The error ensemble and quadrature grid; per distinct b, the deconvolution
     weights in the form the kernel consumes (``kernel_weights``), or the
-    EnsembleInvalid they raised; the evaluation axes and the truth on their
-    grid.  None of it depends on the data.
+    EnsembleInvalid they raised; per b of valid weights, the t-side factor
+    ``deconv_right`` of t_values / b, as ``KernelCache(right=)`` takes it;
+    the evaluation axes and the truth on their grid.  None of it depends on
+    the data.
     """
 
     config: SimulationConfig
     ensemble: ErrorEnsemble
     quad: QuadratureGrid
     weights: dict
+    right: dict
     x_values: np.ndarray
     t_values: np.ndarray
     truth: np.ndarray
@@ -598,8 +601,10 @@ class RunContext:
         quad = QuadratureGrid.gauss_legendre(config.quad_nodes)
         weights = kernel_weights(ensemble, config.b_values, quad)
         x_values, t_values = config.eval_x.values(), config.eval_t.values()
+        right = {b: deconv_right(found, t_values / b) for b, found in weights.items()
+                 if not isinstance(found, EnsembleInvalid)}
         truth = true_regression(config.model, x_values[:, None], t_values[None, :])
-        return cls(config, ensemble, quad, weights, x_values, t_values, truth)
+        return cls(config, ensemble, quad, weights, right, x_values, t_values, truth)
 
 
 def _replicate(context: RunContext, rep_index: int) -> dict:
@@ -608,7 +613,7 @@ def _replicate(context: RunContext, rep_index: int) -> dict:
     data = generate(config.model, config.n, context.ensemble,
                     replication_rng(config.seed, rep_index))
     cache = KernelCache(data.sample, context.x_values, context.t_values, context.quad,
-                        context.weights)
+                        context.weights, context.right)
     names = estimators_for(config.model)
     try:
         found = _sweep(config.bw_pairs, cache, names, context.truth)

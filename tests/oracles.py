@@ -15,6 +15,10 @@ operand formed for all h at once, the reference for the program's
 budget-bounded runs of h.  Both sum their products over blocks of rows
 when given a block size, in block order, as the program does.
 ``trapezoid_grid`` is the only grid with nodes at v = +-1.
+``shared_denominator`` is S(v) summed over all n rows at once, and
+``masked_cf_matrix`` the whole CF table with each family written through a
+boolean mask: the references of the program's blocked S and its
+per-family CF chains.
 ``polynomial_cosine_kernel`` is the kernel of an error-free or a
 homoscedastic Laplace ensemble in closed form, and
 ``longdouble_gauss_legendre`` the Gauss-Legendre rule in long double, both
@@ -26,6 +30,7 @@ from math import factorial
 import numpy as np
 
 from hetdeconv import DeconvWeights, HetdeconvError, QuadratureGrid, bandlimited_kernel_ft
+from hetdeconv.error_models import ErrorFamily
 from hetdeconv.estimators import floored_ratio
 
 TWO_PI = 2.0 * np.pi
@@ -141,6 +146,24 @@ def trapezoid_grid(m: int = 129) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights)
 
 
+def shared_denominator(cf) -> np.ndarray:
+    """S(v) = sum_k cf_k(v)^2 from a tabulated real (n, len(v)) CF matrix."""
+    return (cf * cf).sum(axis=0)
+
+
+def masked_cf_matrix(ensemble, v) -> np.ndarray:
+    """cf_j(v) for every law j, (n, len(v)): each family's closed form written through its mask."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    with np.errstate(over="ignore"):
+        p = (0.5 * ensemble.variances)[:, None] * v * v
+    cf = np.ones_like(p)
+    gaussian = ensemble.codes == list(ErrorFamily).index(ErrorFamily.GAUSSIAN)
+    laplace = ensemble.codes == list(ErrorFamily).index(ErrorFamily.LAPLACE)
+    cf[gaussian] = np.exp(-p[gaussian])
+    cf[laplace] = 1.0 / (1.0 + p[laplace])
+    return cf
+
+
 def full_weights(weights: DeconvWeights) -> np.ndarray:
     """kernel_ft(v) cf_j(-v/b) / S(v/b) on all M nodes of ``weights.quad``, shape (n, M)."""
     quad = weights.quad
@@ -160,7 +183,7 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
 
 def stacked_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
     """``deconv_kernel_grid`` as [c cos(v o), c sin(v o)] @ [cos(v e); sin(v e)], stacked."""
-    coef, v = weights.values, weights.nodes
+    coef, v = weights.coefficients(), weights.nodes
     obs_phase = np.outer(np.atleast_1d(obs_args), v)
     eval_phase = np.outer(v, np.atleast_1d(eval_args))
     left = np.hstack([coef * np.cos(obs_phase), coef * np.sin(obs_phase)])

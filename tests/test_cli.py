@@ -833,8 +833,9 @@ class TestEstimate:
     def test_builds_the_kernel_matrices_once(self, runner, tmp_path, monkeypatch):
         # each observation's rows of kx and of the left factor are built
         # once, in one of the blocks (24 rows in 5 blocks of at most 5, over
-        # both threads); the right factor is built once
+        # both threads); the right factor is built once, the whole kernel grid never
         import hetdeconv.estimators as estimators
+        import hetdeconv.kernels as kernels
 
         built = {"normal_rows": [], "deconv_left": [], "deconv_right": [], "deconv_kernel_grid": []}
         rows = {"normal_rows": [], "deconv_left": []}
@@ -849,8 +850,9 @@ class TestEstimate:
             return wrapper
 
         for name in built:
-            monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
-        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 128 * 5)     # R = 5 at M' = 128
+            module = kernels if name == "deconv_kernel_grid" else estimators
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(kernels, "GROUP_BUDGET", 2 * 128 * 5)     # R = 5 at M' = 128
         data, errors, x, *_ = _write_estimation_inputs(tmp_path)
         result = runner.invoke(main, [
             "estimate", "--data", str(data), "--errors", str(errors),
@@ -1086,13 +1088,24 @@ class TestCrossSection:
 
     @pytest.mark.parametrize("estimator", ["deconv", "partial-linear"])
     def test_one_cf_tabulation_per_distinct_b(self, runner, tmp_path, monkeypatch, estimator):
-        # the section at the selected b reuses the run's weights
-        from hetdeconv import ErrorEnsemble
+        # the section at the selected b reuses the run's weights: S(v/b) is
+        # tabulated once per distinct b, and the t-side factor once per b
+        # for the run's grid and once for the section's
+        import hetdeconv.estimators as estimators
+        import hetdeconv.simulation as simulation
 
-        calls = []
-        cf_matrix = ErrorEnsemble.cf_matrix
-        monkeypatch.setattr(ErrorEnsemble, "cf_matrix",
-                            lambda self, v: calls.append(v) or cf_matrix(self, v))
+        calls = {"build_deconv_weights": [], "deconv_right": []}
+
+        def counted(name, fn):
+            def wrapper(weights_or_ensemble, *args):
+                calls[name].append(args[0] if name == "build_deconv_weights"
+                                   else weights_or_ensemble.bandwidth)
+                return fn(weights_or_ensemble, *args)
+            return wrapper
+
+        for module, name in ((estimators, "build_deconv_weights"), (estimators, "deconv_right"),
+                             (simulation, "deconv_right")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         grid = {"h": {"start": 0.1, "stop": 0.2, "count": 2},
                 "b": {"start": 0.1, "stop": 0.3, "count": 3}}
         cfg = _write_config(tmp_path, model="model2", n=60, reps=1, bandwidth_grid=grid)
@@ -1101,7 +1114,10 @@ class TestCrossSection:
             "--estimator", estimator, "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 3
+        assert sorted(calls["build_deconv_weights"]) == pytest.approx([0.1, 0.2, 0.3])
+        selected = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        b_values = calls["build_deconv_weights"]
+        assert calls["deconv_right"] == b_values + [selected["selected_bandwidths"]["b"]]
 
     def test_value_outside_support_exits_2(self, runner, tmp_path):
         cfg = _write_config(tmp_path)
@@ -1207,22 +1223,22 @@ class TestValidate:
         assert "variance_bound" not in result.output
 
     def test_tabulates_each_cf_once_per_distinct_b(self, runner, tmp_path, monkeypatch):
-        from hetdeconv import ErrorEnsemble
+        import hetdeconv.estimators as estimators
 
         calls = []
-        cf_matrix = ErrorEnsemble.cf_matrix
+        build = estimators.build_deconv_weights
 
-        def counted(self, v):
-            calls.append(v)
-            return cf_matrix(self, v)
+        def counted(ensemble, b, quad):
+            calls.append(b)
+            return build(ensemble, b, quad)
 
-        monkeypatch.setattr(ErrorEnsemble, "cf_matrix", counted)
+        monkeypatch.setattr(estimators, "build_deconv_weights", counted)
         pairs = [[h, b] for b in (0.1, 0.2) for h in (0.1, 0.15, 0.2)]
         cfg = _write_config(tmp_path, error_family="normal", bandwidth_grid={"pairs": pairs})
         result = runner.invoke(main, ["validate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         assert result.output.count("variance_bound=") == 6
-        assert len(calls) <= 2
+        assert calls == [0.1, 0.2]
 
     def test_doubling_h_halves_diagnostic(self, runner, tmp_path):
         cfg = _write_config(tmp_path, error_family="normal",

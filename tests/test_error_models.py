@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import underflowing_ensemble
+from oracles import masked_cf_matrix, shared_denominator
 
 from hetdeconv import (
     EnsembleInvalid,
@@ -11,7 +12,6 @@ from hetdeconv import (
     bandlimited_kernel_ft,
     build_deconv_weights,
 )
-from hetdeconv.error_models import shared_denominator
 
 
 def _gaussians(variance, n):
@@ -131,7 +131,7 @@ def _psi(ens, b, quad):
     weights = build_deconv_weights(ens, b, quad)
     half = quad.nodes[quad.size // 2:]
     factor = bandlimited_kernel_ft(half) * (quad.weights[quad.size // 2:] / np.pi)
-    return half / b, weights.values / factor
+    return half / b, weights.coefficients() / factor
 
 
 class TestDeconvWeights:
@@ -233,6 +233,29 @@ class TestArrayNativeEnsemble:
         got = ErrorEnsemble(models).cf_matrix(v)
         assert got.dtype == float
         assert np.array_equal(got, np.vstack([m.cf(v) for m in models]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("families", [["gaussian"], ["laplace"], ["degenerate"],
+                                          ["gaussian", "laplace", "degenerate"],
+                                          ["laplace", "degenerate"]],
+                             ids=["gaussian", "laplace", "degenerate", "mixed", "mixed-no-gaussian"])
+    def test_every_slice_of_rows_equals_the_masked_whole_table(self, families):
+        # the one-family chain and the mixed per-row choice give the bits of
+        # each family written through its mask, p past the double range included
+        rng = np.random.default_rng(len(families))
+        n = 3000
+        names = [families[i] for i in rng.integers(0, len(families), n)]
+        variances = np.where(np.array(names) == "degenerate", 0.0, rng.uniform(0.01, 3.0, n))
+        ens = ErrorEnsemble.from_arrays(names, variances)
+        v = np.concatenate([np.linspace(-400.0, 400.0, 801), [0.0, -0.0, 1e-300, 1e150, 1e300]])
+        whole = masked_cf_matrix(ens, v)
+        assert ens.cf_matrix(v).tobytes() == whole.tobytes()
+        for rows in (slice(0, 1), slice(7, 263), slice(2999, 3000), slice(1000, None)):
+            assert ens.cf_matrix(v, rows).tobytes() == whole[rows].tobytes()
+            buffer = np.full((2, whole[rows].shape[0], v.size), np.nan)
+            out = buffer[0]
+            assert ens.cf_matrix(v, rows, out=out) is out
+            assert out.tobytes() == whole[rows].tobytes() and np.isnan(buffer[1]).all()
 
     def test_from_arrays_matches_the_models(self):
         models = _mixed_models(1)

@@ -35,6 +35,7 @@ from hetdeconv import (
     fit,
     gaussian_kernel,
     generate,
+    kernels,
     linear_slope,
     true_regression,
     variance_bound_diagnostic,
@@ -306,7 +307,10 @@ class TestStackedRatioGrid:
     @pytest.mark.parametrize("m,rows", [(128, 256), (64, 512), (65, 496)])
     def test_the_sweep_and_predict_grid_take_their_blocks_from_one_rule(self, m, rows,
                                                                         monkeypatch):
-        # R = GROUP_BUDGET // 2M', M' = 2 ceil(M/2): 65 nodes make M' = 66
+        # R = GROUP_BUDGET // 2M', M' = 2 ceil(M/2): 65 nodes make M' = 66.
+        # The CF rows come in the same blocks: S(v/b) sums R rows, then the
+        # other 7; lt forms its left factor in blocks of R rows, the last
+        # one ending at row n; predict_grid forms c for its own blocks.
         quad = QuadratureGrid.gauss_legendre(m)
         assert estimators.block_rows(quad) == rows
         n = rows + 7
@@ -323,15 +327,25 @@ class TestStackedRatioGrid:
             seen.append(("predict", x_obs.size))
             return rows_fn(x_values, x_obs, h, out)
 
+        cf_fn, cf_rows = ErrorEnsemble.cf_matrix, []
+
+        def recorded_cf(ensemble, v, block=slice(None), out=None):
+            cf_rows.append(range(ensemble.n)[block])
+            return cf_fn(ensemble, v, block, out)
+
         monkeypatch.setattr(estimators, "stacked_ratio_grid", recorded_stacked)
+        monkeypatch.setattr(ErrorEnsemble, "cf_matrix", recorded_cf)
         cache = KernelCache(data.sample, xg, tg, quad)
         cache.kx_stack([0.2])
         cache.deconv([0.2], [0.3])
         cache.naive([0.2], [0.3])
+        assert cf_rows == [range(rows), range(rows, n), range(rows), range(7, n)]
         monkeypatch.setattr(estimators, "normal_rows", recorded_rows)
         fit(data.sample, Bandwidths(0.2, 0.3), quad).predict_grid(xg, tg)
         assert seen[:2] == [("stacked", rows)] * 2
         assert sorted(seen[2:]) == [("predict", 7), ("predict", rows)]
+        assert cf_rows[4:6] == [range(rows), range(rows, n)]
+        assert sorted(cf_rows[6:], key=len) == [range(rows, n), range(rows)]
 
     @pytest.mark.parametrize("method", ["naive", "deconv"])
     @pytest.mark.parametrize("n_x,n_t", [(1, 1), (2, 1), (1, 2)])
@@ -498,7 +512,7 @@ class TestPredictGridHelper:
         rank = 2 * est.weights.nodes.size
         assert estimators.factored_order(n, n_x, n_t, rank) is factored
         if block_rows:
-            monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * rank * block_rows)
+            monkeypatch.setattr(kernels, "GROUP_BUDGET", 2 * rank * block_rows)
             assert -(-n // block_rows) % 2 == 1 and n > 2 * block_rows
         monkeypatch.setattr(estimators, "stacked_ratio_grid", None)    # predict_grid calls none
         xg, tg = np.linspace(-1.5, 1.5, n_x), np.linspace(-1.2, 1.7, n_t)
@@ -520,7 +534,7 @@ class TestPredictGridHelper:
         sample = Sample(x=data.sample.x, w=data.sample.w, y=np.full(n, c), ensemble=ens)
         xg = tg = np.linspace(-2, 2, 20)
         assert not estimators.factored_order(n, xg.size, tg.size, 64)
-        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 64 * 16)
+        monkeypatch.setattr(kernels, "GROUP_BUDGET", 2 * 64 * 16)
         for h in (0.02, 0.2):
             values, flags, _ = fit(sample, Bandwidths(h, b), quad64).predict_grid(xg, tg)
             assert (~flags).any()
@@ -551,6 +565,35 @@ class TestPredictGridHelper:
         tracemalloc.start()
         try:
             est.predict_grid(xg, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_fit_and_predict_grid_hold_no_table_of_n_rows(self):
+        # the benchmark's estimate shape at ten times its n: a mixed ensemble
+        # of n = 50 000, a 200 x 200 grid and 128 nodes, where one (n, M'/2)
+        # table of coefficients is 25.6 MB; fit held one, and its CF
+        # tabulation peaked at 73 MiB.  fit: S's squares, R + 1 rows of M'/2;
+        # per thread of predict_grid: kx, [y a | a], the total and one
+        # block's product, the mask of the kernels, a block's coefficients
+        # and four temporaries (the phase, its cosine, the mixed CF's two);
+        # then right, the sums, the ratio's arrays and w / b
+        n, n_x, m = 50_000, 200, 128
+        quad = QuadratureGrid.gauss_legendre(m)
+        rank, rows = m, kernels.block_rows(quad)
+        data = generate(Model.MODEL1, n, _mixed_ensemble(n, 0.02), np.random.default_rng(5))
+        xg = tg = np.linspace(-2, 2, n_x)
+        assert estimators.factored_order(n, n_x, n_x, rank)
+        per_thread = (rows * (n_x + 2 * rank + n_x + n_x / 8 + 5 * rank // 2)
+                      + 2 * n_x * 2 * rank)
+        bound = (8 * ((rows + 1) * rank // 2 + 2 * per_thread + rank * n_x + 4 * n_x * n_x + n)
+                 + (64 << 10))
+        assert bound < 8 * n * rank // 2 / 3
+        fit(data.sample, Bandwidths(0.3, 0.3), quad).predict_grid(xg[:2], tg[:2])
+        tracemalloc.start()
+        try:
+            fit(data.sample, Bandwidths(0.3, 0.3), quad).predict_grid(xg, tg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,7 +651,7 @@ class TestPredictGridHelper:
     def test_an_exception_of_the_caller_waits_for_the_helper(self, quad64, monkeypatch):
         # 300 rows in blocks of 100: the helper takes the first and the third
         est = self._estimator(ErrorFamily.GAUSSIAN, quad64)
-        monkeypatch.setattr(estimators, "GROUP_BUDGET", 2 * 64 * 100)
+        monkeypatch.setattr(kernels, "GROUP_BUDGET", 2 * 64 * 100)
         rows_fn, finished = estimators.normal_rows, []
 
         def slow_or_failing_rows(x_values, x_obs, h, out):

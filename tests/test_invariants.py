@@ -132,7 +132,7 @@ class TestPermutation:
         coef = MOVED + (2 * MOVED + 2 * g) + 8 * U
         kernel = coef + MOVED + 2 * U + 2 * gamma(2 * half + 1)
         rel = 2 * g + MOVED + kernel
-        c = np.stack([np.abs(cache.deconv_weights(b).values).sum(axis=1) for b in bs])
+        c = np.stack([np.abs(cache.deconv_weights(b).coefficients()).sum(axis=1) for b in bs])
         floor = RIDGE_SCALE / hb[:, :, None, None]
         _assert_ratio_within(other.deconv(hs, bs), cache.deconv(hs, bs),
                              rel * _sums(kx, c, ay, hb), rel * _sums(kx, c, ones, hb), floor)
@@ -261,7 +261,7 @@ def _deconv_kernel_error(cache, bs, obs, grid):
     that many terms.
     """
     half = cache.quad.size - cache.quad.size // 2
-    c = np.stack([np.abs(cache.deconv_weights(b).values).sum(axis=1) for b in bs])
+    c = np.stack([np.abs(cache.deconv_weights(b).coefficients()).sum(axis=1) for b in bs])
     bs = np.asarray(bs, dtype=float)[:, None, None]
     phases = 3 * U * (np.abs(obs)[:, None] + np.abs(grid)) / bs
     return c[:, :, None] * (np.sqrt(2) * (17 * U + phases) + gamma(2 * half + 1)), c

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import underflowing_ensemble
@@ -7,11 +9,14 @@ from oracles import (
     bandlimited_kernel_closed_form,
     deconv_kernel,
     full_weights,
+    masked_cf_matrix,
+    shared_denominator,
     stacked_kernel_grid,
     trapezoid_grid,
 )
 
 from hetdeconv import (
+    DeconvWeights,
     EnsembleInvalid,
     ErrorEnsemble,
     ErrorFamily,
@@ -25,8 +30,7 @@ from hetdeconv import (
     deconv_kernel_grid,
     gaussian_kernel,
 )
-from hetdeconv.error_models import shared_denominator
-from hetdeconv.kernels import SMALLEST_NORMAL, deconv_left
+from hetdeconv.kernels import SMALLEST_NORMAL, block_rows, deconv_left
 from hetdeconv.simulation import build_ensemble
 
 
@@ -128,6 +132,23 @@ class TestScalarKernels:
         u = np.array([4e300, -1e300, 1e155, np.inf, 0.0])
         assert np.array_equal(gaussian_kernel(u), [0.0, 0.0, 0.0, 0.0, gaussian_kernel(0.0)])
 
+    def test_skipping_exp_past_the_underflow_cut_keeps_every_bit(self):
+        # exp(-u^2/2) / sqrt(2 pi) falls below the smallest normal double at
+        # -u^2/2 = log(SMALLEST_NORMAL sqrt(2 pi)) = -707.48, u = 37.62; a
+        # dense sweep of +-2 around that u, and every exponent within 2e5
+        # ulp of the cut, give today's formula's bits
+        cut = np.log(SMALLEST_NORMAL * np.sqrt(2 * np.pi))
+        u_cut = np.sqrt(-2.0 * cut)
+        exponents = cut + np.arange(-200_000, 200_000) * np.spacing(cut)
+        for u in (np.linspace(u_cut - 2.0, u_cut + 2.0, 400_001), np.sqrt(-2.0 * exponents)):
+            u = np.concatenate([u, -u])
+            today = np.exp(-0.5 * u * u)
+            today /= np.sqrt(2 * np.pi)
+            today[today < SMALLEST_NORMAL] = 0.0
+            got = gaussian_kernel(u)
+            assert 0 < np.count_nonzero(got) < got.size
+            assert got.tobytes() == today.tobytes()
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(u=st.lists(
         st.just(0.0)
@@ -185,14 +206,14 @@ class TestDeconvWeights:
         w = build_deconv_weights(_degenerate_ensemble(n), 0.1, quad128)
         expected = bandlimited_kernel_ft(w.nodes) / n
         assert np.array_equal(w.nodes, quad128.nodes[64:])
-        assert np.allclose(w.values / _quadrature_factor(quad128), expected, rtol=0, atol=1e-15)
-        assert w.values.dtype == float
+        assert np.allclose(w.coefficients() / _quadrature_factor(quad128), expected, rtol=0, atol=1e-15)
+        assert w.coefficients().dtype == float
 
     def test_endpoint_nodes_get_zero_weight(self):
         quad = trapezoid_grid(33)
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad)
         # v = 1 is the last half node; v = -1 is its mirror image
-        assert w.nodes[-1] == 1.0 and w.values[0, -1] == 0.0
+        assert w.nodes[-1] == 1.0 and w.coefficients()[0, -1] == 0.0
 
     def test_homoscedastic_laplace_closed_form(self, quad128):
         n, s, b = 5, 0.8, 0.2
@@ -200,38 +221,87 @@ class TestDeconvWeights:
         w = build_deconv_weights(ens, b, quad128)
         v = w.nodes
         expected = bandlimited_kernel_ft(v) * (1.0 + s * (v / b) ** 2 / 2.0) / n
-        assert np.allclose(w.values / _quadrature_factor(quad128), expected,
+        assert np.allclose(w.coefficients() / _quadrature_factor(quad128), expected,
                            rtol=1e-12, atol=1e-15)
 
     def test_shape_and_finiteness(self, quad64):
         ens = build_ensemble(ErrorFamily.LAPLACE, 11)
         w = build_deconv_weights(ens, 0.05, quad64)
-        assert w.values.shape == (11, 32)
-        assert np.all(np.isfinite(w.values))
+        assert w.coefficients().shape == (11, 32)
+        assert np.all(np.isfinite(w.coefficients()))
 
     def test_odd_grid_keeps_the_zero_node_at_half_its_coefficient(self):
         quad = trapezoid_grid(65)
         n = 3
         w = build_deconv_weights(_degenerate_ensemble(n), 0.1, quad)
-        assert w.values.shape == (n, 33) and w.nodes[0] == 0.0
-        assert w.values[0, 0] == pytest.approx(quad.weights[32] / np.pi / n / 2.0, rel=1e-15)
+        assert w.coefficients().shape == (n, 33) and w.nodes[0] == 0.0
+        assert w.coefficients()[0, 0] == pytest.approx(quad.weights[32] / np.pi / n / 2.0, rel=1e-15)
         expected = bandlimited_kernel_ft(w.nodes) / n
-        assert np.allclose(w.values / _quadrature_factor(quad), expected, rtol=0, atol=1e-15)
+        assert np.allclose(w.coefficients() / _quadrature_factor(quad), expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("ens", [
         build_ensemble(ErrorFamily.GAUSSIAN, 7),
+        build_ensemble(ErrorFamily.GAUSSIAN, 1100),
+        build_ensemble(ErrorFamily.LAPLACE, 1100),
+        _degenerate_ensemble(1100),
         ErrorEnsemble.from_arrays(["gaussian", "laplace", "degenerate", "laplace"] * 3,
                                   [0.3, 0.5, 0.0, 0.1] * 3),
-    ], ids=["gaussian", "mixed"])
+        ErrorEnsemble.from_arrays(["gaussian", "laplace", "degenerate", "laplace"] * 275,
+                                  [0.3, 0.5, 0.0, 0.1] * 275),
+    ], ids=["gaussian", "gaussian-1100", "laplace-1100", "degenerate-1100", "mixed",
+            "mixed-1100"])
     def test_weights_are_the_half_of_the_full_complex_weights(self, ens):
-        # c_jv is bit for bit the v >= 0 half of the full weights times weight / pi
+        # c_jv of any slice of rows is bit for bit those rows of the v >= 0
+        # half of the full weights times weight / pi, whose S sums all n rows
+        # at once: slices shorter than R, of R and of R + 1 rows, and the
+        # partial last block (R = 512 at 64 nodes, 496 at 65)
         for quad in (QuadratureGrid.gauss_legendre(64), trapezoid_grid(65)):
             w = build_deconv_weights(ens, 0.15, quad)
             half = quad.size // 2
             expected = full_weights(w)[:, half:] * (quad.weights[half:] / np.pi)
             if quad.size % 2:
                 expected[:, 0] *= 0.5
-            assert np.array_equal(w.values, expected)
+            assert np.array_equal(w.coefficients(), expected)
+            rows, n = block_rows(quad), ens.n
+            for block in (slice(2, 5), slice(3, 3 + rows), slice(rows, 2 * rows + 1),
+                          slice(n - n % rows, n)):
+                got = w.coefficients(block)
+                assert got.shape == expected[block].shape
+                assert np.array_equal(got, expected[block]), block
+                buffer = np.full((2, *got.shape), np.nan)
+                out = buffer[1]
+                assert w.coefficients(block, out=out) is out
+                assert out.tobytes() == got.tobytes() and np.isnan(buffer[0]).all()
+
+    @pytest.mark.parametrize("m", [64, 65, 128])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "mixed"])
+    def test_the_blocked_denominator_is_the_whole_sum(self, m, family):
+        # S summed block by block, each block after the running S, equals the
+        # axis-0 sum over all n rows bit for bit at n = 1, R - 1, R, R + 1, 3R + 5
+        quad = QuadratureGrid.gauss_legendre(m)
+        rows, b = block_rows(quad), 0.2
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            if family == "mixed":
+                ens = ErrorEnsemble.from_arrays((["gaussian", "laplace", "degenerate"] * n)[:n],
+                                                np.tile([0.4, 0.3, 0.0], n)[:n])
+            else:
+                ens = build_ensemble(ErrorFamily(family), n)
+            w = build_deconv_weights(ens, b, quad)
+            whole = shared_denominator(masked_cf_matrix(ens, quad.nodes / b))
+            assert w.denominator.tobytes() == whole.tobytes(), n
+
+    def test_weights_refuse_a_failed_report(self, quad64):
+        # the weights hold no table to check, so they check the report they are built from
+        ens, b = underflowing_ensemble(3), 0.05
+        with pytest.raises(EnsembleInvalid) as info:
+            build_deconv_weights(ens, b, quad64)
+        failed = info.value.report
+        denom = shared_denominator(ens.cf_matrix(quad64.nodes / b))
+        with pytest.raises(ValueError, match="validation report failed"):
+            DeconvWeights(ens, b, quad64, denom, failed)
+        passed = build_deconv_weights(ens, 0.5, quad64)
+        with pytest.raises(ValueError, match="denominator of shape"):
+            DeconvWeights(ens, 0.5, quad64, passed.denominator[1:], passed.report)
 
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
     def test_weights_keep_the_denominator_and_its_report(self, family):
@@ -409,7 +479,7 @@ class TestRealHalfNodeKernel:
     def test_built_in_laws_take_the_real_path_and_match_the_oracle(
             self, laws, quad, b, obs, evals):
         weights = build_deconv_weights(ErrorEnsemble(laws), b, quad)
-        assert weights.values.dtype == float
+        assert weights.coefficients().dtype == float
         _assert_grid_matches_scalar(weights, np.array(obs[:len(laws)]), np.array(evals))
 
     @pytest.mark.parametrize("m", [16, 17, 64, 65])
@@ -426,17 +496,18 @@ class TestRealHalfNodeKernel:
 class TestPerBandwidthBuild:
     """The kernels of several b, built b by b into one array, equal their one-b builds."""
 
+    @pytest.mark.parametrize("n", [37, 1100])     # one block; R = 512 (496) rows, three blocks
     @pytest.mark.parametrize("m", [64, 65], ids=["gl64", "gl65-node-at-0"])
     @pytest.mark.parametrize("family", [ErrorFamily.GAUSSIAN, ErrorFamily.LAPLACE])
-    def test_cache_lt_equals_the_one_b_builds(self, m, family):
+    def test_cache_lt_equals_the_one_b_builds(self, m, family, n):
         quad = QuadratureGrid.gauss_legendre(m)
-        ens, bs = build_ensemble(family, 37), [0.065, 0.11, 0.155, 0.2, 0.5]
+        ens, bs = build_ensemble(family, n), [0.065, 0.11, 0.155, 0.2, 0.5]
         rng = np.random.default_rng(9)
-        obs, evals = rng.uniform(-2.5, 2.5, 37), np.linspace(-2.0, 2.0, 13)
-        sample = Sample(rng.uniform(-2, 2, 37), obs, rng.normal(size=37), ens)
+        obs, evals = rng.uniform(-2.5, 2.5, n), np.linspace(-2.0, 2.0, 13)
+        sample = Sample(rng.uniform(-2, 2, n), obs, rng.normal(size=n), ens)
         cache = KernelCache(sample, [0.0], evals, quad)
         lt = cache.lt(bs)
-        assert lt.shape == (len(bs), 37, 13)
+        assert lt.shape == (len(bs), n, 13)
         for k, b in enumerate(bs):
             w = build_deconv_weights(ens, b, quad)
             one = deconv_kernel_grid(w, obs / b, evals / b)
@@ -447,6 +518,29 @@ class TestPerBandwidthBuild:
             assert out.tobytes() == one.tobytes()
         # any run of b builds the same kernels
         assert cache.lt(bs[1:3]).tobytes() == lt[1:3].tobytes()
+
+    def test_weights_and_lt_hold_no_table_of_n_rows(self):
+        # build_deconv_weights and KernelCache.lt at n = 20 000, 128 nodes and
+        # T = 5, where one (n, M'/2) table of coefficients is 10.2 MB: lt and
+        # w / b (n (T + 1)), and blocks of R rows, M'/2 wide: S's squares
+        # (R + 1), the left factor (2 R) and its coefficients (R), and four
+        # temporaries of a block (the phase, its cosine, the mixed CF's two)
+        n, n_t, quad = 20_000, 5, QuadratureGrid.gauss_legendre(128)
+        rows, half = block_rows(quad), 64
+        ens = ErrorEnsemble.from_arrays(["gaussian", "laplace"] * (n // 2), np.full(n, 0.1))
+        rng = np.random.default_rng(4)
+        sample = Sample(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), rng.normal(size=n), ens)
+        evals = np.linspace(-1.0, 1.0, n_t)
+        bound = 8 * (n * (n_t + 1) + (rows + 1 + 2 * rows + rows + 4 * rows) * half) + (64 << 10)
+        assert bound < 8 * n * half / 4
+        KernelCache(sample, [0.0], evals, quad).lt([0.3])
+        tracemalloc.start()
+        try:
+            KernelCache(sample, [0.0], evals, quad).lt([0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("m", [64, 65], ids=["gl64", "gl65-node-at-0"])
     def test_the_left_factor_is_written_into_a_strided_out(self, m):

@@ -290,13 +290,23 @@ class TestSharedKernelCache:
         assert np.isfinite(res.ase_values).all()
 
     def test_replication_builds_each_kernel_matrix_once(self, monkeypatch):
+        import hetdeconv.estimators as estimators
         import hetdeconv.simulation as simulation
 
         cfg = _tiny_config(model="model2", reps=1, bandwidth_grid={
             "h": {"start": 0.1, "stop": 0.2, "count": 2},
             "b": {"start": 0.1, "stop": 0.3, "count": 3}})
-        context = simulation.RunContext.build(cfg)
+        built = []
+        build_fn, right_fn = estimators.build_deconv_weights, simulation.deconv_right
+        with monkeypatch.context() as patch:
+            # the run builds each b's weights and its t-side factor once
+            patch.setattr(estimators, "build_deconv_weights",
+                          lambda ens, b, quad: built.append(("weights", b)) or build_fn(ens, b, quad))
+            patch.setattr(simulation, "deconv_right",
+                          lambda w, args: built.append(("right", w.bandwidth)) or right_fn(w, args))
+            context = simulation.RunContext.build(cfg)
         b_values = list(cfg.b_values)
+        assert built == [("weights", b) for b in b_values] + [("right", b) for b in b_values]
         # the (n, T) kernels of one b outweigh its (H, X, T) contraction of
         # two h, so a budget of two b's kernels cuts the three b into groups
         # of 2 and 1
@@ -313,10 +323,10 @@ class TestSharedKernelCache:
         import hetdeconv.estimators as estimators
         import hetdeconv.simulation as simulation
 
-        calls = {"lt": [], "kt": [], "deconv_kernel_grid": [], "gaussian_kernel": 0,
-                 "stacked": [], "floored_ratio": 0}
+        calls = {"lt": [], "kt": [], "deconv_left": [], "deconv_right": [], "gaussian_kernel": 0,
+                 "stacked": [], "floored_ratio": 0, "build_deconv_weights": 0}
         lt_fn, kt_fn = estimators.KernelCache.lt, estimators.KernelCache.kt
-        grid_fn, gauss_fn = estimators.deconv_kernel_grid, estimators.gaussian_kernel
+        left_fn, gauss_fn = estimators.deconv_left, estimators.gaussian_kernel
         stacked_fn, floored_fn = estimators.stacked_ratio_grid, estimators.floored_ratio
 
         def counted_lt(cache, bs):
@@ -327,9 +337,15 @@ class TestSharedKernelCache:
             calls["kt"].append(list(bs))
             return kt_fn(cache, bs)
 
-        def counted_grid(weights, obs_args, eval_args, out=None):
-            calls["deconv_kernel_grid"].append(weights.bandwidth)
-            return grid_fn(weights, obs_args, eval_args, out)
+        def counted_left(weights, obs_args, rows, **buffers):
+            calls["deconv_left"].append(weights.bandwidth)
+            return left_fn(weights, obs_args, rows, **buffers)
+
+        def counted_right(weights, eval_args):
+            calls["deconv_right"].append(weights.bandwidth)
+
+        def counted_build(ensemble, b, quad):
+            calls["build_deconv_weights"] += 1
 
         def counted_gauss(u, out=None):
             calls["gaussian_kernel"] += 1
@@ -345,7 +361,9 @@ class TestSharedKernelCache:
 
         monkeypatch.setattr(estimators.KernelCache, "lt", counted_lt)
         monkeypatch.setattr(estimators.KernelCache, "kt", counted_kt)
-        monkeypatch.setattr(estimators, "deconv_kernel_grid", counted_grid)
+        monkeypatch.setattr(estimators, "deconv_left", counted_left)
+        monkeypatch.setattr(estimators, "deconv_right", counted_right)
+        monkeypatch.setattr(estimators, "build_deconv_weights", counted_build)
         monkeypatch.setattr(estimators, "gaussian_kernel", counted_gauss)
         monkeypatch.setattr(estimators, "stacked_ratio_grid", counted_stacked)
         monkeypatch.setattr(estimators, "floored_ratio", counted_floored)
@@ -354,9 +372,12 @@ class TestSharedKernelCache:
                    for name in ("deconv", "naive", "partial_linear"))
         h_values = {h for h, _ in context.config.bw_pairs}
         # each b in exactly one lt build (one per group, shared by deconv and
-        # partial-linear, of one kernel build per b) and in exactly one kt build
+        # partial-linear, of one kernel build per b, here one block of rows)
+        # and in exactly one kt build; the weights and the t-side factors
+        # are the run's
         assert calls["lt"] == groups
-        assert calls["deconv_kernel_grid"] == [b for g in groups for b in g]
+        assert calls["deconv_left"] == [b for g in groups for b in g]
+        assert calls["deconv_right"] == [] and calls["build_deconv_weights"] == 0
         assert calls["kt"] == groups
         # kx once per distinct h (into the stack), the naive kt once per group
         assert calls["gaussian_kernel"] == len(h_values) + len(groups)
@@ -619,6 +640,7 @@ class TestGroupedSweep:
         # return and every (B, H, X, T) contraction of stacked_ratio_grid
         # during one sweep holds at most the budget, unless its group is one b
         import hetdeconv.estimators as estimators
+        import hetdeconv.kernels as kernels
 
         rng = np.random.default_rng(seed)
         sample = Sample(x=rng.uniform(-1, 1, n), w=rng.uniform(-1, 1, n), y=rng.normal(size=n),
@@ -637,6 +659,7 @@ class TestGroupedSweep:
 
         with mock.patch.object(simulation, "GROUP_BUDGET", budget), \
                 mock.patch.object(estimators, "GROUP_BUDGET", budget), \
+                mock.patch.object(kernels, "GROUP_BUDGET", budget), \
                 mock.patch.object(KernelCache, "lt", recorded("lt", KernelCache.lt)), \
                 mock.patch.object(KernelCache, "kt", recorded("kt", KernelCache.kt)), \
                 mock.patch.object(estimators, "stacked_ratio_grid",
