@@ -1,4 +1,4 @@
-"""Hash the 22 pinned CLI outputs, 2 validate reports and 12 sweep digests of a tree; check them.
+"""Hash the 24 pinned CLI outputs, 2 validate reports and 12 sweep digests of a tree; check them.
 
     python3 scripts/pinned_outputs.py --src path/to/tree/src
 
@@ -34,11 +34,15 @@ at 0.5 on the desk model2 laplace n=100 config; ``estimate`` on the
 a 60 x 60 grid, at h = 0.1, b = 0.05 on a 30 x 30 grid, the latter again
 on 65 quadrature nodes, whose odd grid has a node at v = 0, and at h = 0.05,
 b = 0.02 on a 40 x 40 grid over [-2.5, 2.5] with 64 nodes, whose CSV holds
-exponent-form, negative and ``0.0...`` fields and flagged rows (of the
-estimate runs, by ``estimators.factored_order``, ``est_d`` takes the factored
-order and ``est_a``, ``est_b`` and ``est_c`` the lt order; each accumulates
-its 5000 rows in blocks of GROUP_BUDGET // 2M' rows, 20 blocks at 128 nodes,
-11 at 65 and 10 at 64); ``validate`` of
+exponent-form, negative and ``0.0...`` fields and flagged rows; then
+``est_e``, ``est_a``'s run with the degenerate law on every row, and
+``est_f``, ``est_c``'s run with the degenerate law on every third row and
+the other rows' laws kept, so the gate sees the CF of a degenerate law in
+an ensemble of one family and in a mixed one (of the estimate runs, by
+``estimators.factored_order``, ``est_d`` takes the factored order and the
+others the lt order; each accumulates its 5000 rows in blocks of
+GROUP_BUDGET // 2M' rows, 20 blocks at 128 nodes, 11 at 65 and 10 at 64);
+``validate`` of
 the desk model2 laplace n=100 config (exit 0) and of a model1 gaussian n=100
 config with pairs (0.1, 0.003) and (0.1, 0.2), whose b = 0.003 fails (exit 1).
 
@@ -94,6 +98,19 @@ def _config(work: Path, name: str, **fields) -> Path:
     return path
 
 
+def write_degenerate_errors(work: Path) -> None:
+    """The errors tables of est_e and est_f, from the work directory's errors.csv.
+
+    errors_degenerate.csv gives every row the degenerate law, and
+    errors_third_degenerate.csv every third row (rows 1, 4, 7, ...), the
+    other rows keeping their laws.
+    """
+    header, *rows = (work / "errors.csv").read_text().splitlines()
+    for name, every in (("errors_degenerate.csv", 1), ("errors_third_degenerate.csv", 3)):
+        lines = ["degenerate,0" if i % every == 0 else row for i, row in enumerate(rows)]
+        (work / name).write_text("\n".join([header, *lines]) + "\n")
+
+
 def runs(work: Path):
     """(name, CLI arguments, output file or None for stdout, exit code) of every
     pinned run, in print order."""
@@ -125,12 +142,15 @@ def runs(work: Path):
                         ["cross-section", "--config", str(cfg), "--axis", axis,
                          "--value", "0.5", "--estimator", estimator],
                         "cross_section.csv", 0))
-    inputs = ["--data", str(work / "data.csv"), "--errors", str(work / "errors.csv")]
-    for name, h, b, grid, nodes in (("est_a", "0.3", "0.3", "-2:2:60", 128),
-                                    ("est_b", "0.1", "0.05", "-2:2:30", 128),
-                                    ("est_c", "0.1", "0.05", "-2:2:30", 65),
-                                    ("est_d", "0.05", "0.02", "-2.5:2.5:40", 64)):
-        out.append((name, ["estimate", *inputs, "--h", h, "--b", b,
+    for name, errors, h, b, grid, nodes in (
+            ("est_a", "errors.csv", "0.3", "0.3", "-2:2:60", 128),
+            ("est_b", "errors.csv", "0.1", "0.05", "-2:2:30", 128),
+            ("est_c", "errors.csv", "0.1", "0.05", "-2:2:30", 65),
+            ("est_d", "errors.csv", "0.05", "0.02", "-2.5:2.5:40", 64),
+            ("est_e", "errors_degenerate.csv", "0.3", "0.3", "-2:2:60", 128),
+            ("est_f", "errors_third_degenerate.csv", "0.1", "0.05", "-2:2:30", 65)):
+        out.append((name, ["estimate", "--data", str(work / "data.csv"),
+                           "--errors", str(work / errors), "--h", h, "--b", b,
                            f"--x-grid={grid}", f"--t-grid={grid}", "--quad-nodes", str(nodes)],
                     "predictions.csv", 0))
     failing = _config(work, "validate_fail", model="model1", error_family="gaussian", n=100,
@@ -154,6 +174,7 @@ def main() -> None:
         subprocess.run([sys.executable, str(REPO / "bench" / "inputs.py"), "--workload",
                         "estimate-mixed-n5000", "--seed", "7", "--out", str(work)],
                        check=True, env=env, stdout=subprocess.DEVNULL)
+        write_degenerate_errors(work)
         for name, cli_args, output, code in runs(work):
             out_args = [] if output is None else ["--out", str(work / name)]
             proc = subprocess.run([sys.executable, "-m", "hetdeconv.cli", *cli_args, *out_args],

@@ -29,7 +29,6 @@ from .kernels import (
     QuadratureGrid,
     bandlimited_kernel_ft,
     build_deconv_weights,
-    deconv_kernel_grid,
     gaussian_kernel,
 )
 from .simulation import (
@@ -77,7 +76,6 @@ __all__ = [
     "build_deconv_weights",
     "build_ensemble",
     "cross_section",
-    "deconv_kernel_grid",
     "fit",
     "gaussian_kernel",
     "generate",

@@ -32,8 +32,9 @@ class ErrorFamily(str, Enum):
 class ErrorModel:
     """One observation's error law, identified by family and variance.
 
-    The Laplace family is parameterized by variance: scale = sqrt(variance/2),
-    so its characteristic function is 1 / (1 + variance * v^2 / 2).
+    Its characteristic function is exp(-variance v^2 / 2) (Gaussian),
+    1 / (1 + variance v^2 / 2) (Laplace, of scale sqrt(variance / 2)) or 1
+    (degenerate); ``ErrorEnsemble.cf_matrix`` tabulates it.
     """
 
     family: ErrorFamily
@@ -46,15 +47,6 @@ class ErrorModel:
             raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
         if self.family is ErrorFamily.DEGENERATE and self.variance != 0.0:
             raise ValueError("the degenerate (no-error) law has variance 0")
-
-    def cf(self, v):
-        """Characteristic function at frequency v (real for these symmetric laws)."""
-        v = np.asarray(v, dtype=float)
-        if self.family is ErrorFamily.GAUSSIAN:
-            return np.exp(-0.5 * self.variance * v * v)
-        if self.family is ErrorFamily.LAPLACE:
-            return 1.0 / (1.0 + 0.5 * self.variance * v * v)
-        return np.ones_like(v)
 
 
 # Family codes of an array-native ensemble, keyed by family name; ErrorFamily
@@ -105,8 +97,10 @@ class ErrorEnsemble:
         codes.setflags(write=False)
         variances.setflags(write=False)
         self.codes, self.variances = codes, variances
-        # the family code of an ensemble of one family, None for a mixed one
+        # the family code of an ensemble of one family, None for a mixed one;
+        # whether any law is degenerate, whose rows cf_matrix sets to 1
         self._family = int(codes[0]) if np.all(codes == codes[0]) else None
+        self._degenerate = bool(np.any(codes == _DEGENERATE))
 
     @property
     def n(self) -> int:
@@ -115,15 +109,16 @@ class ErrorEnsemble:
     def cf_matrix(self, v, rows=slice(None), out=None) -> np.ndarray:
         """cf_j(v) for the models j of the slice ``rows``, shape (r, len(v)), into ``out`` if given.
 
-        In ErrorModel.cf's operation order from p = (variance / 2) v^2, so
-        every value is bit-identical to it: one chain of ufuncs when every
-        law is of one family; for a mixed ensemble, the Laplace form in place
-        and the Gaussian one copied over its rows (both are exactly 1 at a
-        degenerate law's p = 0).  A p beyond the double range is inf, where
-        both CFs are exactly 0.
+        Each closed form from p = (variance / 2) v^2, in the operation order
+        of the per-law reference ``law_cf`` of ``tests/oracles.py``, so every
+        value is bit-identical to it: one chain of ufuncs when every law is
+        Gaussian or every law Laplace; otherwise the Laplace form in place,
+        the Gaussian one copied over its rows and exactly 1 over the
+        degenerate ones, whose p = 0 v^2 is NaN at |v| = inf.  A p beyond the
+        double range is inf, where both CFs are exactly 0.
         """
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             p = np.multiply((0.5 * self.variances[rows])[:, None], v, out=out)
             p *= v
         if self._family == _GAUSSIAN:
@@ -131,13 +126,13 @@ class ErrorEnsemble:
         if self._family == _LAPLACE:
             p += 1.0
             return np.divide(1.0, p, out=p)
-        if self._family == _DEGENERATE:
-            p.fill(1.0)
-            return p
+        codes = self.codes[rows][:, None]
         gaussian = np.exp(np.negative(p))
         p += 1.0
         np.divide(1.0, p, out=p)
-        np.copyto(p, gaussian, where=(self.codes[rows] == _GAUSSIAN)[:, None])
+        np.copyto(p, gaussian, where=codes == _GAUSSIAN)
+        if self._degenerate:
+            np.copyto(p, 1.0, where=codes == _DEGENERATE)
         return p
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:

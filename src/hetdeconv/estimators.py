@@ -276,14 +276,14 @@ class KernelCache:
     def lt(self, bs):
         """The deconvolution kernels at each b of ``bs``, (B, n, T), built b by b in place.
 
-        Each is ``deconv_kernel_grid``'s product, formed over blocks of R =
-        ``block_rows`` observations: a block's ``deconv_left`` times the kept
-        ``deconv_right`` of b.  Every block has R rows (n if fewer), the last
-        one ending at row n, so every product has one shape, whose rows BLAS
-        rounds as it rounds the whole product's.  A w or t so large that
-        w / b or t / b overflows gives non-finite kernel values, whose points
-        the ratio guard flags, so the overflow and the trig of inf are no
-        warning.
+        Each is the (n, T) matrix of L_j at (t - w_j) / b, formed over blocks
+        of R = ``block_rows`` observations: a block's ``deconv_left`` of w / b
+        times the kept ``deconv_right`` of t / b.  Every block has R rows (n
+        if fewer), the last one ending at row n, so every product has one
+        shape, whose rows BLAS rounds as it rounds the whole product's.  A w
+        or t so large that w / b or t / b overflows gives non-finite kernel
+        values, whose points the ratio guard flags, so the overflow and the
+        trig of inf are no warning.
         """
         n = self.sample.n
         rows = min(n, block_rows(self.quad))

@@ -222,13 +222,16 @@ def build_deconv_weights(
 
 def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None,
                 coef=None) -> np.ndarray:
-    """The observation-side factor of ``deconv_kernel_grid``: [c cos(v o), c sin(v o)], (r, M').
+    """The observation-side factor [c cos(v o), c sin(v o)] of the kernels L_j, (r, M').
 
-    ``obs_args`` (n) hold every observation's argument at the bandwidth of
-    ``weights``; the factor is formed for the observations of the slice
-    ``rows`` (r of them), with c = ``weights.coefficients(rows)`` and
-    M' = 2 ceil(M/2) columns: the cos half, then the sin half.  It is
-    written into ``out`` when given, an (r, 2, M) array of the two halves,
+    Each node v > 0 pairs with -v, so at the bandwidth of ``weights``
+    L_j(e) = sum_{v>=0} c_jv [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)]:
+    row j of this factor times ``deconv_right``, with M' = 2 ceil(M/2)
+    columns, the cos half then the sin half, so the (n, T) kernel matrix
+    has rank at most M'.  ``obs_args`` (n) hold every observation's argument
+    o_j at that bandwidth; the factor is formed for the observations of the
+    slice ``rows`` (r of them), with c = ``weights.coefficients(rows)``.  It
+    is written into ``out`` when given, an (r, 2, M) array of the two halves,
     whose (r, M') view is returned; c is formed in ``coef`` when given, an
     (r, ceil(M/2)) array.
     """
@@ -248,7 +251,7 @@ def deconv_left(weights: DeconvWeights, obs_args, rows=slice(None), out=None,
 
 
 def deconv_right(weights: DeconvWeights, eval_args) -> np.ndarray:
-    """The evaluation-side factor of ``deconv_kernel_grid``: [cos(v e); sin(v e)], (M', T)."""
+    """The evaluation-side factor [cos(v e); sin(v e)] of the kernels L_j, (M', T)."""
     eval_args = np.asarray(eval_args, dtype=float)
     v = weights.nodes
     right = np.empty((2, v.size, eval_args.size))
@@ -257,16 +260,3 @@ def deconv_right(weights: DeconvWeights, eval_args) -> np.ndarray:
     np.sin(phase, out=phase)
     return right.reshape(2 * v.size, -1)
 
-
-def deconv_kernel_grid(weights: DeconvWeights, obs_args, eval_args, out=None) -> np.ndarray:
-    """Kernel values L_j(eval_args[i] - obs_args[j]) at the bandwidth of ``weights``, (n, T).
-
-    ``obs_args`` (n) and ``eval_args`` (T) hold the arguments at that
-    bandwidth.  Each node v > 0 pairs with -v, so L_j(e) = sum_{v>=0} c_jv
-    [cos(v e) cos(v o_j) + sin(v e) sin(v o_j)], with c_jv the coefficients
-    of ``weights``, formed for all n at once: the real product
-    ``deconv_left`` @ ``deconv_right``, inner size M' = 2 ceil(M/2), so the
-    matrix has rank at most M'.  The product is written into ``out`` when
-    given.
-    """
-    return np.matmul(deconv_left(weights, obs_args), deconv_right(weights, eval_args), out=out)

@@ -18,7 +18,8 @@ when given a block size, in block order, as the program does.
 ``shared_denominator`` is S(v) summed over all n rows at once, and
 ``masked_cf_matrix`` the whole CF table with each family written through a
 boolean mask: the references of the program's blocked S and its
-per-family CF chains.
+per-family CF chains.  ``law_cf`` is one law's characteristic function in
+closed form, the per-law reference of ``ErrorEnsemble.cf_matrix``.
 ``polynomial_cosine_kernel`` is the kernel of an error-free or a
 homoscedastic Laplace ensemble in closed form, and
 ``longdouble_gauss_legendre`` the Gauss-Legendre rule in long double, both
@@ -151,6 +152,22 @@ def shared_denominator(cf) -> np.ndarray:
     return (cf * cf).sum(axis=0)
 
 
+def law_cf(law, v):
+    """The characteristic function of the built-in law ``law`` (an ErrorModel) at frequency v.
+
+    Real for these symmetric laws: exp(-variance v^2 / 2), 1 / (1 + variance
+    v^2 / 2) or 1.  A variance v^2 beyond the double range is inf, where both
+    closed forms are exactly 0, so that overflow is no warning.
+    """
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        if law.family is ErrorFamily.GAUSSIAN:
+            return np.exp(-0.5 * law.variance * v * v)
+        if law.family is ErrorFamily.LAPLACE:
+            return 1.0 / (1.0 + 0.5 * law.variance * v * v)
+    return np.ones_like(v)
+
+
 def masked_cf_matrix(ensemble, v) -> np.ndarray:
     """cf_j(v) for every law j, (n, len(v)): each family's closed form written through its mask."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -182,7 +199,11 @@ def deconv_kernel(weights: DeconvWeights, j: int, arg: float) -> float:
 
 
 def stacked_kernel_grid(weights: DeconvWeights, obs_args, eval_args) -> np.ndarray:
-    """``deconv_kernel_grid`` as [c cos(v o), c sin(v o)] @ [cos(v e); sin(v e)], stacked."""
+    """The (n, T) kernels L_j as [c cos(v o), c sin(v o)] @ [cos(v e); sin(v e)], stacked.
+
+    ``obs_args`` (n) and ``eval_args`` (T) hold the arguments at the bandwidth
+    of ``weights``; c is ``weights.coefficients()`` of all n rows at once.
+    """
     coef, v = weights.coefficients(), weights.nodes
     obs_phase = np.outer(np.atleast_1d(obs_args), v)
     eval_phase = np.outer(v, np.atleast_1d(eval_args))

@@ -833,11 +833,11 @@ class TestEstimate:
     def test_builds_the_kernel_matrices_once(self, runner, tmp_path, monkeypatch):
         # each observation's rows of kx and of the left factor are built
         # once, in one of the blocks (24 rows in 5 blocks of at most 5, over
-        # both threads); the right factor is built once, the whole kernel grid never
+        # both threads); the right factor is built once
         import hetdeconv.estimators as estimators
         import hetdeconv.kernels as kernels
 
-        built = {"normal_rows": [], "deconv_left": [], "deconv_right": [], "deconv_kernel_grid": []}
+        built = {"normal_rows": [], "deconv_left": [], "deconv_right": []}
         rows = {"normal_rows": [], "deconv_left": []}
 
         def counted(name, fn):
@@ -850,8 +850,7 @@ class TestEstimate:
             return wrapper
 
         for name in built:
-            module = kernels if name == "deconv_kernel_grid" else estimators
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+            monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
         monkeypatch.setattr(kernels, "GROUP_BUDGET", 2 * 128 * 5)     # R = 5 at M' = 128
         data, errors, x, *_ = _write_estimation_inputs(tmp_path)
         result = runner.invoke(main, [
@@ -863,7 +862,7 @@ class TestEstimate:
         assert sorted(np.concatenate(rows["normal_rows"])) == sorted(x)
         assert sorted(i for block in rows["deconv_left"] for i in range(24)[block]) == \
             list(range(24))
-        assert built["deconv_right"] == [2 * 64] and built["deconv_kernel_grid"] == []
+        assert built["deconv_right"] == [2 * 64]
 
     def test_a_failing_kernel_build_on_the_helper_exits_3_with_its_text(self, runner, tmp_path,
                                                                         monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import underflowing_ensemble
-from oracles import masked_cf_matrix, shared_denominator
+from oracles import law_cf, masked_cf_matrix, shared_denominator
 
 from hetdeconv import (
     EnsembleInvalid,
@@ -32,6 +32,16 @@ def _report(ensemble, bandwidth, freqs):
     return ValidationReport.from_denominator(bandwidth, freqs, _denominator(ensemble, freqs))
 
 
+def _cf(law, v):
+    """cf(v) of the one law ``law``, shaped as v, tabulated by a one-law ensemble.
+
+    Checked bit for bit against the per-law reference.
+    """
+    got = ErrorEnsemble((law,)).cf_matrix(v)[0].reshape(np.shape(v))
+    assert got.tobytes() == law_cf(law, v).tobytes()
+    return got
+
+
 def _draw_one(law, rng):
     """One error from ``law``, drawn on its own."""
     if law.family is ErrorFamily.GAUSSIAN:
@@ -43,16 +53,16 @@ def _draw_one(law, rng):
 
 class TestCharacteristicFunctions:
     def test_gaussian_at_zero(self):
-        assert ErrorModel(ErrorFamily.GAUSSIAN, 1.0).cf(0.0) == 1.0
+        assert _cf(ErrorModel(ErrorFamily.GAUSSIAN, 1.0), 0.0) == 1.0
 
     def test_laplace_hand_value(self):
         # 1 / (1 + s v^2 / 2) with s=2, v=1
-        assert ErrorModel(ErrorFamily.LAPLACE, 2.0).cf(1.0) == pytest.approx(0.5, abs=1e-15)
+        assert _cf(ErrorModel(ErrorFamily.LAPLACE, 2.0), 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_degenerate_is_one_everywhere(self):
         m = ErrorModel(ErrorFamily.DEGENERATE)
-        assert m.cf(37.2) == 1.0
-        assert np.all(m.cf(np.linspace(-100, 100, 101)) == 1.0)
+        assert _cf(m, 37.2) == 1.0
+        assert np.all(_cf(m, np.linspace(-100, 100, 101)) == 1.0)
 
     @pytest.mark.parametrize("family,variance", [
         (ErrorFamily.GAUSSIAN, 0.3),
@@ -64,11 +74,11 @@ class TestCharacteristicFunctions:
     def test_bounds_unit_at_zero_and_even(self, family, variance):
         m = ErrorModel(family, variance)
         v = np.linspace(-30.0, 30.0, 601)
-        vals = m.cf(v)
-        assert m.cf(0.0) == 1.0
+        vals = _cf(m, v)
+        assert _cf(m, 0.0) == 1.0
         assert np.all(np.abs(vals) <= 1.0 + 1e-15)
         # built-in families are symmetric: cf is real and even
-        assert np.allclose(vals, m.cf(-v), rtol=0, atol=0)
+        assert np.allclose(vals, _cf(m, -v), rtol=0, atol=0)
 
     @pytest.mark.filterwarnings("error")
     def test_a_frequency_beyond_the_double_range_is_a_zero_cf_and_no_warning(self):
@@ -76,6 +86,29 @@ class TestCharacteristicFunctions:
         ens = ErrorEnsemble.from_arrays(["gaussian", "laplace", "degenerate"], [0.1, 0.1, 0.0])
         cf = ens.cf_matrix([-1e300, 1e160, 0.0])
         assert np.array_equal(cf, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("families", [["degenerate"], ["gaussian", "laplace", "degenerate"],
+                                          ["degenerate", "laplace"], ["gaussian", "degenerate"]],
+                             ids=["degenerate", "mixed", "mixed-no-gaussian", "mixed-no-laplace"])
+    def test_every_slice_equals_the_per_law_cf_to_the_ends_of_the_double_range(self, families):
+        # each row is its law's CF bit for bit at |v| = 0, 1e308 (p past the
+        # double range) and inf, where a degenerate law's p = 0 v^2 is NaN,
+        # through row slices and out=, without a warning
+        v = np.array([-np.inf, -1e308, 0.0, 1e308, np.inf])
+        names = (families * 5)[:13]
+        laws = [ErrorModel(f, 0.0 if f == "degenerate" else 0.1 * (k + 1))
+                for k, f in enumerate(names)]
+        ens = ErrorEnsemble.from_arrays(names, [law.variance for law in laws])
+        whole = np.vstack([law_cf(law, v) for law in laws])
+        assert np.all(whole[np.array(names) == "degenerate"] == 1.0)
+        assert ens.cf_matrix(v).tobytes() == whole.tobytes()
+        for rows in (slice(0, 1), slice(2, 9), slice(12, 13), slice(4, None)):
+            assert ens.cf_matrix(v, rows).tobytes() == whole[rows].tobytes()
+            buffer = np.full((2, whole[rows].shape[0], v.size), np.nan)
+            out = buffer[1]
+            assert ens.cf_matrix(v, rows, out=out) is out
+            assert out.tobytes() == whole[rows].tobytes() and np.isnan(buffer[0]).all()
 
     def test_degenerate_rejects_positive_variance(self):
         with pytest.raises(ValueError):
@@ -154,7 +187,7 @@ class TestDeconvWeights:
         n, s = 7, 0.6
         ens = ErrorEnsemble(tuple(ErrorModel(family, s) for _ in range(n)))
         v, psi = _psi(ens, quad64.nodes[-1] / 4.2, quad64)
-        cf = ErrorModel(family, s).cf(v)
+        cf = law_cf(ErrorModel(family, s), v)
         assert np.allclose(psi[0] * n * cf, 1.0, rtol=0, atol=1e-12)
 
     def test_weights_times_cf_sum_to_one(self, quad64):
@@ -232,7 +265,7 @@ class TestArrayNativeEnsemble:
         v = np.concatenate([np.linspace(-400.0, 400.0, 1601), [0.0, -0.0, 1e-300, 1e150]])
         got = ErrorEnsemble(models).cf_matrix(v)
         assert got.dtype == float
-        assert np.array_equal(got, np.vstack([m.cf(v) for m in models]))
+        assert np.array_equal(got, np.vstack([law_cf(m, v) for m in models]))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("families", [["gaussian"], ["laplace"], ["degenerate"],

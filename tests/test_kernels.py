@@ -27,10 +27,9 @@ from hetdeconv import (
     ValidationReport,
     bandlimited_kernel_ft,
     build_deconv_weights,
-    deconv_kernel_grid,
     gaussian_kernel,
 )
-from hetdeconv.kernels import SMALLEST_NORMAL, block_rows, deconv_left
+from hetdeconv.kernels import SMALLEST_NORMAL, block_rows, deconv_left, deconv_right
 from hetdeconv.simulation import build_ensemble
 
 
@@ -46,6 +45,17 @@ def _quadrature_factor(quad):
     return factor
 
 
+def _kernel_grid(weights, obs_args, eval_args):
+    """The kernels L_j(eval_args[i] - obs_args[j]), (n, T): ``deconv_left`` @ ``deconv_right``.
+
+    The product the program forms, checked bit for bit against the oracle
+    that stacks its operands with np.hstack/np.vstack.
+    """
+    grid = deconv_left(weights, obs_args) @ deconv_right(weights, eval_args)
+    assert grid.tobytes() == stacked_kernel_grid(weights, obs_args, eval_args).tobytes()
+    return grid
+
+
 def _plain_kernel(u, quad):
     """The band-limited kernel on the production quadrature path.
 
@@ -56,7 +66,7 @@ def _plain_kernel(u, quad):
     if np.ndim(u) == 0:
         return deconv_kernel(weights, 0, u)
     chunks = np.array_split(u, -(-u.size // 10_000))
-    return np.concatenate([deconv_kernel_grid(weights, [0.0], c)[0] for c in chunks])
+    return np.concatenate([_kernel_grid(weights, [0.0], c)[0] for c in chunks])
 
 
 class TestQuadratureGrid:
@@ -376,7 +386,7 @@ class TestDeconvKernelEvaluation:
                                   for k in range(5)))
         w = build_deconv_weights(ens, 0.2, quad128)
         grid = np.linspace(-100.0, 100.0, 20_001)
-        vals = deconv_kernel_grid(w, np.zeros(5), grid)
+        vals = _kernel_grid(w, np.zeros(5), grid)
         total = np.trapezoid(vals.sum(axis=0), grid)
         assert total == pytest.approx(1.0, abs=1e-3)
 
@@ -386,7 +396,7 @@ class TestDeconvKernelEvaluation:
         w = build_deconv_weights(ens, b, quad64)
         obs = np.linspace(-1.0, 1.0, 8)
         evals = np.array([-0.7, 0.0, 1.3])
-        grid_vals = deconv_kernel_grid(w, obs / b, evals / b)
+        grid_vals = _kernel_grid(w, obs / b, evals / b)
         for j in range(8):
             for i, t in enumerate(evals):
                 direct = deconv_kernel(w, j, (t - obs[j]) / b)
@@ -394,12 +404,15 @@ class TestDeconvKernelEvaluation:
 
     @pytest.mark.parametrize("quad", [QuadratureGrid.gauss_legendre(64),
                                       trapezoid_grid(65)], ids=["gl64", "trap65"])
-    def test_grid_equals_the_stacked_operand_product(self, quad):
+    def test_lt_equals_the_stacked_operand_product(self, quad):
         ens, b = build_ensemble(ErrorFamily.LAPLACE, 9), 0.1
         w = build_deconv_weights(ens, b, quad)
         rng = np.random.default_rng(5)
-        obs, evals = rng.uniform(-2.5, 2.5, 9) / b, np.linspace(-2.0, 2.0, 13) / b
-        assert np.array_equal(deconv_kernel_grid(w, obs, evals), stacked_kernel_grid(w, obs, evals))
+        obs, evals = rng.uniform(-2.5, 2.5, 9), np.linspace(-2.0, 2.0, 13)
+        sample = Sample(rng.uniform(-2, 2, 9), obs, rng.normal(size=9), ens)
+        lt = KernelCache(sample, [0.0], evals, quad).lt([b])[0]
+        assert lt.tobytes() == stacked_kernel_grid(w, obs / b, evals / b).tobytes()
+        _assert_grid_matches_scalar(w, lt, obs, evals)
 
     def test_index_out_of_range(self, quad64):
         w = build_deconv_weights(_degenerate_ensemble(2), 0.1, quad64)
@@ -452,13 +465,16 @@ def _quadratures(draw):
     return trapezoid_grid(m)
 
 
-def _assert_grid_matches_scalar(weights, obs, evals):
-    """deconv_kernel_grid against the complex scalar sum, to 1e-11 of the sum of |terms|."""
+def _assert_grid_matches_scalar(weights, grid, obs, evals, rows=None):
+    """``grid`` (n, T), the kernels at (evals - obs) / b, against the complex scalar sum.
+
+    Each value within 1e-11 of the sum of |terms|, on the observations
+    ``rows`` (all n if None).
+    """
     b = weights.bandwidth
-    grid = deconv_kernel_grid(weights, obs / b, evals / b)
     quad = weights.quad
     full = full_weights(weights)
-    for j in range(weights.n):
+    for j in range(weights.n) if rows is None else rows:
         scale = (quad.weights * np.abs(full[j])).sum() / (2 * np.pi)
         for i, t in enumerate(evals):
             direct = deconv_kernel(weights, j, (t - obs[j]) / b)
@@ -466,7 +482,7 @@ def _assert_grid_matches_scalar(weights, obs, evals):
 
 
 class TestRealHalfNodeKernel:
-    """deconv_kernel_grid, a real cosine sum, against the complex scalar oracle."""
+    """deconv_left @ deconv_right, a real cosine sum, against the complex scalar oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -480,7 +496,9 @@ class TestRealHalfNodeKernel:
             self, laws, quad, b, obs, evals):
         weights = build_deconv_weights(ErrorEnsemble(laws), b, quad)
         assert weights.coefficients().dtype == float
-        _assert_grid_matches_scalar(weights, np.array(obs[:len(laws)]), np.array(evals))
+        obs, evals = np.array(obs[:len(laws)]), np.array(evals)
+        grid = _kernel_grid(weights, obs / b, evals / b)
+        _assert_grid_matches_scalar(weights, grid, obs, evals)
 
     @pytest.mark.parametrize("m", [16, 17, 64, 65])
     def test_every_built_in_grid_is_mirrored(self, m):
@@ -510,12 +528,8 @@ class TestPerBandwidthBuild:
         assert lt.shape == (len(bs), n, 13)
         for k, b in enumerate(bs):
             w = build_deconv_weights(ens, b, quad)
-            one = deconv_kernel_grid(w, obs / b, evals / b)
-            assert lt[k].tobytes() == one.tobytes(), b
-            assert np.array_equal(one, stacked_kernel_grid(w, obs / b, evals / b))
-            out = np.empty_like(one)
-            assert deconv_kernel_grid(w, obs / b, evals / b, out=out) is out
-            assert out.tobytes() == one.tobytes()
+            assert lt[k].tobytes() == _kernel_grid(w, obs / b, evals / b).tobytes(), b
+            _assert_grid_matches_scalar(w, lt[k], obs, evals, rows=(0, n // 2, n - 1))
         # any run of b builds the same kernels
         assert cache.lt(bs[1:3]).tobytes() == lt[1:3].tobytes()
 
@@ -562,4 +576,4 @@ class TestPerBandwidthBuild:
         w = build_deconv_weights(build_ensemble(ErrorFamily.LAPLACE, 6), 0.2, quad64)
         for obs in (np.zeros(5), np.zeros(7), np.zeros((2, 6))):
             with pytest.raises(ValueError, match=f"{obs.size} observation arguments .* n=6"):
-                deconv_kernel_grid(w, obs, np.zeros(3))
+                deconv_left(w, obs)
